@@ -9,7 +9,9 @@ Conventions
 * Every generator enforces a minimum pairwise separation ``min_separation``
   (default 1.0, matching the paper's normalisation of the shortest link
   to 1) by rejection sampling. Deterministic generators (grid, line,
-  exponential chain) satisfy it by construction.
+  exponential chain) satisfy it by construction. The rejection sampler
+  checks each candidate against the accepted points in neighbouring
+  grid cells only, so a deployment costs O(n) instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -33,6 +35,20 @@ __all__ = [
 
 _MAX_REJECTION_ROUNDS = 10_000
 
+#: Cell offsets of a cell and its eight neighbours.
+_NEIGHBOURHOOD = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+def _clear_of(cells: dict, cx: int, cy: int, x: float, y: float, min_separation: float) -> bool:
+    """Whether ``(x, y)`` is at least ``min_separation`` from every hashed point near cell ``(cx, cy)``."""
+    for ox, oy in _NEIGHBOURHOOD:
+        for qx, qy in cells.get((cx + ox, cy + oy), ()):
+            dx = qx - x
+            dy = qy - y
+            if math.sqrt(dx * dx + dy * dy) < min_separation:
+                return False
+    return True
+
 
 def _rejection_sample(
     n: int,
@@ -42,29 +58,41 @@ def _rejection_sample(
 ) -> np.ndarray:
     """Sample ``n`` points from ``draw`` keeping pairwise separation.
 
-    ``draw(k)`` must return ``(k, 2)`` candidate points. Uses a simple
-    incremental accept/reject loop; raises if the target density is
-    infeasible (caller asked for more separated points than fit).
+    ``draw(k)`` must return ``(k, 2)`` candidate points. Candidates are
+    taken in order and one is accepted iff its distance
+    ``sqrt(dx*dx + dy*dy)`` to every point accepted so far is at least
+    ``min_separation``; raises if the target density is infeasible
+    (caller asked for more separated points than fit).
+
+    Accepted points are hashed into square cells of side
+    ``2 * min_separation`` and a candidate is compared with the points in
+    its own and the eight surrounding cells only. A point closer than
+    ``min_separation`` is less than half a cell away along each axis, so
+    even with the rounding of ``x / side`` its cell index differs from
+    the candidate's by at most one: the accept decisions are exactly
+    those of comparing against every accepted point.
     """
     accepted = np.empty((n, 2), dtype=np.float64)
     count = 0
+    side = 2.0 * min_separation
+    cells: dict = {}
     for _ in range(_MAX_REJECTION_ROUNDS):
         if count == n:
             break
         needed = n - count
         candidates = draw(max(needed * 2, 8))
-        for point in candidates:
+        for x, y in candidates.tolist():
             if count == n:
                 break
-            if count == 0:
-                accepted[0] = point
-                count = 1
-                continue
-            deltas = accepted[:count] - point
-            nearest = np.sqrt((deltas**2).sum(axis=1)).min()
-            if nearest >= min_separation:
-                accepted[count] = point
-                count += 1
+            if min_separation > 0.0:
+                cx = math.floor(x / side)
+                cy = math.floor(y / side)
+                if not _clear_of(cells, cx, cy, x, y, min_separation):
+                    continue
+                cells.setdefault((cx, cy), []).append((x, y))
+            accepted[count, 0] = x
+            accepted[count, 1] = y
+            count += 1
     if count < n:
         raise RuntimeError(
             f"could not place {n} points with separation {min_separation}; "

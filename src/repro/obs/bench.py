@@ -71,7 +71,9 @@ def _setup(n: int):
     from repro.sinr.channel import SINRChannel
 
     positions = uniform_disk(n, generator_from(1001))
-    return positions, SINRChannel(positions)
+    channel = SINRChannel(positions)
+    channel.base_gains  # built once here, gathered from by every run
+    return positions, channel
 
 
 def core_benchmarks(
@@ -85,7 +87,13 @@ def core_benchmarks(
 
     ``n`` sizes the generic-engine workloads; ``fast_n`` sizes the
     vectorised fast-path execution (kept larger because that is the
-    scaling-study regime it exists for). ``parallel_trials`` sizes the
+    scaling-study regime it exists for). ``fast_path_execution`` gathers
+    its gains from a built ``(n, n)`` matrix, as a reused deployment
+    does; ``fast_path_execution_matrix_free`` runs the same execution on
+    a channel that computes them from positions, as a fresh deployment
+    does. ``deployment_uniform_disk_n2048`` times the sampler alone, and
+    ``gain_matrix_construction`` a channel plus its gain matrix.
+    ``parallel_trials`` sizes the
     ``parallel_trials_w{1,2,4}`` scaling benchmarks — the same large-``n``
     fast-path trial batch sharded over 1/2/4 worker processes
     (:mod:`repro.sim.parallel`), so the record tracks parallel speedup
@@ -104,6 +112,7 @@ def core_benchmarks(
     the w2/w4 lines. Tests shrink all the knobs.
     """
     from repro.analysis.linkclasses import link_class_partition
+    from repro.deploy.topologies import uniform_disk
     from repro.protocols.simple import FixedProbabilityProtocol
     from repro.sim.engine import Simulation
     from repro.sim.fast import fast_fixed_probability_run
@@ -120,7 +129,11 @@ def core_benchmarks(
     distances = pairwise_distances(positions)
 
     def gain_matrix_construction() -> Dict[str, float]:
-        SINRChannel(positions)
+        SINRChannel(positions).base_gains
+        return {}
+
+    def deployment_uniform_disk_n2048() -> Dict[str, float]:
+        uniform_disk(2048, generator_from(1001))
         return {}
 
     def single_round_resolve() -> Dict[str, float]:
@@ -149,6 +162,20 @@ def core_benchmarks(
     def fast_path_execution() -> Dict[str, float]:
         result = fast_fixed_probability_run(
             fast_channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
+        )
+        return {
+            "rounds": result.rounds_executed,
+            "peak_active": max(result.active_counts, default=0),
+            "solved": result.solved,
+        }
+
+    # The same deployment and seed on a channel whose gain matrix is never
+    # built: every round computes its gains from positions.
+    free_channel = SINRChannel(fast_channel.positions)
+
+    def fast_path_execution_matrix_free() -> Dict[str, float]:
+        result = fast_fixed_probability_run(
+            free_channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
         )
         return {
             "rounds": result.rounds_executed,
@@ -234,10 +261,12 @@ def core_benchmarks(
         return bench
 
     return [
+        ("deployment_uniform_disk_n2048", deployment_uniform_disk_n2048),
         ("gain_matrix_construction", gain_matrix_construction),
         ("single_round_resolve", single_round_resolve),
         ("full_execution_engine", full_execution_engine),
         ("fast_path_execution", fast_path_execution),
+        ("fast_path_execution_matrix_free", fast_path_execution_matrix_free),
         ("fast_path_execution_probes", fast_path_execution_probes),
         ("link_class_partition", link_class_partition_cost),
         ("parallel_trials_w1", parallel_trials_bench(1)),

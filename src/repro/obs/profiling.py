@@ -45,6 +45,9 @@ PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ),
 )
 
+#: ``sinr/channel`` functions that set a channel up rather than resolve rounds.
+_CHANNEL_SETUP = ("__init__", "distances", "_gain_matrix")
+
 #: Bucket for profiled functions outside every declared phase (numpy
 #: internals, stdlib, the obs layer itself).
 OTHER_PHASE = "other"
@@ -53,12 +56,13 @@ OTHER_PHASE = "other"
 def classify_phase(filename: str, funcname: str) -> str:
     """Attribute one profiled function to a pipeline phase.
 
-    The gain matrix is built in ``SINRChannel.__init__`` (which lives in
-    the same file as the round loop's ``resolve``), so channel-file
+    The channel is set up in ``SINRChannel.__init__`` and its lazily
+    built ``distances`` / ``_gain_matrix`` (which live in the same file
+    as the round loop's ``resolve`` and ``gain_rows``), so channel-file
     functions are split by function name before the path fragments apply.
     """
     path = filename.replace("\\", "/")
-    if "sinr/channel" in path and funcname == "__init__":
+    if "sinr/channel" in path and funcname in _CHANNEL_SETUP:
         return "gain_matrix"
     for phase, fragments in PHASES:
         if any(fragment in path for fragment in fragments):

@@ -49,7 +49,7 @@ def carrier_sense_threshold(channel) -> float:
     ``0.5 * P / diameter^alpha``. Any single in-range transmitter exceeds
     it; silence never does.
     """
-    diameter = float(channel.distances.max())
+    diameter = channel.diameter
     if diameter <= 0.0:
         return 0.5 * channel.params.power
     return 0.5 * channel.params.power / diameter**channel.params.alpha

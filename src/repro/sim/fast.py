@@ -6,7 +6,12 @@ round. The paper's algorithm has no per-node state beyond active/inactive
 and a constant probability, so a whole execution collapses into numpy:
 
 * coin flips: one ``rng.random(n_active)`` per round;
-* reception: the same gain-matrix reductions the channel uses;
+* reception: the same gain reductions the channel uses, over only the
+  ``(transmitter, listener)`` gains of the round
+  (:meth:`~repro.sinr.channel.SINRChannel.gain_rows`): computed from
+  positions, or gathered when the channel's ``(n, n)`` matrix has been
+  built. A fresh deployment therefore never needs that matrix, so a
+  trial's memory is O(n) plus one round's ``|T| x |L|`` gains;
 * knockout: a boolean mask update.
 
 ``fast_fixed_probability_run`` is behaviourally equivalent to running
@@ -99,7 +104,6 @@ def fast_fixed_probability_run(
             "the fast path supports continuous external sources only"
         )
 
-    gains = channel.base_gains
     params = channel.params
     n = channel.n
     if channel.external_sources:
@@ -171,7 +175,7 @@ def fast_fixed_probability_run(
         if tx.size > 0:
             listeners = active_ids[~coins]
             if listeners.size > 0:
-                rows = gains[tx][:, listeners]
+                rows = channel.gain_rows(tx, listeners)
                 totals = rows.sum(axis=0) + static_external[listeners]
                 if probing:
                     # argmax instead of max: same best value bit-for-bit,

@@ -21,8 +21,9 @@ Modules
     Vectorised planar geometry: pairwise distances, balls, exponential
     annuli, greedy circle packings.
 ``channel``
-    :class:`SINRChannel` — the deterministic path-loss channel with a
-    precomputed gain matrix and per-round reception resolution.
+    :class:`SINRChannel` — the deterministic path-loss channel: per-round
+    reception resolution over the gains each round touches, and a gain
+    matrix built on demand.
 ``fading``
     :class:`RayleighFading` and :class:`DeterministicGain` — per-round
     stochastic gain models layered on top of the path-loss channel.

@@ -19,6 +19,9 @@ import numpy as np
 
 __all__ = [
     "pairwise_distances",
+    "cross_distances",
+    "has_colocated_pair",
+    "diameter_of",
     "nearest_neighbor_distances",
     "points_in_ball",
     "exponential_annulus",
@@ -46,13 +49,109 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Full symmetric ``(n, n)`` Euclidean distance matrix.
 
     The diagonal is exactly zero. This is the only O(n^2)-memory object in
-    the library; channels compute it once per deployment and reuse it.
+    the library. A channel builds it only when something asks for its
+    ``distances`` or ``base_gains`` (probes, fading models, shared
+    deployments); the fast path and the generic engine work from
+    :func:`cross_distances` over the pairs a round touches instead. The
+    matrix is that function over all pairs, so every entry has the same
+    bits either way.
     """
     positions = as_positions(positions)
-    deltas = positions[:, None, :] - positions[None, :, :]
-    distances = np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas))
+    distances = cross_distances(positions, positions)
     np.fill_diagonal(distances, 0.0)
     return distances
+
+
+def cross_distances(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distances from each of ``sources`` to each of ``targets``, ``(m, k)``.
+
+    Computed as ``sqrt(dx*dx + dy*dy)``. :func:`pairwise_distances`, the
+    channel's gains and its construction checks all go through this
+    function, so they agree bit for bit.
+    """
+    # Contiguous x and y rows make the broadcast subtractions faster.
+    target_x, target_y = np.ascontiguousarray(targets.T)
+    dx = sources[:, 0, None] - target_x
+    dy = sources[:, 1, None] - target_y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+#: Coordinate gap below which two points may be at computed distance 0:
+#: ``d * d`` underflows to 0 only for ``|d|`` below about ``1.5e-162``.
+_UNDERFLOW_GAP = 1e-150
+
+
+def _runs(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Run ids over sorted ``values``: a new run starts at a new group or a gap >= ``_UNDERFLOW_GAP``."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = (groups[1:] != groups[:-1]) | (values[1:] - values[:-1] >= _UNDERFLOW_GAP)
+    return np.cumsum(starts)
+
+
+def has_colocated_pair(positions: np.ndarray) -> bool:
+    """Whether two points are at distance exactly 0 in :func:`pairwise_distances`.
+
+    That includes distinct points so close that ``dx*dx + dy*dy``
+    underflows. Such a pair is closer than ``_UNDERFLOW_GAP`` along both
+    axes, so it shares a run of points sorted by ``x`` whose consecutive
+    gaps are all below it, and within that run a run sorted by ``y``. Only
+    those runs, almost always single points, are compared pairwise:
+    O(n log n) time and no ``(n, n)`` matrix.
+    """
+    n = positions.shape[0]
+    if n < 2:
+        return False
+    by_x = np.argsort(positions[:, 0], kind="stable")
+    x_runs = _runs(positions[by_x, 0], np.zeros(n, dtype=np.intp))
+    within = np.lexsort((positions[by_x, 1], x_runs))
+    order = by_x[within]
+    runs = _runs(positions[order, 1], x_runs[within])
+    sizes = np.bincount(runs)
+    for run in np.flatnonzero(sizes >= 2):
+        members = positions[order[runs == run]]
+        distances = cross_distances(members, members)
+        np.fill_diagonal(distances, np.inf)
+        if np.any(distances == 0.0):
+            return True
+    return False
+
+
+#: Most distances :func:`diameter_of` holds at once (32 MiB of float64).
+_DIAMETER_BLOCK_CELLS = 1 << 22
+
+
+def diameter_of(positions: np.ndarray) -> float:
+    """Longest pairwise distance, equal to ``pairwise_distances(positions).max()``.
+
+    Let ``c`` be the bounding-box centre, ``R`` the largest distance from
+    ``c`` and ``L`` any pair distance. A longest pair ``(a, b)`` has
+    ``|a - c| >= |a - b| - |b - c| >= L - R``, as does ``b``; so the
+    maximum over the points that pass that test (with a slack far above
+    the rounding error) is the maximum over all pairs, taken with the
+    same elementwise expression. On spread-out deployments few points
+    pass; the survivors are compared in blocks of at most
+    ``_DIAMETER_BLOCK_CELLS`` distances, so memory stays O(n) even when
+    all pass (a ring).
+    """
+    n = positions.shape[0]
+    if n < 2:
+        return 0.0
+    centre = (positions.min(axis=0) + positions.max(axis=0)) / 2.0
+    from_centre = cross_distances(positions, centre[None, :])[:, 0]
+    far = int(from_centre.argmax())
+    radius = float(from_centre[far])
+    bound = float(cross_distances(positions[far : far + 1], positions).max())
+    slack = 1e-9 * (bound + radius)
+    survivors = positions[from_centre >= bound - radius - slack]
+    step = max(1, _DIAMETER_BLOCK_CELLS // survivors.shape[0])
+    longest = bound
+    for start in range(0, survivors.shape[0], step):
+        block = cross_distances(survivors[start : start + step], survivors)
+        longest = max(longest, float(block.max()))
+    return longest
 
 
 def nearest_neighbor_distances(
@@ -78,13 +177,13 @@ def nearest_neighbor_distances(
         in no link class).
     """
     n = distances.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    masked = np.where(active[None, :], distances, np.inf).astype(np.float64, copy=True)
-    np.fill_diagonal(masked, np.inf)
+    ids = np.arange(n) if active is None else np.flatnonzero(active)
     result = np.full(n, np.inf)
-    if active.any():
-        result[active] = masked[active].min(axis=1)
+    if ids.size:
+        # Only the active block: (|active|, |active|) rather than (n, n).
+        within = np.take(distances[ids], ids, axis=1)
+        np.fill_diagonal(within, np.inf)
+        result[ids] = within.min(axis=1)
     return result
 
 

@@ -31,10 +31,12 @@ class TestHarness:
         )
         names = set(results)
         assert names == {
+            "deployment_uniform_disk_n2048",
             "gain_matrix_construction",
             "single_round_resolve",
             "full_execution_engine",
             "fast_path_execution",
+            "fast_path_execution_matrix_free",
             "fast_path_execution_probes",
             "link_class_partition",
             "parallel_trials_w1",
@@ -54,6 +56,10 @@ class TestHarness:
         fast = results["fast_path_execution"]
         assert fast["peak_active"] == 48
         assert fast["solved"] is True
+        # Computing gains from positions runs the identical execution.
+        free = results["fast_path_execution_matrix_free"]
+        assert free["rounds"] == fast["rounds"]
+        assert free["peak_active"] == 48
         probed = results["fast_path_execution_probes"]
         # The probes variant runs the identical seeded workload — same
         # round count — and actually records one probe per round.

@@ -30,6 +30,16 @@ class TestThresholdSizing:
         channel = SINRChannel([(0.0, 0.0)])
         assert carrier_sense_threshold(channel) > 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_matches_the_dense_diameter(self, seed):
+        from repro.deploy.topologies import uniform_disk
+
+        channel = SINRChannel(uniform_disk(60, generator_from(seed)))
+        threshold = carrier_sense_threshold(channel)
+        # The threshold the matrix-based sizing gave: from distances.max().
+        dense = float(channel.distances.max())
+        assert threshold == 0.5 * channel.params.power / dense**channel.params.alpha
+
 
 class TestNodeRules:
     def test_concede_on_energy_above_threshold(self):

@@ -125,7 +125,12 @@ def _micro_runs():
         ),
         ("E9", e9_p_ablation.Config(probabilities=[0.05, 0.1, 0.3], n=32, trials=4)),
         ("E10", e10_alpha_ablation.Config(alphas=[2.5, 3.0, 4.0], n=32, trials=4)),
-        ("E11", e11_radio_anchors.Config(sizes=[16, 64, 256], trials=5)),
+        (
+            "E11",
+            e11_radio_anchors.Config(
+                sizes=[16, 64, 256], trials=5, tail_sizes=[16, 64], tail_trials_per_n=6
+            ),
+        ),
         ("E12", e12_rayleigh.Config(sizes=[16, 32, 64], trials=4)),
         ("E13", e13_interference_bounds.Config(sizes=[64], deployments_per_size=1)),
         (

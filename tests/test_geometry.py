@@ -110,6 +110,16 @@ class TestNearestNeighbor:
         nearest = nearest_neighbor_distances(grid_distances)
         assert np.allclose(nearest, 1.0)
 
+    def test_equals_the_masked_full_matrix_minimum(self):
+        rng = np.random.default_rng(4)
+        distances = pairwise_distances(rng.uniform(-10.0, 10.0, size=(120, 2)))
+        for fraction in (1.0, 0.5, 0.05, 0.0):
+            active = rng.random(120) < fraction
+            masked = np.where(active[None, :], distances, np.inf)
+            np.fill_diagonal(masked, np.inf)
+            expected = np.where(active, masked.min(axis=1), np.inf)
+            assert np.array_equal(nearest_neighbor_distances(distances, active), expected)
+
 
 class TestBallsAndAnnuli:
     def test_points_in_ball_strict_radius(self):

@@ -1,0 +1,266 @@
+"""Parity of the matrix-free paths with the dense ``(n, n)`` computations.
+
+The deployment sampler, the channel's construction checks and the fast
+path all avoid ``(n, n)`` matrices. Each must give the same bits as the
+dense computation it replaced, so every seed keeps its outcome.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.deploy import topologies
+from repro.experiments import e1_scaling_n, e17_large_scale
+from repro.sim.fast import fast_fixed_probability_run
+from repro.sim.parallel import StaticDeploymentFactory, UniformDiskFactory
+from repro.sim.seeding import generator_from
+from repro.sinr import geometry
+from repro.sinr.channel import SINRChannel
+from repro.sinr.geometry import diameter_of, has_colocated_pair, pairwise_distances
+from repro.sinr.parameters import SINRParameters
+
+
+def dense_rejection_sample(n, rng, draw, min_separation):
+    """The O(n^2) sampler the grid-hash one replaced, kept verbatim."""
+    accepted = np.empty((n, 2), dtype=np.float64)
+    count = 0
+    for _ in range(topologies._MAX_REJECTION_ROUNDS):
+        if count == n:
+            break
+        needed = n - count
+        candidates = draw(max(needed * 2, 8))
+        for point in candidates:
+            if count == n:
+                break
+            if count == 0:
+                accepted[0] = point
+                count = 1
+                continue
+            deltas = accepted[:count] - point
+            nearest = np.sqrt((deltas**2).sum(axis=1)).min()
+            if nearest >= min_separation:
+                accepted[count] = point
+                count += 1
+    if count < n:
+        raise RuntimeError("infeasible")
+    return accepted
+
+
+def _generators(s):
+    """``name -> f(rng)`` for every sampled generator at separation ``s``."""
+    return {
+        "uniform_disk": lambda rng: topologies.uniform_disk(150, rng, min_separation=s),
+        "uniform_square": lambda rng: topologies.uniform_square(150, rng, min_separation=s),
+        "power_law_disk": lambda rng: topologies.power_law_disk(
+            120, rng, inner_radius=2.0 * s, min_separation=s
+        ),
+        "clustered": lambda rng: topologies.clustered(
+            3, 10, rng, cluster_radius=4.0 * s, min_separation=s
+        ),
+        "two_cluster": lambda rng: topologies.two_cluster(
+            8, rng, gap=64.0 * s, cluster_radius=2.5 * s, min_separation=s
+        ),
+    }
+
+
+class TestSampler:
+    @pytest.mark.parametrize("min_separation", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(_generators(1.0)))
+    def test_positions_match_the_dense_sampler(self, monkeypatch, name, min_separation):
+        generate = _generators(min_separation)[name]
+        for seed in range(4):
+            fast = generate(generator_from(seed))
+            with monkeypatch.context() as patched:
+                patched.setattr(topologies, "_rejection_sample", dense_rejection_sample)
+                dense = generate(generator_from(seed))
+            assert np.array_equal(fast, dense), (name, seed)
+
+    @pytest.mark.parametrize("min_separation", [0.5, 1.0, 3.0])
+    def test_candidates_on_cell_boundaries(self, min_separation):
+        # Candidates on a lattice of half separations, some nudged by one
+        # ulp: they sit exactly on (and just beside) cell edges, and many
+        # pairs are exactly min_separation apart, where `>=` accepts.
+        def draw_from(rng):
+            def draw(k):
+                points = rng.integers(-24, 24, size=(k, 2)) * (min_separation / 2.0)
+                nudge = rng.integers(-1, 2, size=(k, 2))
+                return np.where(
+                    nudge == 0,
+                    points,
+                    np.nextafter(points, np.where(nudge > 0, np.inf, -np.inf)),
+                )
+
+            return draw
+
+        for seed in range(6):
+            fast = topologies._rejection_sample(
+                120, None, draw_from(generator_from(seed)), min_separation
+            )
+            dense = dense_rejection_sample(
+                120, None, draw_from(generator_from(seed)), min_separation
+            )
+            assert np.array_equal(fast, dense), seed
+
+
+def _deployments():
+    rng = generator_from(7)
+    return {
+        "uniform_disk": topologies.uniform_disk(300, rng),
+        "uniform_square": topologies.uniform_square(300, rng),
+        "power_law_disk": topologies.power_law_disk(200, rng),
+        "clustered": topologies.clustered(4, 12, rng),
+        "two_cluster": topologies.two_cluster(6, rng),
+        "grid": topologies.grid(200),
+        "line": topologies.line(150),
+        "ring": topologies.ring(180),
+        # Coordinates up to ~2^44: link ratio R far beyond 2^32.
+        "exponential_chain": topologies.exponential_chain(40, 4),
+    }
+
+
+DEPLOYMENTS = _deployments()
+
+
+class TestChannelWithoutMatrix:
+    def test_chain_reaches_beyond_two_to_the_32(self):
+        distances = pairwise_distances(DEPLOYMENTS["exponential_chain"])
+        assert distances.max() / distances[distances > 0].min() > 2.0**32
+
+    @pytest.mark.parametrize("name", sorted(DEPLOYMENTS))
+    def test_gain_rows_equal_the_dense_gather(self, name):
+        positions = DEPLOYMENTS[name]
+        n = positions.shape[0]
+        built = SINRChannel(positions)
+        dense = built.base_gains
+        fresh = SINRChannel(positions)
+        rng = generator_from(3)
+        for _ in range(5):
+            tx = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
+            listeners = np.setdiff1d(np.arange(n), tx)
+            gathered = dense[tx][:, listeners]
+            for rows in (fresh.gain_rows(tx, listeners), built.gain_rows(tx, listeners)):
+                assert np.array_equal(rows, gathered)
+                # Same layout, so the per-listener totals sum in the same order.
+                assert rows.flags.f_contiguous == gathered.flags.f_contiguous
+                assert np.array_equal(rows.sum(axis=0), gathered.sum(axis=0))
+        evens, odds = np.arange(0, n, 2), np.arange(1, n, 2)
+        assert np.array_equal(fresh.gain_rows(evens, odds), dense[evens][:, odds])
+        assert np.array_equal(fresh.gain_rows(odds, evens), dense[odds][:, evens])
+        assert "_gain_matrix" not in vars(fresh) and "distances" not in vars(fresh)
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+    def test_gain_rows_equal_the_dense_gather_at_other_alphas(self, alpha):
+        positions = DEPLOYMENTS["uniform_disk"]
+        params = SINRParameters(alpha=alpha)
+        half = positions.shape[0] // 2
+        tx, listeners = np.arange(half), np.arange(half, positions.shape[0])
+        fresh = SINRChannel(positions, params=params)
+        dense = SINRChannel(positions, params=params).base_gains
+        assert np.array_equal(fresh.gain_rows(tx, listeners), dense[tx][:, listeners])
+        assert np.array_equal(fresh.gain_rows(listeners, tx), dense[listeners][:, tx])
+
+    @pytest.mark.parametrize("name", sorted(DEPLOYMENTS))
+    def test_diameter_equals_the_dense_max(self, monkeypatch, name):
+        positions = DEPLOYMENTS[name]
+        dense = float(pairwise_distances(positions).max())
+        assert diameter_of(positions) == dense
+        assert SINRChannel(positions).diameter == dense
+        # Tiny blocks exercise the blockwise scan of the survivors.
+        monkeypatch.setattr(geometry, "_DIAMETER_BLOCK_CELLS", 7)
+        assert diameter_of(positions) == dense
+
+    def test_auto_power_uses_the_dense_diameter(self):
+        positions = DEPLOYMENTS["exponential_chain"]
+        channel = SINRChannel(positions)
+        dense = float(pairwise_distances(positions).max())
+        assert not SINRParameters().satisfies_single_hop(dense)
+        assert channel.params == SINRParameters().sized_for(dense)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (3.0, 4.0), (0.0, 0.0)],
+            [(1e-170, 1e-170), (-1e-170, 3e-170), (9.0, 1.0)],
+            [(1e-170, 0.0), (0.0, 1e-170)] + [(float(i), 2.0) for i in range(5)],
+            [(2.0, float(i)) for i in range(6)] + [(2.0, 3.0)],
+        ],
+    )
+    def test_zero_length_links_are_rejected(self, points):
+        assert np.any(
+            pairwise_distances(points)[~np.eye(len(points), dtype=bool)] == 0.0
+        )
+        assert has_colocated_pair(np.asarray(points))
+        with pytest.raises(ValueError, match="co-located"):
+            SINRChannel(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # One coordinate within the underflow gap, the other far apart.
+            [(0.0, 0.0), (1e-170, 5.0)],
+            [(0.0, 0.0), (5.0, 1e-170)],
+            # Distinct points 1e-150 apart: the squared distance is normal.
+            [(0.0, 0.0), (1e-150, 0.0)],
+            [(2.0, float(i)) for i in range(50)],
+        ],
+    )
+    def test_positive_links_are_accepted(self, points):
+        assert has_colocated_pair(np.asarray(points)) is False
+        assert SINRChannel(points).n == len(points)
+
+
+class TestFastPathWithoutMatrix:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_result_does_not_depend_on_a_built_matrix(self, seed):
+        positions = topologies.uniform_disk(400, generator_from(seed))
+        fresh = SINRChannel(positions)
+        built = SINRChannel(positions)
+        built.base_gains
+        a = fast_fixed_probability_run(fresh, 0.1, generator_from(100 + seed))
+        b = fast_fixed_probability_run(built, 0.1, generator_from(100 + seed))
+        assert a == b
+        assert "_gain_matrix" not in vars(fresh)
+
+    def test_resolve_does_not_depend_on_a_built_matrix(self):
+        positions = DEPLOYMENTS["power_law_disk"]
+        fresh = SINRChannel(positions)
+        built = SINRChannel(positions)
+        built.base_gains
+        rng = generator_from(5)
+        for size in (1, 2, 10, 60):
+            tx = rng.choice(positions.shape[0], size=size, replace=False).tolist()
+            assert fresh.resolve(tx) == built.resolve(tx)
+        assert "_gain_matrix" not in vars(fresh)
+
+    def test_resampling_factory_leaves_the_matrix_unbuilt(self):
+        channel = UniformDiskFactory(64)(generator_from(1))
+        fast_fixed_probability_run(channel, 0.1, generator_from(2))
+        channel.resolve([0, 1, 2])
+        assert "_gain_matrix" not in vars(channel) and "distances" not in vars(channel)
+
+    def test_static_factory_builds_the_matrix(self):
+        channel = StaticDeploymentFactory(topologies.grid(16))(None)
+        assert "_gain_matrix" in vars(channel)
+
+
+def _rows_digest(result) -> str:
+    return hashlib.sha256(json.dumps(result.rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "module,config,digest",
+    [
+        # Recorded with the dense sampler and gain matrix.
+        (e1_scaling_n, e1_scaling_n.Config(sizes=[16, 32, 64], trials=4), "0803772250d37ab3"),
+        (
+            e17_large_scale,
+            e17_large_scale.Config(sizes=[64, 128, 256], trials=8),
+            "10c8a281f8facea9",
+        ),
+    ],
+)
+def test_report_rows_match_the_dense_implementation(module, config, digest):
+    assert _rows_digest(module.run(config)) == digest
+
