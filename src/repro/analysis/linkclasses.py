@@ -17,15 +17,59 @@ shortest link even after the pair realising it is knocked out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sinr.geometry import nearest_neighbor_distances
 
-__all__ = ["LinkClassPartition", "link_class_partition", "LinkClassTracker"]
+__all__ = [
+    "LinkClassPartition",
+    "link_class_indices",
+    "link_class_partition",
+    "link_class_round_sizes",
+    "LinkClassTracker",
+]
+
+
+def link_class_indices(nearest: np.ndarray, unit: float) -> np.ndarray:
+    """Class index ``floor(log2(d / unit))`` of each finite distance ``d``.
+
+    The one binning expression of the package: the partition, the probes'
+    per-round class sizes and the nearest-active-neighbour tracker all
+    bin through it. It agrees with ``math.floor(math.log2(d / unit))``
+    (pinned by the test suite, including the neighbours of every power
+    of two from 2^-40 to 2^40).
+    """
+    return np.floor(np.log2(nearest / unit)).astype(np.int64)
+
+
+def link_class_round_sizes(
+    nearest: np.ndarray, knocked_ids: Sequence[int] = ()
+) -> Tuple[Tuple[int, int, int], ...]:
+    """Per-class ``(index, size, knocked)`` triples from nearest distances.
+
+    ``nearest`` holds each node's nearest active neighbour distance, with
+    ``inf`` for nodes in no class (inactive, or the last one standing).
+    Classes use the default unit, the shortest finite distance, so the
+    smallest class is 0. ``knocked_ids`` outside every class are ignored.
+    Triples come sorted by class index, empty classes left out.
+    """
+    members = np.flatnonzero(np.isfinite(nearest))
+    if members.size == 0:
+        return ()
+    distances = nearest[members]
+    classes = link_class_indices(distances, float(distances.min()))
+    sizes = np.bincount(classes)
+    slot = np.full(nearest.shape[0], -1, dtype=np.int64)
+    slot[members] = classes
+    knocked = slot[np.asarray(knocked_ids, dtype=np.intp)]
+    knocked = np.bincount(knocked[knocked >= 0], minlength=sizes.size)
+    occupied = np.flatnonzero(sizes)
+    return tuple(
+        zip(occupied.tolist(), sizes[occupied].tolist(), knocked[occupied].tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -112,13 +156,19 @@ def link_class_partition(
     if unit <= 0.0:
         raise ValueError(f"unit must be positive (got {unit})")
 
-    class_of: Dict[int, int] = {}
-    buckets: Dict[int, List[int]] = {}
-    for node_id in np.flatnonzero(finite):
-        index = math.floor(math.log2(nearest[node_id] / unit))
-        class_of[int(node_id)] = index
-        buckets.setdefault(index, []).append(int(node_id))
-    members = {index: tuple(sorted(ids)) for index, ids in buckets.items()}
+    ids = np.flatnonzero(finite)
+    classes = link_class_indices(nearest[ids], unit)
+    class_of = dict(zip(ids.tolist(), classes.tolist()))
+    # Classes in order of their smallest member, each with its members in
+    # ascending order (a stable sort of ascending ids).
+    by_class = ids[np.argsort(classes, kind="stable")]
+    occupied, first, sizes = np.unique(classes, return_index=True, return_counts=True)
+    bounds = np.cumsum(sizes)
+    groups = {
+        index: tuple(by_class[end - size : end].tolist())
+        for index, size, end in zip(occupied.tolist(), sizes.tolist(), bounds.tolist())
+    }
+    members = {index: groups[index] for index in occupied[np.argsort(first)].tolist()}
     return LinkClassPartition(class_of=class_of, members=members, unit=unit)
 
 

@@ -138,19 +138,16 @@ def link_class_round_stats(
     The partition is computed on the pre-round active set with the default
     unit (shortest nearest-neighbour link among the currently active
     nodes) — exactly the partition E5 measures, so the offline analyzer
-    reproduces the experiment's own knockout-fraction numbers.
+    reproduces the experiment's own knockout-fraction numbers. This is
+    the reference form over a full ``(n, n)`` matrix; the simulation
+    paths publish the same triples from
+    :class:`~repro.analysis.nearest_active.NearestActiveNeighbours`.
     """
-    from repro.analysis.linkclasses import link_class_partition
+    from repro.analysis.linkclasses import link_class_round_sizes
+    from repro.sinr.geometry import nearest_neighbor_distances
 
-    partition = link_class_partition(distances, active=active_mask)
-    knocked_per_class: Dict[int, int] = {}
-    for node in knocked_ids:
-        index = partition.class_of.get(int(node))
-        if index is not None:
-            knocked_per_class[index] = knocked_per_class.get(index, 0) + 1
-    return tuple(
-        (index, len(members), knocked_per_class.get(index, 0))
-        for index, members in sorted(partition.members.items())
+    return link_class_round_sizes(
+        nearest_neighbor_distances(distances, active_mask), knocked_ids
     )
 
 
@@ -230,7 +227,7 @@ class ProbeBus:
             tx_count=int(tx_count),
             knockouts=int(knockouts),
             pending=int(pending),
-            knocked_ids=tuple(int(i) for i in knocked_ids),
+            knocked_ids=tuple(np.asarray(knocked_ids, dtype=np.int64).tolist()),
             class_stats=class_stats,
         )
         for subscriber in self._subscribers:
@@ -330,6 +327,41 @@ _COLUMNS: Tuple[Tuple[str, object], ...] = (
 )
 
 
+class _Column:
+    """One ``probes.npz`` column: numpy chunks plus an open list of scalars.
+
+    Scalars (one per round or execution) append to the open list; arrays
+    close it into a chunk first, so rows keep their publication order.
+    """
+
+    __slots__ = ("dtype", "chunks", "tail")
+
+    def __init__(self, dtype) -> None:
+        self.dtype = dtype
+        self.chunks: List[np.ndarray] = []
+        self.tail: List = []
+
+    def append(self, value) -> None:
+        self.tail.append(value)
+
+    def extend(self, values) -> None:
+        if self.tail:
+            self.chunks.append(np.asarray(self.tail, dtype=self.dtype))
+            self.tail = []
+        self.chunks.append(np.array(values, dtype=self.dtype))
+
+    def __len__(self) -> int:
+        return sum(chunk.size for chunk in self.chunks) + len(self.tail)
+
+    def array(self) -> np.ndarray:
+        chunks = self.chunks
+        if self.tail:
+            chunks = chunks + [np.asarray(self.tail, dtype=self.dtype)]
+        if not chunks:
+            return np.empty(0, dtype=self.dtype)
+        return np.concatenate(chunks)
+
+
 class ProbeRecorder:
     """Columnar accumulator for every probe kind — the flight recorder.
 
@@ -337,48 +369,56 @@ class ProbeRecorder:
     them as numpy arrays keyed by the ``probes.npz`` column names (row
     groups: ``rounds_*``, ``sinr_*``, ``class_*``, ``deact_*``,
     ``exec_*``; ``exec_solved`` is ``-1`` for unsolved executions).
-    :meth:`absorb` extends with another recorder's snapshot, which is how
-    the parallel runner reassembles worker shards (workers own contiguous
-    ascending trial ranges, so absorbing in worker order preserves the
-    serial row order exactly).
+    Columns are kept as numpy chunks that :meth:`snapshot` concatenates,
+    so recording copies each probe's arrays once and loops over no
+    element. :meth:`absorb` extends with another recorder's snapshot,
+    which is how the parallel runner reassembles worker shards (workers
+    own contiguous ascending trial ranges, so absorbing in worker order
+    preserves the serial row order exactly).
     """
 
     def __init__(self) -> None:
-        self._columns: Dict[str, List] = {name: [] for name, _ in _COLUMNS}
+        self._columns: Dict[str, _Column] = {
+            name: _Column(dtype) for name, dtype in _COLUMNS
+        }
 
     # -- bus subscriber interface ----------------------------------------
 
     def on_round(self, probe: RoundProbe) -> None:
         cols = self._columns
-        cols["rounds_trial"].append(probe.trial)
-        cols["rounds_round"].append(probe.round_index)
+        trial, round_index = probe.trial, probe.round_index
+        cols["rounds_trial"].append(trial)
+        cols["rounds_round"].append(round_index)
         cols["rounds_active"].append(probe.active_before)
         cols["rounds_tx"].append(probe.tx_count)
         cols["rounds_knockouts"].append(probe.knockouts)
         cols["rounds_pending"].append(probe.pending)
-        for class_index, size_before, knocked in probe.class_stats:
-            cols["class_trial"].append(probe.trial)
-            cols["class_round"].append(probe.round_index)
-            cols["class_index"].append(class_index)
-            cols["class_size"].append(size_before)
-            cols["class_knocked"].append(knocked)
-        for node in probe.knocked_ids:
-            cols["deact_trial"].append(probe.trial)
-            cols["deact_node"].append(node)
-            cols["deact_round"].append(probe.round_index)
+        if probe.class_stats:
+            stats = np.array(probe.class_stats, dtype=np.int64)
+            count = stats.shape[0]
+            cols["class_trial"].extend(np.full(count, trial))
+            cols["class_round"].extend(np.full(count, round_index))
+            cols["class_index"].extend(stats[:, 0])
+            cols["class_size"].extend(stats[:, 1])
+            cols["class_knocked"].extend(stats[:, 2])
+        if probe.knocked_ids:
+            count = len(probe.knocked_ids)
+            cols["deact_trial"].extend(np.full(count, trial))
+            cols["deact_node"].extend(probe.knocked_ids)
+            cols["deact_round"].extend(np.full(count, round_index))
 
     def on_sinr(self, probe: SINRProbe) -> None:
         cols = self._columns
         count = len(probe.receivers)
-        cols["sinr_trial"].extend([probe.trial] * count)
-        cols["sinr_round"].extend([probe.round_index] * count)
-        cols["sinr_receiver"].extend(int(r) for r in probe.receivers)
-        cols["sinr_value"].extend(float(s) for s in probe.sinr)
-        cols["sinr_margin"].extend(float(s) - probe.beta for s in probe.sinr)
-        cols["sinr_beta"].extend([probe.beta] * count)
-        cols["sinr_delivered"].extend(bool(d) for d in probe.delivered)
-        cols["sinr_top_interferer"].extend(int(t) for t in probe.top_interferer)
-        cols["sinr_top_fraction"].extend(float(f) for f in probe.top_fraction)
+        cols["sinr_trial"].extend(np.full(count, probe.trial))
+        cols["sinr_round"].extend(np.full(count, probe.round_index))
+        cols["sinr_receiver"].extend(probe.receivers)
+        cols["sinr_value"].extend(probe.sinr)
+        cols["sinr_margin"].extend(probe.margin)
+        cols["sinr_beta"].extend(np.full(count, probe.beta))
+        cols["sinr_delivered"].extend(probe.delivered)
+        cols["sinr_top_interferer"].extend(probe.top_interferer)
+        cols["sinr_top_fraction"].extend(probe.top_fraction)
 
     def on_execution_end(self, probe: ExecutionProbe) -> None:
         cols = self._columns
@@ -401,17 +441,14 @@ class ProbeRecorder:
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """All columns as typed numpy arrays (empty columns included)."""
-        return {
-            name: np.asarray(self._columns[name], dtype=dtype)
-            for name, dtype in _COLUMNS
-        }
+        return {name: column.array() for name, column in self._columns.items()}
 
     def absorb(self, snapshot: Dict[str, np.ndarray]) -> None:
         """Append another recorder's snapshot (shard reassembly)."""
-        for name, _ in _COLUMNS:
+        for name, column in self._columns.items():
             values = snapshot.get(name)
             if values is not None:
-                self._columns[name].extend(np.asarray(values).tolist())
+                column.extend(values)
 
     def write(self, path: PathLike) -> Path:
         """Write the recorder as a compressed ``probes.npz``.

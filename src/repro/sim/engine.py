@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.obs.probe import get_probe_bus, link_class_round_stats
+from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
 from repro.protocols.base import Action, Feedback, NodeProtocol
 from repro.radio.channel import RadioChannel
@@ -151,8 +151,19 @@ class Simulation:
         bus = get_probe_bus()
         probing = bus.enabled
         if probing:
+            from repro.analysis.nearest_active import NearestActiveNeighbours
+
             bus.begin_execution(n=self.channel.n)
-            distances = getattr(self.channel, "distances", None)
+            # Link classes need geometry: SINR channels have positions,
+            # radio channels none. Nodes join the tracker as they wake.
+            positions = getattr(self.channel, "positions", None)
+            nearest = (
+                None
+                if positions is None
+                else NearestActiveNeighbours(
+                    positions, active=np.zeros(self.channel.n, dtype=bool)
+                )
+            )
         if recording:
             obs.counter("sim.executions").inc()
             c_rounds = obs.counter("sim.rounds")
@@ -187,7 +198,8 @@ class Simulation:
             listeners = [int(i) for i in active_ids if i not in set(transmitters)]
             if probing:
                 bus.begin_round(round_index)
-                mask_before = active & awake
+                if nearest is not None:
+                    nearest.sync(active & awake)
             report = self.channel.resolve(
                 transmitters, rng=self.rng, listeners=listeners
             )
@@ -205,9 +217,7 @@ class Simulation:
                     knocked_ids=knocked_out,
                     pending=int(np.count_nonzero(self.activation > round_index)),
                     class_stats=(
-                        link_class_round_stats(distances, mask_before, knocked_out)
-                        if distances is not None and active_ids.size > 0
-                        else ()
+                        () if nearest is None else nearest.class_stats(knocked_out)
                     ),
                 )
 

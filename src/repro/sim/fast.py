@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.obs.probe import get_probe_bus, link_class_round_stats
+from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
 from repro.sinr.channel import SINRChannel
 
@@ -120,7 +120,12 @@ def fast_fixed_probability_run(
     bus = get_probe_bus()
     probing = bus.enabled
     if probing:
+        from repro.analysis.nearest_active import NearestActiveNeighbours
+
         bus.begin_execution(n=n)
+        # The link-class partition of the active set, kept from positions:
+        # probing never builds the channel's (n, n) matrices.
+        nearest = NearestActiveNeighbours(channel.positions)
 
     active = np.ones(n, dtype=bool)
     active_counts: List[int] = []
@@ -158,9 +163,7 @@ def fast_fixed_probability_run(
                     active_before=num_active,
                     tx_count=1,
                     knockouts=0,
-                    class_stats=link_class_round_stats(
-                        channel.distances, active, ()
-                    ),
+                    class_stats=nearest.class_stats(),
                 )
                 bus.end_execution(round_index + 1, round_index)
             return FastRunResult(
@@ -171,7 +174,6 @@ def fast_fixed_probability_run(
             )
         knockouts = 0
         knocked_nodes: np.ndarray = _EMPTY_IDS
-        mask_before = active.copy() if probing else None
         if tx.size > 0:
             listeners = active_ids[~coins]
             if listeners.size > 0:
@@ -221,10 +223,9 @@ def fast_fixed_probability_run(
                 tx_count=int(tx.size),
                 knockouts=knockouts,
                 knocked_ids=knocked_nodes,
-                class_stats=link_class_round_stats(
-                    channel.distances, mask_before, knocked_nodes
-                ),
+                class_stats=nearest.class_stats(knocked_nodes),
             )
+            nearest.remove(knocked_nodes)
 
     if probing:
         bus.end_execution(max_rounds, None)

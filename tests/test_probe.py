@@ -229,3 +229,120 @@ class TestLinkClassRoundStats:
         }
         knocked_total = sum(knocked for _, _, knocked in stats)
         assert knocked_total == 2
+
+
+class _ListRecorder:
+    """The recorder's row order as plain per-element lists: the reference."""
+
+    def __init__(self):
+        self.rows = {name: [] for name in ProbeRecorder().snapshot()}
+
+    def on_round(self, probe):
+        rows = self.rows
+        for name, value in (
+            ("rounds_trial", probe.trial),
+            ("rounds_round", probe.round_index),
+            ("rounds_active", probe.active_before),
+            ("rounds_tx", probe.tx_count),
+            ("rounds_knockouts", probe.knockouts),
+            ("rounds_pending", probe.pending),
+        ):
+            rows[name].append(value)
+        for index, size, knocked in probe.class_stats:
+            for name, value in (
+                ("class_trial", probe.trial),
+                ("class_round", probe.round_index),
+                ("class_index", index),
+                ("class_size", size),
+                ("class_knocked", knocked),
+            ):
+                rows[name].append(value)
+        for node in probe.knocked_ids:
+            rows["deact_trial"].append(probe.trial)
+            rows["deact_node"].append(node)
+            rows["deact_round"].append(probe.round_index)
+
+    def on_sinr(self, probe):
+        for i in range(len(probe.receivers)):
+            for name, value in (
+                ("sinr_trial", probe.trial),
+                ("sinr_round", probe.round_index),
+                ("sinr_receiver", int(probe.receivers[i])),
+                ("sinr_value", float(probe.sinr[i])),
+                ("sinr_margin", float(probe.sinr[i]) - probe.beta),
+                ("sinr_beta", probe.beta),
+                ("sinr_delivered", bool(probe.delivered[i])),
+                ("sinr_top_interferer", int(probe.top_interferer[i])),
+                ("sinr_top_fraction", float(probe.top_fraction[i])),
+            ):
+                self.rows[name].append(value)
+
+    def on_execution_end(self, probe):
+        for name, value in (
+            ("exec_trial", probe.trial),
+            ("exec_n", probe.n),
+            ("exec_rounds", probe.rounds_executed),
+            ("exec_solved", -1 if probe.solved_round is None else probe.solved_round),
+        ):
+            self.rows[name].append(value)
+
+    def absorb(self, snapshot):
+        for name, values in snapshot.items():
+            self.rows[name].extend(values.tolist())
+
+
+class TestRecorderRowOrder:
+    def test_interleaved_publication_and_absorb_keep_row_order(self):
+        bus = ProbeBus(enabled=True)
+        recorder, reference = ProbeRecorder(), _ListRecorder()
+        bus.subscribe(recorder)
+        bus.subscribe(reference)
+        rng = np.random.default_rng(2)
+
+        def worker_snapshot(trial):
+            worker_bus = ProbeBus(enabled=True)
+            worker = ProbeRecorder()
+            worker_bus.subscribe(worker)
+            worker_bus.set_trial(trial)
+            worker_bus.begin_execution(n=9)
+            worker_bus.emit_round(
+                active_before=9, tx_count=2, knockouts=1, knocked_ids=(4,),
+                class_stats=((0, 6, 1), (2, 3, 0)),
+            )
+            worker_bus.end_execution(1, None)
+            return worker.snapshot()
+
+        for trial in range(4):
+            bus.set_trial(trial)
+            bus.begin_execution(n=8)
+            for round_index in range(3):
+                bus.begin_round(round_index)
+                count = int(rng.integers(0, 5))
+                bus.emit_sinr(
+                    receivers=rng.integers(0, 8, count),
+                    sinr=rng.random(count) * 3.0,
+                    delivered=rng.random(count) < 0.5,
+                    top_interferer=rng.integers(-1, 8, count),
+                    top_fraction=rng.random(count),
+                    beta=1.5,
+                )
+                knocked = tuple(int(i) for i in rng.choice(8, int(rng.integers(0, 3)), replace=False))
+                bus.emit_round(
+                    active_before=8 - round_index,
+                    tx_count=2,
+                    knockouts=len(knocked),
+                    knocked_ids=knocked,
+                    pending=round_index % 2,
+                    class_stats=((0, 5, len(knocked)), (1, 2, 0)) if round_index else (),
+                )
+            bus.end_execution(3, 2 if trial % 2 else None)
+            bus.absorb(worker_snapshot(100 + trial))
+
+        snap = recorder.snapshot()
+        assert set(snap) == set(reference.rows)
+        for name, values in reference.rows.items():
+            expected = np.asarray(values, dtype=snap[name].dtype)
+            assert snap[name].dtype == ProbeRecorder().snapshot()[name].dtype, name
+            assert np.array_equal(snap[name], expected), name
+        assert recorder.rounds_recorded == len(reference.rows["rounds_trial"])
+        assert recorder.executions_recorded == 8
