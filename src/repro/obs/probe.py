@@ -59,6 +59,7 @@ __all__ = [
     "get_probe_bus",
     "link_class_round_stats",
     "load_probes",
+    "publish_sinr",
     "set_probe_bus",
 ]
 
@@ -293,6 +294,58 @@ class ProbeBus:
             handler = getattr(subscriber, "absorb", None)
             if handler is not None:
                 handler(snapshot)
+
+
+def publish_sinr(
+    bus: "ProbeBus",
+    tx: np.ndarray,
+    listeners: np.ndarray,
+    rows: np.ndarray,
+    best_rows: np.ndarray,
+    external: np.ndarray,
+    delivered: np.ndarray,
+    noise: float,
+    beta: float,
+) -> None:
+    """Publish one resolved round's :class:`SINRProbe` on ``bus``.
+
+    ``rows`` holds the round's ``(|tx|, |listeners|)`` gains,
+    ``best_rows`` each listener's strongest transmitter (its decode
+    candidate), ``external`` the external power landing on each listener
+    and ``delivered`` the channel's decode. Reads only these; consumes no
+    RNG draws.
+
+    Interference is summed directly: every transmitter but the candidate,
+    plus ``external``. Subtracting the candidate from the total instead
+    cancels catastrophically when it dominates the sum (relative error
+    2e-7 at 8 link classes of an exponential chain, 100% at 48).
+    """
+    cols = np.arange(listeners.size)
+    best = rows[best_rows, cols]
+    others = rows.copy(order="K")
+    others[best_rows, cols] = 0.0
+    interference = others.sum(axis=0) + external
+    denom = noise + interference
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(denom > 0.0, best / denom, np.inf)
+    if tx.size > 1:
+        others[best_rows, cols] = -np.inf
+        second_rows = others.argmax(axis=0)
+        second = others[second_rows, cols]
+        top_ids = tx[second_rows].astype(np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top_frac = np.where(interference > 0.0, second / interference, 0.0)
+    else:
+        top_ids = np.full(listeners.size, -1, dtype=np.int64)
+        top_frac = np.zeros(listeners.size)
+    bus.emit_sinr(
+        receivers=listeners.astype(np.int64),
+        sinr=sinr,
+        delivered=delivered,
+        top_interferer=top_ids,
+        top_fraction=top_frac,
+        beta=beta,
+    )
 
 
 #: ``snapshot()`` column names and dtypes — the ``probes.npz`` layout.

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.obs.probe import get_probe_bus
+from repro.obs.probe import get_probe_bus, publish_sinr
 from repro.obs.registry import get_registry
 from repro.sinr.channel import SINRChannel
 
@@ -193,24 +193,10 @@ def fast_fixed_probability_run(
                 knockouts = int(np.count_nonzero(decoded))
                 knocked_nodes = listeners[decoded]
                 if probing:
-                    denom = params.noise + interference
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        sinr = np.where(denom > 0.0, best / denom, np.inf)
-                    others = rows.copy()
-                    others[best_rows, cols] = -np.inf
-                    second_rows = others.argmax(axis=0)
-                    second = others[second_rows, cols]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        top_frac = np.where(
-                            interference > 0.0, second / interference, 0.0
-                        )
-                    bus.emit_sinr(
-                        receivers=listeners.astype(np.int64),
-                        sinr=sinr,
-                        delivered=decoded,
-                        top_interferer=tx[second_rows].astype(np.int64),
-                        top_fraction=top_frac,
-                        beta=params.beta,
+                    publish_sinr(
+                        bus, tx, listeners, rows, best_rows,
+                        static_external[listeners], decoded,
+                        params.noise, params.beta,
                     )
                 active[knocked_nodes] = False
         if telemetry is not None:

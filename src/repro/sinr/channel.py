@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro.obs.probe import get_probe_bus
+from repro.obs.probe import get_probe_bus, publish_sinr
 from repro.obs.registry import get_registry
 from repro.sinr.fading import DeterministicGain, GainModel
 from repro.sinr.geometry import (
@@ -307,34 +307,11 @@ class SINRChannel:
 
         bus = get_probe_bus()
         if bus.enabled:
-            # Flight-recorder probe: per-listener SINR of the decode
-            # candidate plus the strongest competing transmitter's share
-            # of the interference sum (repro.obs.probe). Reads only
-            # already-computed reductions; consumes no RNG draws.
-            cols = np.arange(rows.shape[1])
-            denom = self.params.noise + interference
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sinr = np.where(denom > 0.0, best / denom, np.inf)
-            if tx.size > 1:
-                others = rows.copy()
-                others[best_rows, cols] = -np.inf
-                second_rows = others.argmax(axis=0)
-                second = others[second_rows, cols]
-                top_ids = tx[second_rows].astype(np.int64)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    top_frac = np.where(
-                        interference > 0.0, second / interference, 0.0
-                    )
-            else:
-                top_ids = np.full(listener_ids.size, -1, dtype=np.int64)
-                top_frac = np.zeros(listener_ids.size)
-            bus.emit_sinr(
-                receivers=listener_ids.astype(np.int64),
-                sinr=sinr,
-                delivered=ok,
-                top_interferer=top_ids,
-                top_fraction=top_frac,
-                beta=self.params.beta,
+            # Flight-recorder probe (repro.obs.probe): per-listener SINR of
+            # the decode candidate and its strongest competitor.
+            publish_sinr(
+                bus, tx, listener_ids, rows, best_rows, external, ok,
+                self.params.noise, self.params.beta,
             )
 
         for col in np.flatnonzero(ok):

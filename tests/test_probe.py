@@ -346,3 +346,72 @@ class TestRecorderRowOrder:
             assert np.array_equal(snap[name], expected), name
         assert recorder.rounds_recorded == len(reference.rows["rounds_trial"])
         assert recorder.executions_recorded == 8
+
+
+class TestSINRProbeNumerics:
+    """Probe SINRs against an exactly rounded reference on a 48-class chain.
+
+    On an exponential chain the candidate's signal dwarfs the rest of the
+    sum, so ``total - best`` would lose every digit of the interference.
+    """
+
+    @staticmethod
+    def _probes(run):
+        probes = []
+
+        class Collect:
+            def on_sinr(self, probe):
+                probes.append(probe)
+
+        bus = ProbeBus(enabled=True)
+        bus.subscribe(Collect())
+        previous = set_probe_bus(bus)
+        try:
+            run()
+        finally:
+            set_probe_bus(previous)
+        return probes
+
+    @staticmethod
+    def _check(channel, tx, probe):
+        import math
+
+        gains = channel.base_gains
+        noise = channel.params.noise
+        for col, listener in enumerate(probe.receivers.tolist()):
+            column = gains[tx, listener]
+            best = int(np.argmax(column))
+            others = [float(g) for i, g in enumerate(column) if i != best]
+            interference = math.fsum(others)
+            sinr = float(column[best]) / (noise + interference)
+            assert abs(probe.sinr[col] - sinr) <= 1e-12 * sinr
+            top = max(others)
+            assert abs(probe.top_fraction[col] - top / interference) <= 1e-12 * (
+                top / interference
+            )
+
+    def test_channel_resolve(self):
+        from repro.deploy.topologies import exponential_chain
+
+        channel = SINRChannel(exponential_chain(48, 2))
+        tx = np.arange(0, channel.n, 2)
+        (probe,) = self._probes(lambda: channel.resolve(tx.tolist()))
+        self._check(channel, tx, probe)
+
+    def test_fast_path(self):
+        from repro.deploy.topologies import exponential_chain
+
+        channel = SINRChannel(exponential_chain(48, 2))
+        tx = np.arange(0, channel.n, 2)
+
+        class EvenNodesTransmit:
+            """Coin flips that make exactly the even nodes transmit."""
+
+            def random(self, size):
+                return (np.arange(size) % 2).astype(float)
+
+        probes = self._probes(
+            lambda: fast_fixed_probability_run(channel, 0.5, EvenNodesTransmit(), max_rounds=1)
+        )
+        assert len(probes) == 1
+        self._check(channel, tx, probes[0])
