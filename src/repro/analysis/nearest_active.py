@@ -39,11 +39,18 @@ _BLOCK_CELLS = 1 << 20
 #: Queries times pool size up to which brute force beats the grid.
 _BRUTE_FORCE_CELLS = 1 << 15
 
-#: Mean number of pool points per grid cell.
-_POINTS_PER_CELL = 2.0
+#: Queries a grid answers at once. With about 9 * _POINTS_PER_CELL
+#: candidates each, the per-pair arrays stay small enough to come from
+#: reused heap memory rather than freshly faulted pages.
+_QUERY_BLOCK = 256
 
-#: Cell offsets of a cell and its eight neighbours.
+#: Mean number of pool points per grid cell.
+_POINTS_PER_CELL = 3.0
+
+#: Cell offsets of a cell and its eight neighbours; the cell itself is
+#: at index _CENTRE.
 _OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+_CENTRE = 4
 
 Answer = Tuple[np.ndarray, np.ndarray]
 
@@ -99,58 +106,84 @@ class _Grid:
         self.ids = pool_ids[order]
         self.x = pool[order, 0]
         self.y = pool[order, 1]
+        self.slot_of = np.full(positions.shape[0], -1, dtype=np.intp)
+        self.slot_of[self.ids] = np.arange(pool_ids.size)
         self.around = _OFFSETS @ (self.columns, 1)
 
+    def discard(self, ids: np.ndarray) -> None:
+        """Drop ``ids`` from the pool: they move to infinity, out of every answer."""
+        if self.side > 0.0:
+            slots = self.slot_of[ids]
+            slots = slots[slots >= 0]
+            self.x[slots] = np.inf
+            self.y[slots] = np.inf
+
     def query(
-        self, positions: np.ndarray, query_ids: np.ndarray, alive: Optional[np.ndarray] = None
+        self, positions: np.ndarray, query_ids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(distance, neighbour, proven)`` for each query, skipping itself.
 
-        Pool nodes with ``alive`` false are skipped too. ``proven`` marks
-        the answers that are the nearest pool node for certain; the others
-        carry ``inf`` or a distance that may not be the minimum.
+        ``proven`` marks the answers that are the nearest pool node for
+        certain; the others carry ``inf`` or a distance that may not be
+        the minimum.
         """
         distance = np.full(query_ids.size, np.inf)
         neighbour = np.full(query_ids.size, -1, dtype=np.intp)
-        if not self.side > 0.0:
-            return distance, neighbour, np.zeros(query_ids.size, dtype=bool)
+        if self.side > 0.0:
+            # Blocks of queries keep the per-pair arrays small enough to
+            # reuse heap memory instead of faulting in fresh pages.
+            for start in range(0, query_ids.size, _QUERY_BLOCK):
+                block = slice(start, start + _QUERY_BLOCK)
+                distance[block], neighbour[block] = self._nearest(positions, query_ids[block])
+        return distance, neighbour, distance < self.limit
+
+    def _nearest(self, positions: np.ndarray, query_ids: np.ndarray) -> Answer:
+        distance = np.full(query_ids.size, np.inf)
+        neighbour = np.full(query_ids.size, -1, dtype=np.intp)
         queries = positions[query_ids]
         cells = np.floor((queries - self.low) / self.side)
         rows = np.flatnonzero(np.all((cells >= 0) & (cells <= self.last), axis=1))
         keys = (cells[rows, 0] + 1) * self.columns + (cells[rows, 1] + 1)
         around = keys.astype(np.int64)[:, None] + self.around
         counts = self.counts[around]
+        starts = self.starts[around]
         per_query = counts.sum(axis=1)
-        counts = counts.ravel()
-        owner = np.repeat(np.arange(rows.size), per_query)
-        slot = np.arange(owner.size) + np.repeat(
-            self.starts[around].ravel() - (np.cumsum(counts) - counts), counts
+        first = np.cumsum(per_query) - per_query
+        flat = counts.ravel()
+        slot = np.arange(per_query.sum()) + np.repeat(
+            starts.ravel() - (np.cumsum(flat) - flat), flat
         )
         # cross_distances' expression, pair by pair.
-        dx = queries[rows, 0][owner] - self.x[slot]
-        dy = queries[rows, 1][owner] - self.y[slot]
+        dx = np.repeat(queries[rows, 0], per_query)
+        dy = np.repeat(queries[rows, 1], per_query)
+        dx -= self.x[slot]
+        dy -= self.y[slot]
         dx *= dx
         dy *= dy
         dx += dy
         pair = np.sqrt(dx, out=dx)
-        candidate = self.ids[slot]
-        skip = candidate == query_ids[rows][owner]
-        if alive is not None:
-            skip |= ~alive[candidate]
-        pair[skip] = np.inf
+        # A query in the pool never answers itself: it sits in its own
+        # cell, the centre of its block.
+        own = self.slot_of[query_ids[rows]]
+        member = own >= 0
+        pair[
+            first[member]
+            + counts[member, :_CENTRE].sum(axis=1)
+            + own[member]
+            - starts[member, _CENTRE]
+        ] = np.inf
 
         found = np.flatnonzero(per_query)
         if found.size:
-            first = np.cumsum(per_query) - per_query
             distance[rows[found]] = np.minimum.reduceat(pair, first[found])
             # The first candidate at the minimum names the neighbour.
             hits = np.flatnonzero(pair == np.repeat(distance[rows], per_query))
-            hit_owner = owner[hits]
+            owner = np.searchsorted(first, hits, side="right") - 1
             leads = np.ones(hits.size, dtype=bool)
-            leads[1:] = hit_owner[1:] != hit_owner[:-1]
-            neighbour[rows[hit_owner[leads]]] = candidate[hits[leads]]
+            leads[1:] = owner[1:] != owner[:-1]
+            neighbour[rows[owner[leads]]] = self.ids[slot[hits[leads]]]
         neighbour[np.isinf(distance)] = -1
-        return distance, neighbour, distance < self.limit
+        return distance, neighbour
 
 
 def _answer(
@@ -158,12 +191,11 @@ def _answer(
     query_ids: np.ndarray,
     pool_ids: np.ndarray,
     grid: Optional[_Grid],
-    alive: Optional[np.ndarray] = None,
 ) -> Answer:
     """Grid answers where proven, brute force over ``pool_ids`` for the rest."""
     if grid is None:
         return _brute_force(positions, query_ids, pool_ids)
-    distance, neighbour, proven = grid.query(positions, query_ids, alive)
+    distance, neighbour, proven = grid.query(positions, query_ids)
     rest = np.flatnonzero(~proven)
     if rest.size:
         distance[rest], neighbour[rest] = _brute_force(positions, query_ids[rest], pool_ids)
@@ -198,9 +230,9 @@ class NearestActiveNeighbours:
     that distance. Both are ``inf`` / ``-1`` for inactive nodes and for a
     sole active node.
 
-    The grid over the active set is kept across removals, which only
-    leave holes in it, and rebuilt once the active set has halved or
-    nodes have been added.
+    The grid over the active set is kept across removals, which move the
+    removed nodes out of it, and rebuilt once the active set has halved
+    or nodes have been added.
 
     Parameters
     ----------
@@ -229,7 +261,7 @@ class NearestActiveNeighbours:
                 self._grid = _Grid(self.positions, pool)
             grid = self._grid
         self.distance[query_ids], self.neighbour[query_ids] = _answer(
-            self.positions, query_ids, pool, grid, self.active
+            self.positions, query_ids, pool, grid
         )
 
     def add(self, ids: Sequence[int]) -> None:
@@ -255,6 +287,8 @@ class NearestActiveNeighbours:
         self.active[ids] = False
         self.distance[ids] = np.inf
         self.neighbour[ids] = -1
+        if self._grid is not None:
+            self._grid.discard(ids)
         orphans = np.flatnonzero(self.neighbour >= 0)
         orphans = orphans[~self.active[self.neighbour[orphans]]]
         if orphans.size:

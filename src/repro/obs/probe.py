@@ -31,14 +31,22 @@ Publication points are the generic engine (:mod:`repro.sim.engine`), the
 vectorised fast path (:mod:`repro.sim.fast`) and the SINR channel;
 :mod:`repro.sim.parallel` workers record into local buses and ship their
 recorder snapshots back for order-preserving merging, so a sharded run's
-``probes.npz`` is bit-identical to a serial run's.
+``probes.npz`` is bit-identical to a serial run's. The engine and the
+fast path take each round's link classes from a
+:class:`~repro.analysis.nearest_active.NearestActiveNeighbours` tracker
+built from the channel's positions, which re-queries only the nodes
+whose nearest neighbour left; probing never builds the channel's
+``(n, n)`` matrices. :func:`link_class_round_stats` is the same
+computation over a full distance matrix, kept as the reference. Both
+SINR publishers go through :func:`publish_sinr`.
 
 Zero cost when disabled — the same contract as the metrics registry: the
 process-global bus defaults to ``enabled = False`` and every hot path
 guards on that one attribute read. Enabling is opt-in per run
-(``python -m repro.experiments <id> --telemetry-dir DIR --probes``), and
-the probes-enabled overhead is tracked in ``BENCH_core.json``
-(``fast_path_execution_probes``).
+(``python -m repro.experiments <id> --telemetry-dir DIR --probes``). The
+probes-enabled overhead is tracked in ``BENCH_core.json``
+(``fast_path_execution_probes`` against ``fast_path_execution``) and by
+the ``fast_probed`` workload of ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -309,11 +317,11 @@ def publish_sinr(
 ) -> None:
     """Publish one resolved round's :class:`SINRProbe` on ``bus``.
 
-    ``rows`` holds the round's ``(|tx|, |listeners|)`` gains,
-    ``best_rows`` each listener's strongest transmitter (its decode
-    candidate), ``external`` the external power landing on each listener
-    and ``delivered`` the channel's decode. Reads only these; consumes no
-    RNG draws.
+    ``rows`` holds the round's ``(|tx|, |listeners|)`` gains and is
+    overwritten, ``best_rows`` each listener's strongest transmitter (its
+    decode candidate), ``external`` the external power landing on each
+    listener and ``delivered`` the channel's decode. Consumes no RNG
+    draws.
 
     Interference is summed directly: every transmitter but the candidate,
     plus ``external``. Subtracting the candidate from the total instead
@@ -322,16 +330,15 @@ def publish_sinr(
     """
     cols = np.arange(listeners.size)
     best = rows[best_rows, cols]
-    others = rows.copy(order="K")
-    others[best_rows, cols] = 0.0
-    interference = others.sum(axis=0) + external
+    rows[best_rows, cols] = 0.0
+    interference = rows.sum(axis=0) + external
     denom = noise + interference
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(denom > 0.0, best / denom, np.inf)
     if tx.size > 1:
-        others[best_rows, cols] = -np.inf
-        second_rows = others.argmax(axis=0)
-        second = others[second_rows, cols]
+        rows[best_rows, cols] = -np.inf
+        second_rows = rows.argmax(axis=0)
+        second = rows[second_rows, cols]
         top_ids = tx[second_rows].astype(np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
             top_frac = np.where(interference > 0.0, second / interference, 0.0)
