@@ -159,16 +159,12 @@ def link_class_partition(
     ids = np.flatnonzero(finite)
     classes = link_class_indices(nearest[ids], unit)
     class_of = dict(zip(ids.tolist(), classes.tolist()))
-    # Classes in order of their smallest member, each with its members in
-    # ascending order (a stable sort of ascending ids).
-    by_class = ids[np.argsort(classes, kind="stable")]
-    occupied, first, sizes = np.unique(classes, return_index=True, return_counts=True)
-    bounds = np.cumsum(sizes)
-    groups = {
-        index: tuple(by_class[end - size : end].tolist())
-        for index, size, end in zip(occupied.tolist(), sizes.tolist(), bounds.tolist())
+    # A stable sort keeps each class's members in ascending id order.
+    occupied, sizes = np.unique(classes, return_counts=True)
+    groups = np.split(ids[np.argsort(classes, kind="stable")], np.cumsum(sizes)[:-1])
+    members = {
+        index: tuple(group.tolist()) for index, group in zip(occupied.tolist(), groups)
     }
-    members = {index: groups[index] for index in occupied[np.argsort(first)].tolist()}
     return LinkClassPartition(class_of=class_of, members=members, unit=unit)
 
 
