@@ -16,8 +16,6 @@ recursion), so tests and experiments can assert measured-vs-predicted:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict
 
 import numpy as np
 
@@ -114,26 +112,17 @@ def geometric_knockout_rounds(n: int, gamma: float) -> float:
     return math.log(n) / math.log(1.0 / gamma)
 
 
-@lru_cache(maxsize=None)
-def _binomial_pmf_row(k: int, p: float) -> tuple:
-    """PMF of Binomial(k, p) as a tuple indexed by outcome."""
+def _binomial_pmf_row(k: int, p: float, log_factorial: np.ndarray) -> np.ndarray:
+    """PMF of Binomial(k, p) over outcomes ``0..k``.
+
+    ``log_factorial[i]`` is ``log(i!)`` for ``i`` up to at least ``k``.
+    Stable enough for the k values used here (<= a few thousand).
+    """
     outcomes = np.arange(k + 1)
-    # Stable enough for the k values used here (<= a few thousand).
-    log_comb = (
-        [0.0]
-        if k == 0
-        else [
-            math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
-            for j in outcomes
-        ]
+    log_comb = log_factorial[k] - log_factorial[: k + 1] - log_factorial[k::-1]
+    return np.exp(
+        log_comb + outcomes * math.log(p) + (k - outcomes) * math.log(1.0 - p)
     )
-    log_p = math.log(p)
-    log_q = math.log(1.0 - p)
-    pmf = [
-        math.exp(lc + j * log_p + (k - j) * log_q)
-        for j, lc in zip(outcomes, log_comb)
-    ]
-    return tuple(pmf)
 
 
 def cd_tournament_expected_rounds(n: int, p: float = 0.5) -> float:
@@ -155,13 +144,14 @@ def cd_tournament_expected_rounds(n: int, p: float = 0.5) -> float:
         raise ValueError(f"n must be positive (got {n})")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1) (got {p})")
-    expected: Dict[int, float] = {}
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    expected = np.zeros(n + 1)
     # E[1]: each round the lone contender transmits w.p. p (solo) else
     # silence; geometric with success p.
     expected[1] = 1.0 / p
     for k in range(2, n + 1):
-        pmf = _binomial_pmf_row(k, p)
-        absorbing = 1.0 - pmf[0] - (pmf[k] if k >= 2 else 0.0)
-        cross = sum(pmf[j] * expected[j] for j in range(2, k))
+        pmf = _binomial_pmf_row(k, p, log_factorial)
+        absorbing = 1.0 - pmf[0] - pmf[k]
+        cross = float(pmf[2:k] @ expected[2:k])
         expected[k] = (1.0 + cross) / absorbing
-    return expected[n]
+    return float(expected[n])

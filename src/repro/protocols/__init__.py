@@ -2,7 +2,10 @@
 
 Every protocol is a per-node state machine behind the small interface in
 :mod:`repro.protocols.base` (``decide`` each round, ``on_feedback`` after the
-channel resolves). The simulation engine is channel-agnostic, so the same
+channel resolves). The oblivious-schedule protocols (the paper's algorithm,
+decay, JS16, ALOHA, sawtooth, the CD tournament) share one such machine,
+:class:`~repro.protocols.base.ObliviousNode`, which the engine runs as one
+vectorised step per round. The simulation engine is channel-agnostic, so the same
 protocol classes run on the SINR channel, the Rayleigh-fading channel and
 the classical collision channel — which is what keeps the paper's headline
 comparison (experiment E3) honest.
@@ -48,7 +51,14 @@ Protocols
 
 from repro.protocols.aloha import SlottedAlohaProtocol
 from repro.protocols.backoff import BinaryExponentialBackoffProtocol
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import (
+    Action,
+    Feedback,
+    Knockout,
+    NodeProtocol,
+    ObliviousNode,
+    ProtocolFactory,
+)
 from repro.protocols.carrier_sense import (
     CarrierSenseTournamentProtocol,
     carrier_sense_threshold,
@@ -75,7 +85,9 @@ __all__ = [
     "FixedProbabilityProtocol",
     "InterleavedProtocol",
     "JurdzinskiStachowiakProtocol",
+    "Knockout",
     "NodeProtocol",
+    "ObliviousNode",
     "ProtocolFactory",
     "SawtoothBackoffProtocol",
     "SlottedAlohaProtocol",

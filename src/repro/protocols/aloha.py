@@ -13,24 +13,17 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.protocols.base import Action, NodeProtocol, ProtocolFactory
+from repro.protocols.base import NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = ["SlottedAlohaNode", "SlottedAlohaProtocol"]
 
 
-class SlottedAlohaNode(NodeProtocol):
+class SlottedAlohaNode(ObliviousNode):
     """One node broadcasting with the genie probability ``1/n``."""
 
     def __init__(self, node_id: int, p: float) -> None:
         super().__init__(node_id)
         self.p = p
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
 
 
 class SlottedAlohaProtocol(ProtocolFactory):

@@ -18,6 +18,11 @@ Nodes begin *active* and may deactivate themselves (the paper's algorithm
 deactivates on first reception). Inactive nodes are never asked to decide
 and never transmit; the engine treats the first round with exactly one
 transmitter as solving the problem, matching Section 2's definition.
+
+:class:`ObliviousNode` is the shared base of every protocol whose broadcast
+probability depends only on the local round number and whose only reaction
+to feedback is a declared :class:`Knockout` rule. The engine runs a round of
+such nodes as one vectorised step (see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ import numpy as np
 
 from repro.radio.channel import ChannelObservation
 
-__all__ = ["Action", "Feedback", "NodeProtocol", "ProtocolFactory"]
+__all__ = [
+    "Action",
+    "Feedback",
+    "Knockout",
+    "NodeProtocol",
+    "ObliviousNode",
+    "ProtocolFactory",
+]
 
 
 class Action(Enum):
@@ -106,6 +118,60 @@ class NodeProtocol(ABC):
     def __repr__(self) -> str:
         state = "active" if self._active else "inactive"
         return f"{type(self).__name__}(node_id={self.node_id}, {state})"
+
+
+class Knockout(Enum):
+    """What makes an :class:`ObliviousNode` listener drop out of contention."""
+
+    NEVER = "never"
+    #: Deactivate on decoding any message (the paper's knockout rule).
+    ON_RECEIVE = "receive"
+    #: Deactivate on hearing a collision (collision-detection radio only).
+    ON_COLLISION = "collision"
+
+
+class ObliviousNode(NodeProtocol):
+    """A node with an oblivious broadcast schedule and a declared knockout rule.
+
+    Each round the node transmits iff ``rng.random() <
+    broadcast_probability(round_index)``; a *listener* deactivates as its
+    ``knockout`` rule says, and transmitters learn nothing. Subclasses set
+    ``knockout`` (class or instance attribute) and supply
+    :meth:`broadcast_probability` (the default returns a constant
+    ``self.p``). They must not override :meth:`decide` or
+    :meth:`on_feedback`: the engine replaces both by one vectorised step
+    over all nodes when every node of a run shares a type and schedule
+    (:func:`repro.protocols.schedules.oblivious_template`).
+    """
+
+    knockout: Knockout = Knockout.NEVER
+    #: The broadcast probability of a constant schedule.
+    p: float
+
+    def broadcast_probability(self, round_index: int) -> float:
+        """Transmit probability in the given (0-indexed, local) round."""
+        return self.p
+
+    def knock_out(self) -> None:
+        """Drop out of contention for good."""
+        self._active = False
+
+    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
+        if rng.random() < self.broadcast_probability(round_index):
+            return Action.TRANSMIT
+        return Action.LISTEN
+
+    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
+        if feedback.transmitted:
+            return  # transmitters learn nothing and stay in
+        if self.knockout is Knockout.ON_RECEIVE:
+            heard = feedback.received is not None
+        elif self.knockout is Knockout.ON_COLLISION:
+            heard = feedback.observation is ChannelObservation.COLLISION
+        else:
+            heard = False
+        if heard:
+            self.knock_out()
 
 
 class ProtocolFactory(ABC):

@@ -25,33 +25,20 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-from repro.radio.channel import ChannelObservation
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = ["CollisionDetectionTournamentNode", "CollisionDetectionTournamentProtocol"]
 
 
-class CollisionDetectionTournamentNode(NodeProtocol):
-    """One contender in the halving tournament."""
+class CollisionDetectionTournamentNode(ObliviousNode):
+    """One contender in the halving tournament: listeners concede on a collision."""
 
     requires_collision_detection = True
+    knockout = Knockout.ON_COLLISION
 
     def __init__(self, node_id: int, p: float) -> None:
         super().__init__(node_id)
         self.p = p
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if feedback.transmitted:
-            return  # transmitters learn nothing and stay in
-        if feedback.observation is ChannelObservation.COLLISION:
-            self._active = False
 
 
 class CollisionDetectionTournamentProtocol(ProtocolFactory):

@@ -20,34 +20,24 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = ["DecayNode", "DecayProtocol"]
 
 
-class DecayNode(NodeProtocol):
+class DecayNode(ObliviousNode):
     """One node following the decay probability schedule."""
 
     def __init__(self, node_id: int, sweep_length: int, deactivate_on_receive: bool) -> None:
         super().__init__(node_id)
+        if deactivate_on_receive:
+            self.knockout = Knockout.ON_RECEIVE
         self.sweep_length = sweep_length
-        self.deactivate_on_receive = deactivate_on_receive
 
     def broadcast_probability(self, round_index: int) -> float:
         """Probability used in the given (0-indexed) round."""
         step = round_index % self.sweep_length
         return 2.0 ** -(step + 1)
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.broadcast_probability(round_index):
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.deactivate_on_receive and feedback.received is not None:
-            self._active = False
 
 
 class DecayProtocol(ProtocolFactory):

@@ -32,9 +32,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = ["JurdzinskiStachowiakNode", "JurdzinskiStachowiakProtocol"]
 
@@ -54,8 +52,12 @@ def _schedule_parameters(size_bound: int) -> tuple:
     return num_steps, dwell, base
 
 
-class JurdzinskiStachowiakNode(NodeProtocol):
+class JurdzinskiStachowiakNode(ObliviousNode):
     """One node of the compressed-sweep schedule."""
+
+    # Knockout on reception: the dampening phase relies on the fading
+    # channel thinning contention between coarse probability steps.
+    knockout = Knockout.ON_RECEIVE
 
     def __init__(
         self,
@@ -75,17 +77,6 @@ class JurdzinskiStachowiakNode(NodeProtocol):
         position = round_index % self._sweep_length
         step = position // self.dwell
         return self.base ** -(step + 1)
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.broadcast_probability(round_index):
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        # Knockout on reception: the dampening phase relies on the fading
-        # channel thinning contention between coarse probability steps.
-        if feedback.received is not None:
-            self._active = False
 
 
 class JurdzinskiStachowiakProtocol(ProtocolFactory):

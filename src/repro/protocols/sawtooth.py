@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = ["SawtoothBackoffNode", "SawtoothBackoffProtocol"]
 
@@ -52,26 +50,18 @@ def _window_of_round(round_index: int, max_exponent: int) -> int:
     raise AssertionError("unreachable: position exceeded cycle length")
 
 
-class SawtoothBackoffNode(NodeProtocol):
+class SawtoothBackoffNode(ObliviousNode):
     """One node of the sawtooth schedule."""
 
     def __init__(self, node_id: int, max_exponent: int, deactivate_on_receive: bool) -> None:
         super().__init__(node_id)
+        if deactivate_on_receive:
+            self.knockout = Knockout.ON_RECEIVE
         self.max_exponent = max_exponent
-        self.deactivate_on_receive = deactivate_on_receive
 
     def broadcast_probability(self, round_index: int) -> float:
         """``1/w`` for the window ``w`` in force at this round."""
         return 1.0 / _window_of_round(round_index, self.max_exponent)
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.broadcast_probability(round_index):
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.deactivate_on_receive and feedback.received is not None:
-            self._active = False
 
 
 class SawtoothBackoffProtocol(ProtocolFactory):

@@ -19,17 +19,27 @@ A protocol qualifies if its node objects expose
 ``broadcast_probability(round_index)`` (decay, JS16) or a constant ``p``
 (the paper's algorithm, ALOHA, the tournaments). State-dependent protocols
 (BEB) do not have an oblivious schedule and are rejected.
+
+``oblivious_template``
+    Whether a whole node list can run as one vectorised step in the
+    engine (:mod:`repro.sim.engine`): one :class:`ObliviousNode` type with
+    one schedule. The carrier-sense tournament has a constant ``p`` and so
+    an oblivious schedule, but it is not an ``ObliviousNode``: its
+    feedback reads the measured energy, which no knockout mask covers, so
+    it keeps the engine's per-node step.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.protocols.base import NodeProtocol, ProtocolFactory
+from repro.protocols.base import NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = [
+    "oblivious_template",
     "probability_schedule",
     "expected_transmitters",
     "solo_probability",
@@ -56,6 +66,33 @@ def has_oblivious_schedule(factory: ProtocolFactory, n: int = 2) -> bool:
     except TypeError:
         return False
     return True
+
+
+def oblivious_template(nodes: Sequence[NodeProtocol]) -> Optional[ObliviousNode]:
+    """The node whose schedule and knockout rule stand for all of ``nodes``.
+
+    Returns ``None`` unless every node has one :class:`ObliviousNode` type
+    that keeps the base ``decide`` and ``on_feedback``, and every node
+    carries the first node's parameters (its instance attributes apart
+    from id and activity, plus the knockout rule).
+    """
+    if not nodes:
+        return None
+    template = nodes[0]
+    kind = type(template)
+    if not (
+        isinstance(template, ObliviousNode)
+        and kind.decide is ObliviousNode.decide
+        and kind.on_feedback is ObliviousNode.on_feedback
+    ):
+        return None
+    schedule = operator.attrgetter(
+        *sorted({"knockout", *vars(template)} - {"node_id", "_active"})
+    )
+    expected = schedule(template)
+    if all(type(node) is kind and schedule(node) == expected for node in nodes):
+        return template
+    return None
 
 
 def probability_schedule(

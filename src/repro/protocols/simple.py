@@ -23,32 +23,23 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
 
 __all__ = ["FixedProbabilityNode", "FixedProbabilityProtocol"]
 
 DEFAULT_BROADCAST_PROBABILITY = 0.1
 
 
-class FixedProbabilityNode(NodeProtocol):
+class FixedProbabilityNode(ObliviousNode):
     """One node of the paper's algorithm."""
+
+    # The knockout rule: an active node that receives a message becomes
+    # inactive. Transmitters never receive, so they stay active.
+    knockout = Knockout.ON_RECEIVE
 
     def __init__(self, node_id: int, p: float) -> None:
         super().__init__(node_id)
         self.p = p
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        # The knockout rule: an active node that receives a message becomes
-        # inactive. Transmitters never receive, so they stay active.
-        if feedback.received is not None:
-            self._active = False
 
 
 class FixedProbabilityProtocol(ProtocolFactory):

@@ -17,6 +17,18 @@ executes Section 2's model faithfully:
 The engine stops at the solving round — the paper's completion condition is
 about the round occurring, not about any node detecting it.
 
+When every node of a run is the same :class:`~repro.protocols.base.ObliviousNode`
+with the same schedule (:func:`repro.protocols.schedules.oblivious_template`:
+the paper's algorithm, ALOHA, decay, JS16, sawtooth and the CD tournament),
+a round's decide and feedback each run as one numpy step: one
+``rng.random(k)`` over the awake active nodes in id order, which draws
+exactly the numbers ``k`` per-node ``rng.random()`` calls would, and the
+node list's knockout rule applied as a mask over the channel's report.
+Every other node list (BEB, carrier sense, interleaving, mixed lists) asks
+each node in turn. Both steps feed the same round loop, ``channel.resolve``
+call and bookkeeping, and give the same trace, records and final
+``node.active``.
+
 Staggered activation (the *wake-up* flavour of the problem, [7] in the
 paper's related work) is supported via ``activation_schedule``: node ``i``
 joins the execution at its scheduled round and — crucially — sees **local**
@@ -35,7 +47,8 @@ import numpy as np
 
 from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
-from repro.protocols.base import Action, Feedback, NodeProtocol
+from repro.protocols.base import Action, Feedback, Knockout, NodeProtocol, ObliviousNode
+from repro.protocols.schedules import oblivious_template
 from repro.radio.channel import RadioChannel
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
@@ -44,6 +57,12 @@ __all__ = ["Simulation"]
 #: Observer signature: called after each round with the fresh record and the
 #: post-round active mask (numpy bool array indexed by node id).
 RoundObserver = Callable[[RoundRecord, np.ndarray], None]
+
+#: Everything a transmitter learns; frozen, so one instance serves all.
+_TRANSMITTED = Feedback(transmitted=True)
+
+_NO_IDS = np.empty(0, dtype=np.intp)
+_NO_IDS.flags.writeable = False
 
 
 class Simulation:
@@ -118,8 +137,9 @@ class Simulation:
     @staticmethod
     def _check_capabilities(channel, nodes: List[NodeProtocol]) -> None:
         """Refuse protocol/channel pairings whose assumptions do not hold."""
+        kinds = {type(node) for node in nodes}
         needs_cd = any(
-            getattr(type(node), "requires_collision_detection", False) for node in nodes
+            getattr(kind, "requires_collision_detection", False) for kind in kinds
         )
         if needs_cd:
             if not (isinstance(channel, RadioChannel) and channel.collision_detection):
@@ -127,7 +147,7 @@ class Simulation:
                     "protocol requires a collision-detection radio channel"
                 )
         needs_energy = any(
-            getattr(type(node), "requires_energy_sensing", False) for node in nodes
+            getattr(kind, "requires_energy_sensing", False) for kind in kinds
         )
         if needs_energy and not getattr(channel, "provides_energy", False):
             raise ValueError(
@@ -175,6 +195,8 @@ class Simulation:
         trace = ExecutionTrace(n=self.channel.n, protocol_name=self.protocol_name)
         active = np.array([node.active for node in self.nodes], dtype=bool)
         everyone_awake_from_start = bool(np.all(self.activation == 0))
+        template = oblivious_template(self.nodes)
+        recorded = self.keep_records or bool(self.observers)
 
         for round_index in range(self.max_rounds):
             awake = self.activation <= round_index
@@ -187,33 +209,35 @@ class Simulation:
                 # (once no further activations are pending).
                 break
 
-            transmitters = [
-                int(i)
-                for i in active_ids
-                if self.nodes[i].decide(
-                    round_index - int(self.activation[i]), self.rng
+            local_rounds = round_index - self.activation[active_ids]
+            if template is None:
+                transmit = self._decide_each(active_ids, local_rounds)
+            else:
+                transmit = self._decide_all(
+                    template, local_rounds, not everyone_awake_from_start
                 )
-                is Action.TRANSMIT
-            ]
-            listeners = [int(i) for i in active_ids if i not in set(transmitters)]
+            tx_ids = active_ids[transmit]
+            listener_ids = active_ids[~transmit]
             if probing:
                 bus.begin_round(round_index)
                 if nearest is not None:
                     nearest.sync(active & awake)
             report = self.channel.resolve(
-                transmitters, rng=self.rng, listeners=listeners
+                tx_ids.tolist(), rng=self.rng, listeners=listener_ids.tolist()
             )
 
-            knocked_out = self._deliver_feedback(
-                round_index, active_ids, set(transmitters), report
-            )
-            for node_id in knocked_out:
-                active[node_id] = False
+            if template is None:
+                knocked_out = self._deliver_feedback(
+                    active_ids, local_rounds, transmit, report
+                )
+            else:
+                knocked_out = self._knock_out(template.knockout, listener_ids, report)
+            active[knocked_out] = False
             if probing:
                 bus.emit_round(
                     active_before=active_ids.size,
-                    tx_count=len(transmitters),
-                    knockouts=len(knocked_out),
+                    tx_count=tx_ids.size,
+                    knockouts=knocked_out.size,
                     knocked_ids=knocked_out,
                     pending=int(np.count_nonzero(self.activation > round_index)),
                     class_stats=(
@@ -221,27 +245,28 @@ class Simulation:
                     ),
                 )
 
-            record = RoundRecord(
-                index=round_index,
-                transmitters=tuple(sorted(transmitters)),
-                receptions=dict(report.received_from),
-                active_before=tuple(int(i) for i in active_ids),
-                knocked_out=tuple(sorted(knocked_out)),
-            )
-            if self.keep_records:
-                trace.records.append(record)
-            for observer in self.observers:
-                observer(record, active)
+            if recorded:
+                record = RoundRecord(
+                    index=round_index,
+                    transmitters=tuple(tx_ids.tolist()),
+                    receptions=dict(report.received_from),
+                    active_before=tuple(active_ids.tolist()),
+                    knocked_out=tuple(knocked_out.tolist()),
+                )
+                if self.keep_records:
+                    trace.records.append(record)
+                for observer in self.observers:
+                    observer(record, active)
             if recording:
                 c_rounds.inc()
-                c_tx.inc(len(transmitters))
+                c_tx.inc(tx_ids.size)
                 c_rx.inc(len(report.received_from))
-                c_ko.inc(len(knocked_out))
-                h_tx.observe(len(transmitters))
+                c_ko.inc(knocked_out.size)
+                h_tx.observe(tx_ids.size)
                 g_active.set(int(np.count_nonzero(active)))
 
             trace.rounds_executed = round_index + 1
-            if record.is_solo:
+            if tx_ids.size == 1:
                 trace.solved_round = round_index
                 break
         if recording and trace.solved:
@@ -250,30 +275,82 @@ class Simulation:
             bus.end_execution(trace.rounds_executed, trace.solved_round)
         return trace
 
+    def _decide_each(self, active_ids: np.ndarray, local_rounds: np.ndarray) -> np.ndarray:
+        """Ask each awake active node in id order; the transmit mask."""
+        nodes, rng = self.nodes, self.rng
+        return np.fromiter(
+            (
+                nodes[i].decide(local, rng) is Action.TRANSMIT
+                for i, local in zip(active_ids.tolist(), local_rounds.tolist())
+            ),
+            dtype=bool,
+            count=active_ids.size,
+        )
+
+    def _decide_all(
+        self, template: ObliviousNode, local_rounds: np.ndarray, staggered: bool
+    ) -> np.ndarray:
+        """One uniform per awake active node, compared with its round's ``p``.
+
+        ``broadcast_probability`` runs once per distinct local round; without
+        staggered activation every node shares one.
+        """
+        if staggered:
+            rounds, position = np.unique(local_rounds, return_inverse=True)
+            probability = np.array(
+                [template.broadcast_probability(r) for r in rounds.tolist()]
+            )[position]
+        else:
+            probability = template.broadcast_probability(int(local_rounds[0]))
+        return self.rng.random(local_rounds.size) < probability
+
     def _deliver_feedback(
         self,
-        round_index: int,
         active_ids: np.ndarray,
-        transmitter_set: set,
+        local_rounds: np.ndarray,
+        transmit: np.ndarray,
         report,
-    ) -> List[int]:
+    ) -> np.ndarray:
         """Hand each active node its round feedback; return new knockouts."""
-        observations = getattr(report, "observations", None)
-        energy = getattr(report, "energy", None)
+        received = report.received_from
+        observations = getattr(report, "observations", None) or {}
+        energy = getattr(report, "energy", None) or {}
         knocked_out: List[int] = []
-        for i in active_ids:
+        for i, local, transmitted in zip(
+            active_ids.tolist(), local_rounds.tolist(), transmit.tolist()
+        ):
             node = self.nodes[i]
-            i = int(i)
-            if i in transmitter_set:
-                feedback = Feedback(transmitted=True)
+            if transmitted:
+                feedback = _TRANSMITTED
             else:
+                # Positional: (transmitted, received, observation, energy).
                 feedback = Feedback(
-                    transmitted=False,
-                    received=report.received_from.get(i),
-                    observation=observations.get(i) if observations else None,
-                    energy=energy.get(i) if energy else None,
+                    False, received.get(i), observations.get(i), energy.get(i)
                 )
-            node.on_feedback(round_index - int(self.activation[i]), feedback)
+            node.on_feedback(local, feedback)
             if not node.active:
                 knocked_out.append(i)
+        return np.array(knocked_out, dtype=np.intp)
+
+    def _knock_out(
+        self, rule: Knockout, listener_ids: np.ndarray, report
+    ) -> np.ndarray:
+        """Apply an oblivious node list's knockout rule; return new knockouts."""
+        if rule is Knockout.ON_RECEIVE:
+            received = report.received_from
+            knocked_out = np.sort(
+                np.fromiter(received, dtype=np.intp, count=len(received))
+            )
+        elif (
+            rule is Knockout.ON_COLLISION
+            and getattr(self.channel, "collision_detection", False)
+            and len(report.transmitters) >= 2
+        ):
+            # A collision-detection radio channel reports a collision to
+            # every listener whenever two or more nodes transmit.
+            knocked_out = listener_ids
+        else:
+            return _NO_IDS
+        for i in knocked_out.tolist():
+            self.nodes[i].knock_out()
         return knocked_out

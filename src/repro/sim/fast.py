@@ -17,9 +17,13 @@ and a constant probability, so a whole execution collapses into numpy:
 ``fast_fixed_probability_run`` is behaviourally equivalent to running
 ``FixedProbabilityProtocol`` through :class:`repro.sim.engine.Simulation`
 (the test suite checks distributional agreement), just 1–2 orders of
-magnitude faster for large ``n``. Use it for scaling studies; use the
-generic engine when you need traces, observers, mixed protocols,
-activation schedules, or radio channels.
+magnitude faster for large ``n``. Use it for scaling studies on the SINR
+channel. Use the generic engine when you need traces, observers, mixed
+protocols, activation schedules, stochastic gains, or another protocol.
+The engine also flips a round's coins in one numpy call for the paper's
+algorithm and the other oblivious-schedule protocols, on any channel; what
+it keeps over this path is the per-round bookkeeping and
+``channel.resolve``'s per-listener reports.
 """
 
 from __future__ import annotations

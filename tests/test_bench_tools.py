@@ -35,6 +35,7 @@ class TestHarness:
             "gain_matrix_construction",
             "single_round_resolve",
             "full_execution_engine",
+            "full_execution_engine_beb",
             "fast_path_execution",
             "fast_path_execution_matrix_free",
             "fast_path_execution_probes",
