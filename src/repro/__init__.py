@@ -104,12 +104,9 @@ from repro.sim import (
     StaticDeploymentFactory,
     TrialStats,
     UniformDiskFactory,
-    default_batch,
     default_workers,
-    fast_fixed_probability_batch,
     fast_fixed_probability_run,
     generator_from,
-    get_default_batch,
     get_default_workers,
     high_probability_budget,
     load_trace,
@@ -117,7 +114,6 @@ from repro.sim import (
     run_trials,
     run_trials_parallel,
     save_trace,
-    set_default_batch,
     set_default_workers,
     spawn_generators,
     spawn_seed_sequences,
@@ -178,13 +174,10 @@ __all__ = [
     "clustered",
     "compare_round_counts",
     "contention_decay_rate",
-    "default_batch",
     "default_workers",
-    "get_default_batch",
     "get_default_workers",
     "deployment_stats",
     "exponential_chain",
-    "fast_fixed_probability_batch",
     "fast_fixed_probability_run",
     "fit_models",
     "fit_scaling_law",
@@ -205,7 +198,6 @@ __all__ = [
     "run_fast_trials",
     "run_trials",
     "run_trials_parallel",
-    "set_default_batch",
     "set_default_workers",
     "save_deployment",
     "save_trace",

@@ -28,12 +28,6 @@ to a serial run, so the flag is purely a wall-time lever; telemetry
 events from workers carry a ``worker_id`` field. See
 docs/parallelism.md.
 
-``--batch B`` executes fast-path trials through the batched kernel
-(:mod:`repro.sim.batched`), ``B`` trials per group — per worker when
-combined with ``--workers``. Per-trial bit-exactness makes this a pure
-wall-time lever too; experiments that use the generic engine ignore it.
-See docs/parallelism.md.
-
 ``--probes`` (requires ``--telemetry-dir``) additionally records the
 round-level flight recorder (:mod:`repro.obs.probe`) into ``probes.npz``
 and runs the live theory-invariant monitors; analyze afterwards with
@@ -103,16 +97,6 @@ def main(argv=None) -> int:
         "docs/parallelism.md)",
     )
     parser.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        metavar="B",
-        help="execute fast-path trials through the batched kernel, B "
-        "trials per group (per worker when combined with --workers); "
-        "bit-identical to serial execution for any B (see "
-        "docs/parallelism.md)",
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help="checkpoint each completed experiment's results into DIR "
@@ -142,8 +126,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be positive (got {args.workers})")
-    if args.batch < 1:
-        parser.error(f"--batch must be positive (got {args.batch})")
     if args.probes and not args.telemetry_dir:
         parser.error("--probes requires --telemetry-dir (probes.npz needs "
                      "a directory to land in)")
@@ -193,7 +175,6 @@ def main(argv=None) -> int:
             config={
                 "preset": preset,
                 "workers": args.workers,
-                "batch": args.batch,
                 "probes": args.probes,
                 "checkpoint_dir": args.checkpoint_dir,
                 "resume": args.resume,
@@ -206,7 +187,7 @@ def main(argv=None) -> int:
         )
         session.start()
 
-    from repro.experiments.common import default_batch, default_workers
+    from repro.experiments.common import default_workers
     from repro.experiments.sweep import (
         CheckpointStore,
         SweepInterrupted,
@@ -241,8 +222,7 @@ def main(argv=None) -> int:
     results = []
     resumed_count = 0
     try:
-        with termination_signals_as_interrupts(), \
-                default_workers(args.workers), default_batch(args.batch):
+        with termination_signals_as_interrupts(), default_workers(args.workers):
             if profiler is not None:
                 profiler.enable()
             for experiment_id in ids:

@@ -16,33 +16,24 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.parallel import (
-    default_batch,
-    default_workers,
-    get_default_batch,
-    get_default_workers,
-)
+from repro.sim.parallel import default_workers, get_default_workers
 
 __all__ = [
     "ExperimentResult",
     "format_table",
     "json_safe",
     "COST_HEADER",
-    "default_batch",
     "default_workers",
-    "get_default_batch",
     "get_default_workers",
 ]
 
-# ``default_workers`` / ``default_batch`` (and their getters) are
-# re-exported here as the experiments' two knobs for trial throughput:
-# the CLI wraps a run in ``with default_workers(args.workers),
-# default_batch(args.batch):`` and every ``run_trials`` /
-# ``run_fast_trials`` call inside — none of which takes a worker count
-# or batch size — dispatches to the process pool / batched kernel.
-# Experiments stay oblivious to both; the seed-sharding contract and the
-# batched kernel's per-trial bit-exactness (docs/parallelism.md)
-# guarantee their numbers cannot change.
+# ``default_workers`` (and its getter) is re-exported here as the
+# experiments' knob for trial throughput: the CLI wraps a run in
+# ``with default_workers(args.workers):`` and every ``run_trials`` /
+# ``run_fast_trials`` call inside — none of which takes a worker count —
+# dispatches to the process pool. Experiments stay oblivious to it; the
+# seed-sharding contract (docs/parallelism.md) guarantees their numbers
+# cannot change.
 
 #: Column names of the per-experiment cost table (see
 #: :attr:`ExperimentResult.timings`): sweep-point label, wall-clock

@@ -5,8 +5,8 @@ bit-identical to its original generic-engine runs); this experiment
 pushes two further orders of binary magnitude using the vectorised fast
 path (``repro.sim.fast``), which is behaviourally equivalent for the
 paper's algorithm but collapses each round into numpy reductions.
-Both sweeps honour the CLI's ``--workers`` sharding and ``--batch``
-batched trial execution (docs/parallelism.md).
+Both sweeps honour the CLI's ``--workers`` sharding
+(docs/parallelism.md).
 
 Statistical honesty note. Over ``log₂ n ∈ [6, 12]`` the laws
 ``a·log n + b`` (with ``b < 0``) and ``c·log² n + d`` produce numerically

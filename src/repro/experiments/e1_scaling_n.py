@@ -25,8 +25,8 @@ decode as ``FixedProbabilityProtocol`` through the generic engine, so
 every number here is **bit-identical** to the engine runs this
 experiment previously performed (pinned by
 ``tests/test_fast_path.py::TestEngineExactParity``). The switch makes
-the sweep honour the CLI's ``--workers`` sharding and ``--batch``
-batched execution (docs/parallelism.md).
+the sweep honour the CLI's ``--workers`` sharding
+(docs/parallelism.md).
 """
 
 from __future__ import annotations

@@ -80,8 +80,6 @@ def core_benchmarks(
     n: int = 512,
     fast_n: int = 2048,
     parallel_trials: int = 32,
-    batched_trials: int = 64,
-    batched_n: int = 256,
 ) -> List[Tuple[str, BenchFn]]:
     """The named hot-path benchmarks, mirroring bench_core_microbenchmarks.
 
@@ -103,16 +101,8 @@ def core_benchmarks(
     over time. Those entries carry ``workers`` and ``cpu_count``; the
     w4/w1 wall-time ratio is only meaningful relative to ``cpu_count``
     (a 1-core machine correctly reports ~1x), which is why
-    ``tools/bench_diff.py`` reports but never gates it.
-
-    ``batched_trials`` / ``batched_n`` size the ``batched_trials_b{1,8,64}``
-    entries — the same fixed-deployment trial batch executed through
-    :func:`repro.sim.batched.fast_fixed_probability_batch` at batch sizes
-    1/8/64, recording per-trial throughput (``trials_per_sec``). Like the
-    worker entries these are report-only in ``tools/bench_diff.py``
-    (the b64/b1 ratio is a property of BLAS and cache sizes, not of
-    correctness), which prints the b8/b64 per-trial speedups alongside
-    the w2/w4 lines. Tests shrink all the knobs.
+    ``tools/bench_diff.py`` reports but never gates it. Tests shrink all
+    the knobs.
     """
     from repro.analysis.linkclasses import link_class_partition
     from repro.deploy.topologies import uniform_disk
@@ -261,27 +251,6 @@ def core_benchmarks(
 
         return bench
 
-    batched_positions, _ = _setup(batched_n)
-    batched_factory = StaticDeploymentFactory(batched_positions)
-
-    def batched_trials_bench(batch: int) -> BenchFn:
-        def bench() -> Dict[str, float]:
-            stats = run_fast_trials(
-                batched_factory,
-                p=0.1,
-                trials=batched_trials,
-                seed=1006,
-                max_rounds=50_000,
-                batch=batch,
-            )
-            return {
-                "rounds": stats.total_rounds_executed,
-                "trials": stats.trials,
-                "batch": batch,
-            }
-
-        return bench
-
     return [
         ("deployment_uniform_disk_n2048", deployment_uniform_disk_n2048),
         ("gain_matrix_construction", gain_matrix_construction),
@@ -295,9 +264,6 @@ def core_benchmarks(
         ("parallel_trials_w1", parallel_trials_bench(1)),
         ("parallel_trials_w2", parallel_trials_bench(2)),
         ("parallel_trials_w4", parallel_trials_bench(4)),
-        ("batched_trials_b1", batched_trials_bench(1)),
-        ("batched_trials_b8", batched_trials_bench(8)),
-        ("batched_trials_b64", batched_trials_bench(64)),
     ]
 
 
@@ -329,8 +295,8 @@ def run_benchmarks(
             entry["rounds_per_sec"] = float(rounds) / best if best > 0 else None
         trials = extra.get("trials")
         if trials is not None:
-            # Per-trial throughput for trial-batch benchmarks — the
-            # number the batched_trials_b* entries exist to track.
+            # Per-trial throughput for the trial-batch benchmarks
+            # (the parallel_trials_w* entries).
             entry["trials_per_sec"] = float(trials) / best if best > 0 else None
         for key, value in extra.items():
             entry[key] = value
@@ -395,18 +361,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=32,
         help="trial count for the parallel_trials_w{1,2,4} scaling benchmarks",
     )
-    parser.add_argument(
-        "--batched-trials",
-        type=int,
-        default=64,
-        help="trial count for the batched_trials_b{1,8,64} benchmarks",
-    )
-    parser.add_argument(
-        "--batched-n",
-        type=int,
-        default=256,
-        help="node count for the batched_trials_b{1,8,64} benchmarks",
-    )
     args = parser.parse_args(argv)
 
     results = run_benchmarks(
@@ -414,8 +368,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             n=args.n,
             fast_n=args.fast_n,
             parallel_trials=args.parallel_trials,
-            batched_trials=args.batched_trials,
-            batched_n=args.batched_n,
         ),
         repeats=args.repeats,
     )

@@ -13,7 +13,6 @@ aggregates statistics; ``seeding`` centralises deterministic RNG spawning.
 """
 
 from repro.sim.engine import Simulation
-from repro.sim.batched import fast_fixed_probability_batch
 from repro.sim.fast import FastRunResult, fast_fixed_probability_run
 from repro.sim.trace_io import load_trace, save_trace
 from repro.sim.verification import TraceViolation, verify_trace
@@ -21,14 +20,11 @@ from repro.sim.runner import TrialStats, execute_trial, high_probability_budget,
 from repro.sim.parallel import (
     StaticDeploymentFactory,
     UniformDiskFactory,
-    default_batch,
     default_workers,
-    get_default_batch,
     get_default_workers,
     partition_trials,
     run_fast_trials,
     run_trials_parallel,
-    set_default_batch,
     set_default_workers,
 )
 from repro.sim.seeding import generator_from, spawn_generators, spawn_seed_sequences
@@ -43,13 +39,10 @@ __all__ = [
     "TraceViolation",
     "TrialStats",
     "UniformDiskFactory",
-    "default_batch",
     "default_workers",
     "execute_trial",
-    "fast_fixed_probability_batch",
     "fast_fixed_probability_run",
     "generator_from",
-    "get_default_batch",
     "get_default_workers",
     "high_probability_budget",
     "load_trace",
@@ -58,7 +51,6 @@ __all__ = [
     "run_trials",
     "run_trials_parallel",
     "save_trace",
-    "set_default_batch",
     "set_default_workers",
     "spawn_generators",
     "spawn_seed_sequences",

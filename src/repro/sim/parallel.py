@@ -18,7 +18,7 @@ The serial runner derives trial ``t``'s two generators (deployment and
 protocol) from children ``2t`` and ``2t + 1`` of one
 :class:`~numpy.random.SeedSequence` tree rooted at ``seed``. The parallel
 runner spawns the *same* tree in the parent
-(:func:`repro.sim.seeding.spawn_seed_sequences`), partitions the trial
+(:func:`repro.sim.runner.trial_entries`), partitions the trial
 indices into contiguous shards (shard ``i`` of ``k`` owns trials
 ``[i * q + min(i, r), ...)`` where ``q, r = divmod(trials, k)``), and
 ships each worker its trials' child ``SeedSequence`` objects — tiny,
@@ -28,9 +28,12 @@ function of ``(seed, trial_index)`` and never of the worker count, the
 shard layout or the scheduling order. Results are reassembled in trial
 order.
 
-Workers execute :func:`repro.sim.runner.execute_trial` — the *same*
-function the serial loop runs — so behavioural parity holds by
-construction.
+Workers run the serial runner's own loop
+(:func:`repro.sim.runner.run_entries`) with the same per-trial kernel
+(:class:`~repro.sim.runner.EngineTrial` or :class:`FastTrial`), and the
+parent feeds what they report into the same
+:class:`~repro.sim.runner.TrialRecorder` the serial runner uses, so
+behavioural parity holds by construction.
 
 Spawn safety
 ------------
@@ -50,11 +53,12 @@ When the parent's registry is enabled, each worker installs a local
 enabled :class:`~repro.obs.registry.MetricsRegistry` and a
 :class:`~repro.obs.events.QueueEventSink` that forwards every event it
 emits — tagged with a ``worker_id`` field — through the result queue into
-the parent's global sink. Per-trial timings stream back the same way; the
-parent feeds the ``runner.*`` counters, emits the ~1 Hz
-``trials_progress`` heartbeats (with a ``workers`` field) and, when each
-shard finishes, merges the worker's metrics snapshot into its own
-registry (:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`) so
+the parent's global sink. Per-trial outcomes stream back the same way
+into the parent's :class:`~repro.sim.runner.TrialRecorder`, which feeds
+the ``runner.*`` counters and emits the ~1 Hz ``trials_progress``
+heartbeats (with a ``workers`` field). When each shard finishes, the
+parent merges the worker's metrics snapshot into its own registry
+(:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`) so
 ``metrics.json`` totals match a serial run.
 
 Failure model
@@ -91,8 +95,8 @@ import multiprocessing
 import queue as queue_module
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -100,10 +104,21 @@ from repro.obs.events import QueueEventSink, get_sink, set_sink
 from repro.obs.probe import ProbeBus, ProbeRecorder, get_probe_bus, set_probe_bus
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.protocols.base import ProtocolFactory
-from repro.sim.batched import fast_fixed_probability_batch
 from repro.sim.fast import fast_fixed_probability_run
-from repro.sim.runner import ChannelFactory, TrialStats, execute_trial
-from repro.sim.seeding import SeedLike, spawn_seed_sequences
+from repro.sim.runner import (
+    DETERMINISTIC_ATTR,
+    ChannelFactory,
+    EngineTrial,
+    TrialEntry,
+    TrialKernel,
+    TrialRecorder,
+    TrialStats,
+    run_entries,
+    run_serial,
+    shared_channel,
+    trial_entries,
+)
+from repro.sim.seeding import SeedLike
 
 __all__ = [
     "DEFAULT_SHARD_ATTEMPTS",
@@ -113,24 +128,11 @@ __all__ = [
     "default_workers",
     "get_default_workers",
     "set_default_workers",
-    "default_batch",
-    "get_default_batch",
-    "set_default_batch",
+    "FastTrial",
     "partition_trials",
     "run_trials_parallel",
     "run_fast_trials",
 ]
-
-#: Name of the opt-in attribute a channel factory sets (``True``) to
-#: declare the deterministic-deployment contract: the factory ignores its
-#: ``rng`` argument and the returned channel is reusable across trials
-#: (deterministic gain model, no per-trial internal state). Runners then
-#: construct the channel once per shard and share it read-only.
-DETERMINISTIC_ATTR = "deterministic"
-
-#: Seconds between ``trials_progress`` heartbeat events (matches the
-#: serial runner's cadence).
-_HEARTBEAT_SECONDS = 1.0
 
 #: Seconds the parent waits on the result queue before re-checking worker
 #: liveness.
@@ -194,45 +196,6 @@ def default_workers(workers: int):
         yield
     finally:
         set_default_workers(previous)
-
-
-# ---------------------------------------------------------------------------
-# Batch-size default (the `--batch` CLI plumbing)
-
-_default_batch_size = 1
-
-
-def get_default_batch() -> int:
-    """The process-wide batch size ``run_fast_trials`` falls back to."""
-    return _default_batch_size
-
-
-def set_default_batch(batch: int) -> int:
-    """Install a new default batch size; returns the previous one."""
-    global _default_batch_size
-    if batch < 1:
-        raise ValueError(f"batch must be positive (got {batch})")
-    previous = _default_batch_size
-    _default_batch_size = batch
-    return previous
-
-
-@contextlib.contextmanager
-def default_batch(batch: int):
-    """Scope a default batch size to a ``with`` block.
-
-    ``python -m repro.experiments <id> --batch B`` wraps the experiment
-    run in this context, so every ``run_fast_trials`` call inside — none
-    of which knows about batch sizes — executes its trials through the
-    batched kernel (:mod:`repro.sim.batched`). Like ``default_workers``
-    this is a pure performance knob: per-trial bit-exactness makes the
-    batch size invisible in every result.
-    """
-    previous = set_default_batch(batch)
-    try:
-        yield
-    finally:
-        set_default_batch(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -320,71 +283,45 @@ def partition_trials(trials: int, shards: int) -> List[List[int]]:
     return partition
 
 
+@dataclass(frozen=True)
+class FastTrial:
+    """How to run one fast-path trial; picklable, so shards ship it."""
+
+    channel_factory: ChannelFactory
+    p: float
+    max_rounds: int
+
+    mode = "fast"
+    keep_traces = False
+
+    @property
+    def name(self) -> str:
+        return f"fast-simple(p={self.p:g})"
+
+    def kernel(self) -> TrialKernel:
+        """:func:`fast_fixed_probability_run`, on the shared channel if
+        there is one. The function is looked up in this module's globals
+        on every trial, so a wrapper installed there sees every trial."""
+        channel = shared_channel(self.channel_factory)
+
+        def kernel(deploy_rng, protocol_rng):
+            trial_channel = channel if channel is not None else self.channel_factory(deploy_rng)
+            return fast_fixed_probability_run(
+                trial_channel, self.p, protocol_rng, max_rounds=self.max_rounds
+            )
+
+        return kernel
+
+
 @dataclass
 class _ShardSpec:
     """Everything one worker needs — deliberately pickle-friendly."""
 
     worker_id: int
-    mode: str  # "engine" | "fast"
-    channel_factory: ChannelFactory
-    max_rounds: int
-    keep_traces: bool
+    work: object  # EngineTrial | FastTrial
     recording: bool
-    probing: bool = False
-    #: ``(trial_index, deploy_seed, protocol_seed)`` triples.
-    entries: List[Tuple[int, np.random.SeedSequence, np.random.SeedSequence]] = field(
-        default_factory=list
-    )
-    protocol: Optional[ProtocolFactory] = None  # engine mode
-    p: float = 0.0  # fast mode
-    #: Batched-kernel group size for fast mode (1 = per-trial execution).
-    batch: int = 1
-
-
-def _iter_fast_groups(
-    channel_factory: ChannelFactory,
-    p: float,
-    entries: List[Tuple[int, np.random.SeedSequence, np.random.SeedSequence]],
-    max_rounds: int,
-    batch: int,
-    shared_channel,
-):
-    """Run fast-path entries through the batched kernel, group by group.
-
-    Yields ``(group, outcomes, elapsed)`` where ``group`` is the slice of
-    ``entries`` executed together and ``outcomes[i]`` is the
-    :class:`~repro.sim.fast.FastRunResult` for ``group[i]`` — bit-exact
-    per trial regardless of the grouping (the batched kernel's headline
-    guarantee), so both the serial runner and the shard workers share
-    this code path and ``workers=K, batch=B`` composes with serial.
-
-    Only a deterministic factory's trials are actually grouped (``batch``
-    at a time on the shared channel). A stochastic factory resamples the
-    deployment per trial, which leaves the batched kernel nothing to
-    fuse — every trial owns a different gain matrix — while holding a
-    group of ``(n, n)`` matrices alive measurably slows deployment
-    construction; those trials therefore run one at a time. Either way
-    the kernel's per-trial bit-exactness makes the grouping invisible in
-    the results.
-    """
-    group_size = batch if shared_channel is not None else 1
-    index = 0
-    while index < len(entries):
-        group = entries[index : index + group_size]
-        if shared_channel is not None:
-            channels_arg = shared_channel
-        else:
-            channels_arg = [
-                channel_factory(np.random.default_rng(deploy_seed))
-                for _, deploy_seed, _ in group
-            ]
-        rngs = [np.random.default_rng(protocol_seed) for _, _, protocol_seed in group]
-        started = time.perf_counter()
-        outcomes = fast_fixed_probability_batch(
-            channels_arg, p, rngs, max_rounds=max_rounds
-        )
-        yield group, outcomes, time.perf_counter() - started
-        index += len(group)
+    probing: bool
+    entries: List[TrialEntry]
 
 
 def _shard_worker(spec: _ShardSpec, results) -> None:
@@ -401,7 +338,7 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
             set_registry(registry)
             sink = QueueEventSink(results, spec.worker_id)
             set_sink(sink)
-            sink.emit("worker_start", trials=len(spec.entries), mode=spec.mode)
+            sink.emit("worker_start", trials=len(spec.entries), mode=spec.work.mode)
         probe_bus = None
         recorder = None
         if spec.probing:
@@ -419,91 +356,12 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
                 probe_bus.subscribe(monitor)
             set_probe_bus(probe_bus)
 
-        shared_channel = None
-        if getattr(spec.channel_factory, DETERMINISTIC_ATTR, False):
-            shared_channel = spec.channel_factory(None)
-
-        if (
-            spec.mode == "fast"
-            and spec.batch > 1
-            and len(spec.entries) > 1
-            and not spec.probing
-        ):
-            # Batch within the shard: same seed children, same outcomes
-            # (the kernel is bit-exact per trial), so workers x batch
-            # composes with serial. Probing shards stay on the per-trial
-            # loop below so probe rows keep their global trial indices.
-            for group, outcomes, elapsed in _iter_fast_groups(
-                spec.channel_factory,
-                spec.p,
-                spec.entries,
-                spec.max_rounds,
-                spec.batch,
-                shared_channel,
-            ):
-                per_trial = elapsed / len(group)
-                for (trial_index, _, _), outcome in zip(group, outcomes):
-                    results.put(
-                        (
-                            "trial",
-                            spec.worker_id,
-                            {
-                                "trial": trial_index,
-                                "solved": outcome.solved,
-                                "rounds_to_solve": outcome.rounds_to_solve,
-                                "rounds_executed": outcome.rounds_executed,
-                                "elapsed": per_trial,
-                                "trace": None,
-                            },
-                        )
-                    )
-            if spec.recording:
-                results.put(("metrics", spec.worker_id, registry.snapshot()))
-            results.put(("done", spec.worker_id))
-            return
-
-        for trial_index, deploy_seed, protocol_seed in spec.entries:
-            deploy_rng = np.random.default_rng(deploy_seed)
-            protocol_rng = np.random.default_rng(protocol_seed)
-            if probe_bus is not None:
-                probe_bus.set_trial(trial_index)
-            started = time.perf_counter()
-            if spec.mode == "engine":
-                trace = execute_trial(
-                    spec.channel_factory,
-                    spec.protocol,
-                    deploy_rng,
-                    protocol_rng,
-                    spec.max_rounds,
-                    spec.keep_traces,
-                    channel=shared_channel,
-                )
-                payload = {
-                    "trial": trial_index,
-                    "solved": trace.solved,
-                    "rounds_to_solve": trace.rounds_to_solve,
-                    "rounds_executed": trace.rounds_executed,
-                    "elapsed": time.perf_counter() - started,
-                    "trace": trace if spec.keep_traces else None,
-                }
-            else:
-                channel = (
-                    shared_channel
-                    if shared_channel is not None
-                    else spec.channel_factory(deploy_rng)
-                )
-                outcome = fast_fixed_probability_run(
-                    channel, spec.p, protocol_rng, max_rounds=spec.max_rounds
-                )
-                payload = {
-                    "trial": trial_index,
-                    "solved": outcome.solved,
-                    "rounds_to_solve": outcome.rounds_to_solve,
-                    "rounds_executed": outcome.rounds_executed,
-                    "elapsed": time.perf_counter() - started,
-                    "trace": None,
-                }
-            results.put(("trial", spec.worker_id, payload))
+        run_entries(
+            spec.entries,
+            spec.work.kernel(),
+            lambda *reported: results.put(("trial", spec.worker_id, reported)),
+            probe_bus,
+        )
 
         if spec.probing:
             probe_bus.finish()
@@ -516,21 +374,15 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
 
 
 def _execute_sharded(
-    mode: str,
-    channel_factory: ChannelFactory,
+    work,
     trials: int,
     seed: SeedLike,
-    max_rounds: int,
-    keep_traces: bool,
     workers: int,
     start_method: Optional[str],
-    protocol: Optional[ProtocolFactory],
-    p: float,
-    protocol_name: str,
-    batch: int = 1,
     shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
 ) -> TrialStats:
-    """Shared parent-side machinery for both execution modes.
+    """Shard the trials of ``work`` (an :class:`EngineTrial` or a
+    :class:`FastTrial`) across worker processes.
 
     Failure model (docs/parallelism.md): a shard whose worker dies — a
     nonzero exit code, an exception shipped back as an ``error``
@@ -552,59 +404,47 @@ def _execute_sharded(
     probe_bus = get_probe_bus()
     probing = probe_bus.enabled
 
-    sequences = spawn_seed_sequences(seed, 2 * trials)
+    entries = trial_entries(seed, trials)
     shards = partition_trials(trials, workers)
     context = multiprocessing.get_context(start_method)
     results = context.Queue()
     specs = [
         _ShardSpec(
             worker_id=worker_id,
-            mode=mode,
-            channel_factory=channel_factory,
-            max_rounds=max_rounds,
-            keep_traces=keep_traces,
+            work=work,
             recording=recording,
             probing=probing,
-            entries=[
-                (trial, sequences[2 * trial], sequences[2 * trial + 1])
-                for trial in shard
-            ],
-            protocol=protocol,
-            p=p,
-            batch=batch,
+            entries=[entries[trial] for trial in shard],
         )
         for worker_id, shard in enumerate(shards)
     ]
 
-    batch_started = time.perf_counter()
-    specs_by_id = {spec.worker_id: spec for spec in specs}
+    recorder = TrialRecorder(work.name, trials, work.keep_traces, workers=len(shards))
     processes: Dict[int, object] = {}
     attempts: Dict[int, int] = {}
 
     def _spawn(worker_id: int) -> None:
         attempts[worker_id] = attempts.get(worker_id, 0) + 1
         process = context.Process(
-            target=_shard_worker, args=(specs_by_id[worker_id], results), daemon=True
+            target=_shard_worker, args=(specs[worker_id], results), daemon=True
         )
         process.start()
         processes[worker_id] = process
 
-    for spec in specs:
-        _spawn(spec.worker_id)
+    pending = set(range(len(specs)))
+    for worker_id in range(len(specs)):
+        _spawn(worker_id)
 
-    outcomes: Dict[int, Dict[str, object]] = {}
     probe_snapshots: Dict[int, Dict[str, np.ndarray]] = {}
-    pending = {spec.worker_id for spec in specs}
-    last_heartbeat = batch_started
     clean_exit = False
 
     def _retry_or_fail(worker_id: int, reason: str) -> None:
         """Reap a failed shard and re-spawn it, or raise once exhausted.
 
         Only this shard is re-executed; every other shard's completed
-        trials stay in ``outcomes``. Duplicate trial payloads from the
-        dead attempt are bit-identical by the seed-sharding contract, so
-        overwriting them on retry is harmless.
+        trials stay in the recorder. Trials the dead attempt already
+        delivered come again from the retry, bit-identical by the
+        seed-sharding contract, and the recorder keeps the first copy.
         """
         process = processes[worker_id]
         # Reap by graceful join: an errored worker is already exiting by
@@ -665,24 +505,7 @@ def _execute_sharded(
             empty_polls = 0
             kind = message[0]
             if kind == "trial":
-                payload = message[2]
-                # A retried shard re-sends trials its dead predecessor
-                # already delivered; count each trial's telemetry once.
-                first_delivery = payload["trial"] not in outcomes
-                outcomes[payload["trial"]] = payload
-                if recording and first_delivery:
-                    obs.counter("runner.trials").inc()
-                    obs.counter(
-                        "runner.solved" if payload["solved"] else "runner.failures"
-                    ).inc()
-                    obs.histogram("runner.trial_seconds").observe(payload["elapsed"])
-                    now = time.perf_counter()
-                    if now - last_heartbeat >= _HEARTBEAT_SECONDS:
-                        last_heartbeat = now
-                        _emit_progress(
-                            sink, protocol_name, outcomes, trials, len(shards),
-                            now - batch_started,
-                        )
+                recorder.record(*message[2])
             elif kind == "event":
                 if sink is not None:
                     sink.emit(message[2], **message[3])
@@ -709,60 +532,13 @@ def _execute_sharded(
             process.join()
         results.close()
 
-    if len(outcomes) != trials:
-        raise RuntimeError(
-            f"parallel run lost trials: expected {trials}, got {len(outcomes)}"
-        )
     if probing:
         # Shards own contiguous ascending trial ranges, so absorbing in
         # worker order reproduces the serial recorder's row order exactly
         # (docs/parallelism.md) — no global sort, no reindexing.
         for worker_id in sorted(probe_snapshots):
             probe_bus.absorb(probe_snapshots[worker_id])
-
-    total_wall_time = time.perf_counter() - batch_started
-    rounds: List[int] = []
-    failures = 0
-    traces = [] if keep_traces else None
-    total_rounds_executed = 0
-    for trial in range(trials):
-        payload = outcomes[trial]
-        total_rounds_executed += payload["rounds_executed"]
-        if payload["solved"]:
-            rounds.append(payload["rounds_to_solve"])
-        else:
-            failures += 1
-        if keep_traces:
-            traces.append(payload["trace"])
-
-    if recording:
-        _emit_progress(
-            sink, protocol_name, outcomes, trials, len(shards), total_wall_time
-        )
-
-    return TrialStats(
-        protocol_name=protocol_name,
-        trials=trials,
-        rounds=rounds,
-        failures=failures,
-        traces=traces,
-        total_wall_time=total_wall_time,
-        total_rounds_executed=total_rounds_executed,
-    )
-
-
-def _emit_progress(sink, protocol_name, outcomes, trials, workers, elapsed) -> None:
-    solved = sum(1 for payload in outcomes.values() if payload["solved"])
-    sink.emit(
-        "trials_progress",
-        protocol=protocol_name,
-        done=len(outcomes),
-        total=trials,
-        solved=solved,
-        failures=len(outcomes) - solved,
-        elapsed_s=elapsed,
-        workers=workers,
-    )
+    return recorder.finish()
 
 
 def run_trials_parallel(
@@ -792,32 +568,10 @@ def run_trials_parallel(
         raise ValueError(f"trials must be positive (got {trials})")
     if workers < 1:
         raise ValueError(f"workers must be positive (got {workers})")
+    work = EngineTrial(channel_factory, protocol, max_rounds, keep_traces)
     if workers == 1 or trials == 1:
-        from repro.sim.runner import run_trials
-
-        return run_trials(
-            channel_factory,
-            protocol,
-            trials,
-            seed=seed,
-            max_rounds=max_rounds,
-            keep_traces=keep_traces,
-            workers=1,
-        )
-    return _execute_sharded(
-        "engine",
-        channel_factory,
-        trials,
-        seed,
-        max_rounds,
-        keep_traces,
-        workers,
-        start_method,
-        protocol,
-        0.0,
-        protocol.name,
-        shard_attempts=shard_attempts,
-    )
+        return run_serial(work, trials, seed)
+    return _execute_sharded(work, trials, seed, workers, start_method, shard_attempts)
 
 
 def run_fast_trials(
@@ -828,37 +582,22 @@ def run_fast_trials(
     max_rounds: int = 100_000,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-    batch: Optional[int] = None,
     shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
 ) -> TrialStats:
     """Repeat :func:`~repro.sim.fast.fast_fixed_probability_run` over trials.
 
     The fast-path sibling of :func:`~repro.sim.runner.run_trials`: the
-    same ``(seed, trial)`` generator tree (children ``2t`` / ``2t + 1``
-    for deployment and coin flips), the same ``runner.*`` telemetry and
-    heartbeats, the same :class:`~repro.sim.runner.TrialStats` — but each
-    trial is one vectorised execution of the paper's algorithm instead of
-    a generic-engine run. Large-``n`` scaling studies (E1/E17, the
-    parallel benchmarks) live here.
+    same seed tree (:func:`~repro.sim.runner.trial_entries`), the same
+    trial loop and the same :class:`~repro.sim.runner.TrialRecorder`, so
+    the same ``runner.*`` telemetry, heartbeats and
+    :class:`~repro.sim.runner.TrialStats` — but each trial is one
+    vectorised execution of the paper's algorithm instead of a
+    generic-engine run. Large-``n`` scaling studies (E1/E17, the parallel
+    benchmarks) live here.
 
     ``workers > 1`` shards trials exactly like ``run_trials_parallel``;
     with a :data:`deterministic <DETERMINISTIC_ATTR>` factory the channel
     is built once per shard and shared read-only.
-
-    ``batch > 1`` executes consecutive trials through the batched kernel
-    (:func:`repro.sim.batched.fast_fixed_probability_batch`) — inside
-    each shard when combined with ``workers``. Trials keep their own
-    generators from the same seed tree and the kernel is bit-exact per
-    trial, so like ``workers`` this is a pure performance knob:
-    ``workers=K, batch=B`` equals serial for every ``K`` and ``B``
-    (pinned by tests). Grouping applies to deterministic factories (the
-    shared-deployment reductions are what the kernel fuses); stochastic
-    factories resample the deployment per trial and run one at a time
-    regardless of ``batch`` — see docs/parallelism.md for the measured
-    trade-offs. When the probe bus is enabled, trials run the per-trial
-    path regardless of ``batch`` so probe rows keep their trial
-    attribution. ``None`` falls back to :func:`get_default_batch` (the
-    CLI's ``--batch``).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
@@ -868,105 +607,7 @@ def run_fast_trials(
         workers = get_default_workers()
     if workers < 1:
         raise ValueError(f"workers must be positive (got {workers})")
-    if batch is None:
-        batch = get_default_batch()
-    if batch < 1:
-        raise ValueError(f"batch must be positive (got {batch})")
-    name = f"fast-simple(p={p:g})"
+    work = FastTrial(channel_factory, p, max_rounds)
     if workers > 1 and trials > 1:
-        return _execute_sharded(
-            "fast",
-            channel_factory,
-            trials,
-            seed,
-            max_rounds,
-            False,
-            workers,
-            start_method,
-            None,
-            p,
-            name,
-            batch=batch,
-            shard_attempts=shard_attempts,
-        )
-
-    obs = get_registry()
-    recording = obs.enabled
-    sink = get_sink() if recording else None
-    last_heartbeat = time.perf_counter()
-    probe_bus = get_probe_bus()
-    probing = probe_bus.enabled
-
-    shared_channel = None
-    if getattr(channel_factory, DETERMINISTIC_ATTR, False):
-        shared_channel = channel_factory(None)
-    sequences = spawn_seed_sequences(seed, 2 * trials)
-    rounds: List[int] = []
-    failures = 0
-    total_rounds_executed = 0
-    batch_started = time.perf_counter()
-
-    def record_outcome(trial: int, outcome, trial_elapsed: float) -> None:
-        nonlocal total_rounds_executed, failures, last_heartbeat
-        total_rounds_executed += outcome.rounds_executed
-        if outcome.solved:
-            rounds.append(outcome.rounds_to_solve)
-        else:
-            failures += 1
-        if recording:
-            obs.counter("runner.trials").inc()
-            obs.counter("runner.solved" if outcome.solved else "runner.failures").inc()
-            obs.histogram("runner.trial_seconds").observe(trial_elapsed)
-            now = time.perf_counter()
-            if now - last_heartbeat >= _HEARTBEAT_SECONDS or trial == trials - 1:
-                last_heartbeat = now
-                sink.emit(
-                    "trials_progress",
-                    protocol=name,
-                    done=trial + 1,
-                    total=trials,
-                    solved=len(rounds),
-                    failures=failures,
-                    elapsed_s=now - batch_started,
-                )
-
-    if batch > 1 and trials > 1 and not probing:
-        entries = [
-            (trial, sequences[2 * trial], sequences[2 * trial + 1])
-            for trial in range(trials)
-        ]
-        for group, outcomes, elapsed in _iter_fast_groups(
-            channel_factory, p, entries, max_rounds, batch, shared_channel
-        ):
-            per_trial = elapsed / len(group)
-            for (trial, _, _), outcome in zip(group, outcomes):
-                record_outcome(trial, outcome, per_trial)
-        return TrialStats(
-            protocol_name=name,
-            trials=trials,
-            rounds=rounds,
-            failures=failures,
-            traces=None,
-            total_wall_time=time.perf_counter() - batch_started,
-            total_rounds_executed=total_rounds_executed,
-        )
-
-    for trial in range(trials):
-        deploy_rng = np.random.default_rng(sequences[2 * trial])
-        run_rng = np.random.default_rng(sequences[2 * trial + 1])
-        if probing:
-            probe_bus.set_trial(trial)
-        trial_started = time.perf_counter()
-        channel = shared_channel if shared_channel is not None else channel_factory(deploy_rng)
-        outcome = fast_fixed_probability_run(channel, p, run_rng, max_rounds=max_rounds)
-        record_outcome(trial, outcome, time.perf_counter() - trial_started)
-
-    return TrialStats(
-        protocol_name=name,
-        trials=trials,
-        rounds=rounds,
-        failures=failures,
-        traces=None,
-        total_wall_time=time.perf_counter() - batch_started,
-        total_rounds_executed=total_rounds_executed,
-    )
+        return _execute_sharded(work, trials, seed, workers, start_method, shard_attempts)
+    return run_serial(work, trials, seed)

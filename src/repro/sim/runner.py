@@ -5,29 +5,40 @@ single execution proves nothing — experiments repeat executions over
 independently seeded trials and summarise the distribution of solving
 rounds. :func:`run_trials` is the one entry point all experiments and
 benchmarks share.
+
+Every trial, serial or sharded, engine or fast path, runs through one
+loop (:func:`run_entries`) that calls a per-trial kernel and reports to
+one :class:`TrialRecorder`; :mod:`repro.sim.parallel` runs the same loop
+in its workers and the same recorder in the parent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.events import get_sink
-from repro.obs.probe import get_probe_bus
+from repro.obs.probe import ProbeBus, get_probe_bus
 from repro.obs.registry import get_registry
 from repro.protocols.base import ProtocolFactory
 from repro.sim.engine import Simulation
-from repro.sim.seeding import SeedLike, spawn_generators
+from repro.sim.seeding import SeedLike, spawn_seed_sequences
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
+    "DETERMINISTIC_ATTR",
+    "EngineTrial",
+    "TrialRecorder",
     "TrialStats",
     "execute_trial",
+    "run_entries",
     "run_trials",
+    "trial_entries",
     "high_probability_budget",
 ]
 
@@ -35,6 +46,24 @@ __all__ = [
 #: stochastic deployments are resampled per trial; deterministic workloads
 #: may ignore it and return a shared channel.
 ChannelFactory = Callable[[np.random.Generator], object]
+
+#: Name of the opt-in attribute a channel factory sets (``True``) to
+#: declare the deterministic-deployment contract: the factory ignores its
+#: ``rng`` argument and the returned channel is reusable across trials
+#: (deterministic gain model, no per-trial internal state). Runners then
+#: construct the channel once per shard and share it read-only.
+DETERMINISTIC_ATTR = "deterministic"
+
+#: Seconds between ``trials_progress`` heartbeat events.
+_HEARTBEAT_SECONDS = 1.0
+
+#: ``(trial_index, deploy_seed, protocol_seed)``; picklable, so shards
+#: ship these to worker processes.
+TrialEntry = Tuple[int, np.random.SeedSequence, np.random.SeedSequence]
+
+#: Runs one trial from its deployment and protocol generators; returns an
+#: :class:`ExecutionTrace` or a :class:`~repro.sim.fast.FastRunResult`.
+TrialKernel = Callable[[np.random.Generator, np.random.Generator], object]
 
 
 @dataclass
@@ -125,14 +154,14 @@ def execute_trial(
     keep_trace: bool,
     channel: Optional[object] = None,
 ) -> ExecutionTrace:
-    """Execute exactly one trial — the unit both runners share.
+    """Execute exactly one generic-engine trial.
 
-    This is the serial runner's loop body, factored out so
-    :mod:`repro.sim.parallel` workers run *this exact code* and parity
-    between serial and sharded execution holds by construction, not by
-    coincidence. ``channel`` short-circuits the factory for deterministic
-    deployments whose channel is safely reusable across trials (see
-    :data:`~repro.sim.parallel.DETERMINISTIC_ATTR`).
+    This is the engine's per-trial kernel (:meth:`EngineTrial.kernel`),
+    which serial runs and :mod:`repro.sim.parallel` workers both call, so
+    parity between serial and sharded execution holds by construction,
+    not by coincidence. ``channel`` short-circuits the factory for
+    deterministic deployments whose channel is safely reusable across
+    trials (see :data:`DETERMINISTIC_ATTR`).
     """
     if channel is None:
         channel = channel_factory(deploy_rng)
@@ -146,6 +175,165 @@ def execute_trial(
         protocol_name=protocol.name,
     )
     return simulation.run()
+
+
+def shared_channel(channel_factory: ChannelFactory) -> Optional[object]:
+    """The one channel a :data:`deterministic <DETERMINISTIC_ATTR>` factory
+    lets every trial reuse, or ``None`` when each trial builds its own."""
+    if getattr(channel_factory, DETERMINISTIC_ATTR, False):
+        return channel_factory(None)
+    return None
+
+
+@dataclass(frozen=True)
+class EngineTrial:
+    """How to run one generic-engine trial; picklable, so shards ship it."""
+
+    channel_factory: ChannelFactory
+    protocol: ProtocolFactory
+    max_rounds: int
+    keep_traces: bool = False
+
+    mode = "engine"
+
+    @property
+    def name(self) -> str:
+        return self.protocol.name
+
+    def kernel(self) -> TrialKernel:
+        """:func:`execute_trial`, on the shared channel if there is one."""
+        return functools.partial(
+            execute_trial,
+            self.channel_factory,
+            self.protocol,
+            max_rounds=self.max_rounds,
+            keep_trace=self.keep_traces,
+            channel=shared_channel(self.channel_factory),
+        )
+
+
+def trial_entries(seed: SeedLike, trials: int) -> List[TrialEntry]:
+    """Every trial's entry in the seed tree rooted at ``seed``.
+
+    Trial ``t`` draws its deployment from child ``2t`` and its protocol's
+    coin flips from child ``2t + 1``, so a trial's entropy is a pure
+    function of ``(seed, t)``: adding trials never perturbs earlier ones,
+    and a shard reproduces exactly the trials the serial run would.
+    """
+    sequences = spawn_seed_sequences(seed, 2 * trials)
+    return [(trial, sequences[2 * trial], sequences[2 * trial + 1]) for trial in range(trials)]
+
+
+def run_entries(
+    entries: List[TrialEntry],
+    kernel: TrialKernel,
+    report: Callable[[int, object, float], None],
+    probe_bus: Optional[ProbeBus] = None,
+) -> None:
+    """The one trial loop: run each entry through ``kernel`` and report
+    ``(trial, outcome, elapsed_seconds)``, channel construction included.
+
+    Serial runs report to their :class:`TrialRecorder`, shard workers
+    through their result queue to the parent's. ``probe_bus`` tags each
+    trial's probe rows with its global trial index.
+    """
+    for trial, deploy_seed, protocol_seed in entries:
+        deploy_rng = np.random.default_rng(deploy_seed)
+        protocol_rng = np.random.default_rng(protocol_seed)
+        if probe_bus is not None:
+            probe_bus.set_trial(trial)
+        started = time.perf_counter()
+        outcome = kernel(deploy_rng, protocol_rng)
+        report(trial, outcome, time.perf_counter() - started)
+
+
+class TrialRecorder:
+    """The one outcome recorder, for serial and sharded runs alike.
+
+    With telemetry enabled it feeds the ``runner.*`` metrics and emits a
+    ~1 Hz ``trials_progress`` heartbeat carrying the worker count (1 when
+    serial). Outcomes may arrive in any order; a trial already held is
+    ignored, since a retried shard re-sends what its dead predecessor
+    delivered. Its clock starts at construction and gives the run's
+    ``total_wall_time``.
+    """
+
+    def __init__(
+        self, protocol_name: str, trials: int, keep_traces: bool = False, workers: int = 1
+    ) -> None:
+        self.protocol_name = protocol_name
+        self.trials = trials
+        self.keep_traces = keep_traces
+        self.workers = workers
+        self._outcomes: Dict[int, object] = {}
+        self._solved = 0
+        self._obs = get_registry()
+        self._sink = get_sink() if self._obs.enabled else None
+        self._started = self._last_heartbeat = time.perf_counter()
+
+    def record(self, trial: int, outcome, elapsed: float) -> None:
+        """Take one trial's outcome (the kernel's return value)."""
+        if trial in self._outcomes:
+            return
+        self._outcomes[trial] = outcome
+        self._solved += outcome.solved
+        if self._sink is None:
+            return
+        self._obs.counter("runner.trials").inc()
+        self._obs.counter("runner.solved" if outcome.solved else "runner.failures").inc()
+        self._obs.histogram("runner.trial_seconds").observe(elapsed)
+        now = time.perf_counter()
+        # The last trial's heartbeat comes from finish().
+        due = now - self._last_heartbeat >= _HEARTBEAT_SECONDS
+        if due and len(self._outcomes) < self.trials:
+            self._last_heartbeat = now
+            self._progress(now - self._started)
+
+    def _progress(self, elapsed: float) -> None:
+        self._sink.emit(
+            "trials_progress",
+            protocol=self.protocol_name,
+            done=len(self._outcomes),
+            total=self.trials,
+            solved=self._solved,
+            failures=len(self._outcomes) - self._solved,
+            elapsed_s=elapsed,
+            workers=self.workers,
+        )
+
+    def finish(self) -> TrialStats:
+        if len(self._outcomes) != self.trials:
+            raise RuntimeError(
+                f"run lost trials: expected {self.trials}, got {len(self._outcomes)}"
+            )
+        total_wall_time = time.perf_counter() - self._started
+        if self._sink is not None:
+            self._progress(total_wall_time)
+        ordered = [self._outcomes[trial] for trial in range(self.trials)]
+        return TrialStats(
+            protocol_name=self.protocol_name,
+            trials=self.trials,
+            rounds=[outcome.rounds_to_solve for outcome in ordered if outcome.solved],
+            failures=self.trials - self._solved,
+            traces=ordered if self.keep_traces else None,
+            total_wall_time=total_wall_time,
+            total_rounds_executed=sum(outcome.rounds_executed for outcome in ordered),
+        )
+
+
+def run_serial(work, trials: int, seed: SeedLike) -> TrialStats:
+    """Run every trial of an :class:`EngineTrial` or
+    :class:`~repro.sim.parallel.FastTrial` in this process."""
+    kernel = work.kernel()
+    probe_bus = get_probe_bus()
+    recorder = TrialRecorder(work.name, trials, work.keep_traces)
+    run_entries(
+        trial_entries(seed, trials),
+        kernel,
+        recorder.record,
+        probe_bus if probe_bus.enabled else None,
+    )
+    return recorder.finish()
 
 
 def run_trials(
@@ -176,8 +364,8 @@ def run_trials(
     :attr:`TrialStats.total_wall_time` and
     :attr:`TrialStats.rounds_per_second` make cost reportable alongside
     solving rounds. With telemetry enabled (see :mod:`repro.obs`) the
-    runner additionally feeds ``runner.*`` counters and emits per-trial
-    events plus a ~1 Hz progress heartbeat to the global event sink.
+    runner additionally feeds ``runner.*`` counters and emits a ~1 Hz
+    progress heartbeat to the global event sink (:class:`TrialRecorder`).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive (got {trials})")
@@ -197,73 +385,8 @@ def run_trials(
             keep_traces=keep_traces,
             workers=workers,
         )
-    rounds: List[int] = []
-    failures = 0
-    traces: List[ExecutionTrace] = [] if keep_traces else None
-    total_rounds_executed = 0
-
-    obs = get_registry()
-    recording = obs.enabled
-    sink = get_sink() if recording else None
-    last_heartbeat = time.perf_counter()
-    probe_bus = get_probe_bus()
-    probing = probe_bus.enabled
-
-    shared_channel = None
-    if getattr(channel_factory, "deterministic", False):
-        shared_channel = channel_factory(None)
-    generators = spawn_generators(seed, 2 * trials)
-    batch_started = time.perf_counter()
-    for trial in range(trials):
-        deploy_rng = generators[2 * trial]
-        protocol_rng = generators[2 * trial + 1]
-        if probing:
-            probe_bus.set_trial(trial)
-        trial_started = time.perf_counter()
-        trace = execute_trial(
-            channel_factory,
-            protocol,
-            deploy_rng,
-            protocol_rng,
-            max_rounds,
-            keep_traces,
-            channel=shared_channel,
-        )
-        trial_elapsed = time.perf_counter() - trial_started
-        total_rounds_executed += trace.rounds_executed
-        if trace.solved:
-            rounds.append(trace.rounds_to_solve)
-        else:
-            failures += 1
-        if keep_traces:
-            traces.append(trace)
-
-        if recording:
-            obs.counter("runner.trials").inc()
-            obs.counter("runner.solved" if trace.solved else "runner.failures").inc()
-            obs.histogram("runner.trial_seconds").observe(trial_elapsed)
-            now = time.perf_counter()
-            if now - last_heartbeat >= 1.0 or trial == trials - 1:
-                last_heartbeat = now
-                sink.emit(
-                    "trials_progress",
-                    protocol=protocol.name,
-                    done=trial + 1,
-                    total=trials,
-                    solved=len(rounds),
-                    failures=failures,
-                    elapsed_s=now - batch_started,
-                )
-
-    return TrialStats(
-        protocol_name=protocol.name,
-        trials=trials,
-        rounds=rounds,
-        failures=failures,
-        traces=traces,
-        total_wall_time=time.perf_counter() - batch_started,
-        total_rounds_executed=total_rounds_executed,
-    )
+    work = EngineTrial(channel_factory, protocol, max_rounds, keep_traces)
+    return run_serial(work, trials, seed)
 
 
 def high_probability_budget(n: int, slack: float = 50.0) -> int:

@@ -24,9 +24,7 @@ class TestHarness:
     def test_core_benchmarks_run_and_record(self, tmp_path):
         # Tiny sizes: this is a correctness test of the harness, not a perf run.
         results = run_benchmarks(
-            core_benchmarks(
-                n=24, fast_n=48, parallel_trials=4, batched_trials=4, batched_n=24
-            ),
+            core_benchmarks(n=24, fast_n=48, parallel_trials=4),
             repeats=1,
         )
         names = set(results)
@@ -43,9 +41,6 @@ class TestHarness:
             "parallel_trials_w1",
             "parallel_trials_w2",
             "parallel_trials_w4",
-            "batched_trials_b1",
-            "batched_trials_b8",
-            "batched_trials_b64",
         }
         for entry in results.values():
             assert entry["wall_time_s"] > 0.0
@@ -77,18 +72,6 @@ class TestHarness:
             results["parallel_trials_w1"]["rounds"]
             == results["parallel_trials_w2"]["rounds"]
             == results["parallel_trials_w4"]["rounds"]
-        )
-        for batch in (1, 8, 64):
-            entry = results[f"batched_trials_b{batch}"]
-            assert entry["batch"] == batch
-            assert entry["trials"] == 4
-            assert entry["trials_per_sec"] > 0
-        # Same contract for the batched kernel: every group size consumes
-        # the identical per-trial seed tree, so the work is identical.
-        assert (
-            results["batched_trials_b1"]["rounds"]
-            == results["batched_trials_b8"]["rounds"]
-            == results["batched_trials_b64"]["rounds"]
         )
 
         path = tmp_path / "bench.json"
@@ -189,9 +172,6 @@ class TestBenchDiff:
         times = {
             "parallel_trials_w1": 1.0,
             "parallel_trials_w2": 0.6,
-            "batched_trials_b1": 1.0,
-            "batched_trials_b8": 0.25,
-            "batched_trials_b64": 0.125,
         }
         baseline = self._write(tmp_path, "base.json", _tiny_record(**times))
         slower = {name: value * 10 for name, value in times.items()}
@@ -199,23 +179,7 @@ class TestBenchDiff:
         assert bench_diff.main([baseline, candidate]) == 0
         out = capsys.readouterr().out
         assert "report-only" in out
-        assert "batched per-trial speedup [candidate]: b8: 4.00x, b64: 8.00x" in out
         assert "w2: 1.67x" in out
-
-    def test_batched_speedups_helper(self, bench_diff, tmp_path):
-        record = load_bench_record(
-            self._write(
-                tmp_path,
-                "b.json",
-                _tiny_record(batched_trials_b1=2.0, batched_trials_b8=0.5),
-            )
-        )
-        assert bench_diff.batched_speedups(record) == {8: 4.0}
-        # No b1 baseline -> nothing to report.
-        record_no_base = load_bench_record(
-            self._write(tmp_path, "c.json", _tiny_record(batched_trials_b8=0.5))
-        )
-        assert bench_diff.batched_speedups(record_no_base) == {}
 
     def test_compare_records_reports_rps_delta(self, bench_diff, tmp_path):
         base = {"x": {"wall_time_s": 1.0, "rounds_per_sec": 100.0}}

@@ -212,25 +212,45 @@ class TestFastParity:
 
 
 class TestTelemetryParity:
-    def _run(self, tmp_path, label, workers):
+    def _run(self, tmp_path, label, workers, fast=False):
         registry = MetricsRegistry(enabled=True)
         sink = JsonlEventSink(tmp_path / f"{label}.jsonl")
         previous_registry = set_registry(registry)
         previous_sink = set_sink(sink)
         try:
-            stats = run_trials(
-                FACTORIES["stochastic"],
-                _protocol(),
-                trials=TRIALS,
-                seed=SEED,
-                max_rounds=MAX_ROUNDS,
-                workers=workers,
-            )
+            if fast:
+                stats = run_fast_trials(
+                    FACTORIES["stochastic"],
+                    0.1,
+                    trials=TRIALS,
+                    seed=SEED,
+                    max_rounds=MAX_ROUNDS,
+                    workers=workers,
+                )
+            else:
+                stats = run_trials(
+                    FACTORIES["stochastic"],
+                    _protocol(),
+                    trials=TRIALS,
+                    seed=SEED,
+                    max_rounds=MAX_ROUNDS,
+                    workers=workers,
+                )
         finally:
             set_registry(previous_registry)
             set_sink(previous_sink)
             sink.close()
         return stats, registry.snapshot(), read_events(tmp_path / f"{label}.jsonl")
+
+    @staticmethod
+    def _final_progress(events):
+        return [e for e in events if e["event"] == "trials_progress"][-1]
+
+    @staticmethod
+    def _non_timing(metrics):
+        return {
+            name: value for name, value in metrics.items() if not name.endswith("_seconds")
+        }
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_counters_and_progress_events_match_serial(self, tmp_path, workers):
@@ -259,6 +279,37 @@ class TestTelemetryParity:
         for key in ("done", "total", "solved", "failures", "protocol"):
             assert final_parallel[key] == final_serial[key], key
         assert final_parallel["workers"] == workers
+
+    def test_fast_counters_match_serial(self, tmp_path):
+        # The fast path records through the same recorder: every metric
+        # except the timings, in the same creation order, and the final
+        # heartbeat equal serial's for any worker count.
+        fast_serial_stats, fast_serial_metrics, fast_serial_events = self._run(
+            tmp_path, "fast_serial", 1, fast=True
+        )
+        final_fast_serial = self._final_progress(fast_serial_events)
+        assert final_fast_serial["workers"] == 1
+        assert fast_serial_metrics["fast.executions"]["value"] == TRIALS
+        for workers in (2, 4):
+            fast_stats, fast_metrics, fast_events = self._run(
+                tmp_path, f"fast_w{workers}", workers, fast=True
+            )
+            assert fast_stats.rounds == fast_serial_stats.rounds
+            assert fast_metrics["runner.trials"]["value"] == TRIALS
+            assert self._non_timing(fast_metrics) == self._non_timing(
+                fast_serial_metrics
+            )
+            assert list(self._non_timing(fast_metrics)) == list(
+                self._non_timing(fast_serial_metrics)
+            )
+            assert (
+                fast_metrics["runner.trial_seconds"]["count"]
+                == fast_serial_metrics["runner.trial_seconds"]["count"]
+            )
+            final_fast = self._final_progress(fast_events)
+            for key in ("done", "total", "solved", "failures", "protocol"):
+                assert final_fast[key] == final_fast_serial[key], key
+            assert final_fast["workers"] == workers
 
     def test_worker_events_carry_worker_id(self, tmp_path):
         _, _, events = self._run(tmp_path, "tagged", 2)

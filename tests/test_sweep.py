@@ -388,12 +388,22 @@ class TestCliCheckpointResume:
             partial / "telemetry_resumed" / "metrics.json"
         ) == _strip_seconds(reference / "telemetry" / "metrics.json")
 
-    def test_resume_skips_nothing_on_key_mismatch(self, tmp_path, capsys):
+    def test_resume_skips_nothing_on_key_mismatch(self, tmp_path, capsys, monkeypatch):
+        import repro.experiments.e7_hitting_game as e7
+
         # Checkpoint under the quick preset...
         exit_code, base = self._run(tmp_path, "quick")
         assert exit_code == 0
         capsys.readouterr()
-        # ...then resume E7 under --full: keys differ, so it re-runs.
+        # ...then resume E7 under --full: keys differ, so it re-runs. The
+        # "full" preset here is the quick one under another seed, so the
+        # key differs by both preset and config without E7's full cost.
+        quick = e7.Config.quick()
+        monkeypatch.setattr(
+            e7.Config,
+            "full",
+            classmethod(lambda cls: dataclasses.replace(quick, seed=quick.seed + 1)),
+        )
         argv = [
             "E7",
             "--full",

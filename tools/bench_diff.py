@@ -32,17 +32,13 @@ import math
 import sys
 from typing import Dict, List, Optional
 
-#: Benchmarks whose wall time is a function of the runner's hardware
-#: (core count for the worker entries, BLAS/cache behaviour for the
-#: batched entries) — compared for visibility, excluded from the
-#: regression gate.
+#: Benchmarks whose wall time is a function of the runner's core count
+#: — compared for visibility, excluded from the regression gate.
 PARALLEL_PREFIX = "parallel_trials_"
-BATCHED_PREFIX = "batched_trials_"
-REPORT_ONLY_PREFIXES = (PARALLEL_PREFIX, BATCHED_PREFIX)
 
 
 def _is_report_only(name: str) -> bool:
-    return name.startswith(REPORT_ONLY_PREFIXES)
+    return name.startswith(PARALLEL_PREFIX)
 
 
 def _finite_rate(value) -> Optional[float]:
@@ -132,43 +128,31 @@ def compare_records(
     return rows, regressions
 
 
-def _scaling_speedups(
-    record: Dict[str, object], prefix: str, marker: str
-) -> Dict[int, float]:
-    """Wall-time speedup of each ``<prefix><marker>K`` entry vs ``<marker>1``.
+def parallel_speedups(record: Dict[str, object]) -> Dict[int, float]:
+    """Wall-time speedup of each ``parallel_trials_wK`` entry vs ``w1``.
 
-    Returns ``{K: speedup}`` for every scale factor present alongside a
-    ``<marker>1`` baseline; empty when the record predates the entries.
-    All entries at one prefix run the same trial count, so the wall-time
-    ratio is also the per-trial throughput ratio.
+    Returns ``{K: speedup}`` for every worker count present alongside a
+    ``w1`` baseline; empty when the record predates the entries. All
+    entries run the same trial count, so the wall-time ratio is also the
+    per-trial throughput ratio.
     """
     benchmarks = record["benchmarks"]
-    base = benchmarks.get(f"{prefix}{marker}1")
+    base = benchmarks.get(f"{PARALLEL_PREFIX}w1")
     base_wall = float(base.get("wall_time_s") or 0.0) if base else 0.0
     if not math.isfinite(base_wall) or base_wall <= 0.0:
         return {}
     speedups: Dict[int, float] = {}
     for name, entry in benchmarks.items():
-        if not name.startswith(prefix) or name.endswith(f"_{marker}1"):
+        if not name.startswith(PARALLEL_PREFIX) or name.endswith("_w1"):
             continue
         try:
-            scale = int(name.rsplit(f"_{marker}", 1)[1])
+            workers = int(name.rsplit("_w", 1)[1])
         except (IndexError, ValueError):
             continue
         wall = float(entry.get("wall_time_s") or 0.0)
         if math.isfinite(wall) and wall > 0.0:
-            speedups[scale] = base_wall / wall
+            speedups[workers] = base_wall / wall
     return speedups
-
-
-def parallel_speedups(record: Dict[str, object]) -> Dict[int, float]:
-    """Wall-time speedup of each ``parallel_trials_wK`` entry vs ``w1``."""
-    return _scaling_speedups(record, PARALLEL_PREFIX, "w")
-
-
-def batched_speedups(record: Dict[str, object]) -> Dict[int, float]:
-    """Per-trial speedup of each ``batched_trials_bK`` entry vs ``b1``."""
-    return _scaling_speedups(record, BATCHED_PREFIX, "b")
 
 
 def _print_speedups(label: str, record: Dict[str, object]) -> None:
@@ -181,12 +165,6 @@ def _print_speedups(label: str, record: Dict[str, object]) -> None:
         )
         cores = f" on {cpu_count} core(s)" if cpu_count else ""
         print(f"parallel speedup [{label}]{cores}: {ratios}  (reported, not gated)")
-    batched = batched_speedups(record)
-    if batched:
-        ratios = ", ".join(
-            f"b{batch}: {speedup:.2f}x" for batch, speedup in sorted(batched.items())
-        )
-        print(f"batched per-trial speedup [{label}]: {ratios}  (reported, not gated)")
 
 
 def _print_table(rows: List[List[str]]) -> None:
