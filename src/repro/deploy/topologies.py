@@ -10,8 +10,13 @@ Conventions
   (default 1.0, matching the paper's normalisation of the shortest link
   to 1) by rejection sampling. Deterministic generators (grid, line,
   exponential chain) satisfy it by construction. The rejection sampler
-  checks each candidate against the accepted points in neighbouring
-  grid cells only, so a deployment costs O(n) instead of O(n^2).
+  tests each drawn batch of candidates at once in numpy: first against
+  the points accepted so far, then the survivors against each other,
+  comparing only pairs in neighbouring grid cells (or, for small
+  batches, every pair in one distance block). A short loop in draw order
+  settles the survivors that clash with an earlier survivor, so the
+  accept decisions are those of taking the candidates one by one, and a
+  deployment costs O(n log n) numpy work instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -35,19 +40,104 @@ __all__ = [
 
 _MAX_REJECTION_ROUNDS = 10_000
 
-#: Cell offsets of a cell and its eight neighbours.
-_NEIGHBOURHOOD = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+#: Point pairs up to which the sampler compares every pair in one
+#: distance block instead of hashing the points into grid cells.
+_BLOCK_PAIRS = 4096
+
+#: Batches for more points than this are tested head first
+#: (:func:`_rejection_sample`).
+_HEAD_MIN = 32
 
 
-def _clear_of(cells: dict, cx: int, cy: int, x: float, y: float, min_separation: float) -> bool:
-    """Whether ``(x, y)`` is at least ``min_separation`` from every hashed point near cell ``(cx, cy)``."""
-    for ox, oy in _NEIGHBOURHOOD:
-        for qx, qy in cells.get((cx + ox, cy + oy), ()):
-            dx = qx - x
-            dy = qy - y
-            if math.sqrt(dx * dx + dy * dy) < min_separation:
-                return False
-    return True
+def _close(points: np.ndarray, queries: np.ndarray, min_separation: float) -> np.ndarray:
+    """``(len(queries), len(points))`` mask of the pairs closer than ``min_separation``.
+
+    The distance is ``sqrt(dx*dx + dy*dy)``, the dense sampler's, so a
+    pair is close exactly when the one-by-one comparison finds it close.
+    """
+    dx = queries[:, 0, None] - points[:, 0]
+    dy = queries[:, 1, None] - points[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx) < min_separation
+
+
+def _close_pairs(points: np.ndarray, queries: np.ndarray, min_separation: float):
+    """Index pairs ``(query, point)`` closer than ``min_separation``, by query.
+
+    Pass the same array twice for the close pairs within one set. Few
+    pairs are compared in one :func:`_close` block. Otherwise the points
+    are hashed into square cells of side at least ``2 * min_separation``:
+    a point closer than ``min_separation`` is less than half a cell away
+    along each axis, so even with the rounding of the cell division its
+    cell index differs from the query's by at most one, and only the 3x3
+    cells around each query are compared. Cell indices count from the
+    sets' lower-left corner and a cell key is ``column * height + row``,
+    so the three cells ``row - 1 .. row + 1`` of a column are one range
+    of the sorted point keys. The side grows past ``2 * min_separation``
+    when the sets span more than ``2**30`` cells, which keeps every key
+    below ``2**62``.
+    """
+    if len(points) * len(queries) <= _BLOCK_PAIRS:
+        return np.nonzero(_close(points, queries, min_separation))
+    both = points if points is queries else np.concatenate((points, queries))
+    x, y = both[:, 0], both[:, 1]
+    x0, y0 = x.min(), y.min()
+    side = max(2.0 * min_separation, max(x.max() - x0, y.max() - y0) / 2.0**30)
+    column = np.floor((x - x0) / side).astype(np.int64)
+    row = np.floor((y - y0) / side).astype(np.int64)
+    height = int(row.max()) + 2
+    keys = column * height + row
+    order = np.argsort(keys[: len(points)])
+    by_key = order if points is queries else np.argsort(keys[len(points) :])
+    point_keys = keys[order]
+    # One row per neighbouring column, each ascending: sorted searches.
+    columns = keys[len(keys) - len(queries) :][by_key] + np.array([[-height], [0], [height]])
+    start = np.searchsorted(point_keys, columns - 1, side="left").ravel()
+    counts = np.searchsorted(point_keys, columns + 1, side="right").ravel() - start
+    query = np.repeat(np.tile(by_key, 3), counts)
+    ends = np.cumsum(counts)
+    point = order[np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)]
+    dx = queries[query, 0] - points[point, 0]
+    dy = queries[query, 1] - points[point, 1]
+    close = np.flatnonzero(np.sqrt(dx * dx + dy * dy) < min_separation)
+    close = close[np.argsort(query[close], kind="stable")]
+    return query[close], point[close]
+
+
+def _accepted_in_order(previous: np.ndarray, candidates: np.ndarray, min_separation: float):
+    """The ``candidates`` the one-by-one sampler would accept, in draw order.
+
+    A candidate is accepted iff it is at least ``min_separation`` from
+    every point in ``previous`` and from every earlier accepted
+    candidate. The first test is one batch query. Only the candidates
+    that pass it (the survivors) are compared with each other; a
+    survivor with no earlier survivor close by is accepted outright, and
+    the rest are resolved in draw order.
+    """
+    if len(previous):
+        if len(previous) * len(candidates) <= _BLOCK_PAIRS:
+            far = ~np.logical_or.reduce(_close(previous, candidates, min_separation), axis=1)
+        else:
+            far = np.ones(len(candidates), dtype=bool)
+            far[_close_pairs(previous, candidates, min_separation)[0]] = False
+        candidates = candidates.compress(far, axis=0)
+        if len(candidates) < 2:
+            return candidates
+    later, earlier = _close_pairs(candidates, candidates, min_separation)
+    clash = earlier < later
+    if not clash.any():
+        return candidates
+    # Pairs come by the later index, so each earlier survivor is settled
+    # before it is consulted.
+    rejected = set()
+    for j, i in zip(later[clash].tolist(), earlier[clash].tolist()):
+        if i not in rejected:
+            rejected.add(j)
+    keep = np.ones(len(candidates), dtype=bool)
+    keep[list(rejected)] = False
+    return candidates[keep]
 
 
 def _rejection_sample(
@@ -64,41 +154,57 @@ def _rejection_sample(
     ``min_separation``; raises if the target density is infeasible
     (caller asked for more separated points than fit).
 
-    Accepted points are hashed into square cells of side
-    ``2 * min_separation`` and a candidate is compared with the points in
-    its own and the eight surrounding cells only. A point closer than
-    ``min_separation`` is less than half a cell away along each axis, so
-    even with the rounding of ``x / side`` its cell index differs from
-    the candidate's by at most one: the accept decisions are exactly
-    those of comparing against every accepted point.
+    Each batch is tested at once (:func:`_accepted_in_order`) and its
+    first accepted candidates are kept up to ``n``: a candidate's fate
+    depends only on the candidates drawn before it, so the accept
+    decisions are exactly those of taking the candidates one by one. A
+    batch for more than ``_HEAD_MIN`` points is tested in two parts: a
+    head of about the points still needed and, only if the head falls
+    short, the rest against everything accepted so far.
     """
     accepted = np.empty((n, 2), dtype=np.float64)
     count = 0
-    side = 2.0 * min_separation
-    cells: dict = {}
     for _ in range(_MAX_REJECTION_ROUNDS):
         if count == n:
             break
         needed = n - count
         candidates = draw(max(needed * 2, 8))
-        for x, y in candidates.tolist():
-            if count == n:
+        split = needed + needed // 8 if needed > _HEAD_MIN else len(candidates)
+        for part in (candidates[:split], candidates[split:]):
+            if count == n or len(part) == 0:
                 break
             if min_separation > 0.0:
-                cx = math.floor(x / side)
-                cy = math.floor(y / side)
-                if not _clear_of(cells, cx, cy, x, y, min_separation):
-                    continue
-                cells.setdefault((cx, cy), []).append((x, y))
-            accepted[count, 0] = x
-            accepted[count, 1] = y
-            count += 1
+                part = _accepted_in_order(accepted[:count], part, min_separation)
+            taken = part[: n - count]
+            accepted[count : count + len(taken)] = taken
+            count += len(taken)
     if count < n:
         raise RuntimeError(
             f"could not place {n} points with separation {min_separation}; "
             "the requested density is infeasible — enlarge the region"
         )
     return accepted
+
+
+def _polar(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The ``(k, 2)`` points ``(r cos theta, r sin theta)``."""
+    points = np.empty((len(r), 2), dtype=np.float64)
+    np.multiply(r, np.cos(theta), out=points[:, 0])
+    np.multiply(r, np.sin(theta), out=points[:, 1])
+    return points
+
+
+def _disk_draw(rng: np.random.Generator, radius: float, center=None):
+    """``draw(k)``: ``k`` points uniform in a disk, by sqrt-radius polar sampling."""
+
+    def draw(k: int) -> np.ndarray:
+        r = radius * np.sqrt(rng.random(k))
+        points = _polar(r, 2.0 * math.pi * rng.random(k))
+        if center is not None:
+            points += center
+        return points
+
+    return draw
 
 
 def uniform_disk(
@@ -118,13 +224,7 @@ def uniform_disk(
     if radius is None:
         radius = 4.0 * math.sqrt(max(n, 1)) * min_separation
 
-    def draw(k: int) -> np.ndarray:
-        # Uniform in the disk via sqrt-radius polar sampling.
-        r = radius * np.sqrt(rng.random(k))
-        theta = 2.0 * math.pi * rng.random(k)
-        return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-    return _rejection_sample(n, rng, draw, min_separation)
+    return _rejection_sample(n, rng, _disk_draw(rng, radius), min_separation)
 
 
 def uniform_square(
@@ -237,8 +337,7 @@ def power_law_disk(
             a = inner_radius**power
             b = outer_radius**power
             r = (a + u * (b - a)) ** (1.0 / power)
-        theta = 2.0 * math.pi * rng.random(k)
-        return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        return _polar(r, 2.0 * math.pi * rng.random(k))
 
     return _rejection_sample(n, rng, draw, min_separation)
 
@@ -317,11 +416,7 @@ def clustered(
     points = np.empty((total, 2), dtype=np.float64)
     filled = 0
     for center in centers:
-        def draw(k: int, center=center) -> np.ndarray:
-            r = cluster_radius * np.sqrt(rng.random(k))
-            theta = 2.0 * math.pi * rng.random(k)
-            return center + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
+        draw = _disk_draw(rng, cluster_radius, center)
         cluster_points = _rejection_sample(nodes_per_cluster, rng, draw, min_separation)
         points[filled : filled + nodes_per_cluster] = cluster_points
         filled += nodes_per_cluster
@@ -348,11 +443,7 @@ def two_cluster(
     centers = np.asarray([[0.0, 0.0], [gap, 0.0]])
     points = np.empty((2 * cluster_size, 2), dtype=np.float64)
     for idx, center in enumerate(centers):
-        def draw(k: int, center=center) -> np.ndarray:
-            r = cluster_radius * np.sqrt(rng.random(k))
-            theta = 2.0 * math.pi * rng.random(k)
-            return center + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
+        draw = _disk_draw(rng, cluster_radius, center)
         block = _rejection_sample(cluster_size, rng, draw, min_separation)
         points[idx * cluster_size : (idx + 1) * cluster_size] = block
     return points

@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.reporting.markdown import COST_HEADER
 from repro.sim.parallel import default_workers, get_default_workers
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
 # dispatches to the process pool. Experiments stay oblivious to it; the
 # seed-sharding contract (docs/parallelism.md) guarantees their numbers
 # cannot change.
-
-#: Column names of the per-experiment cost table (see
-#: :attr:`ExperimentResult.timings`): sweep-point label, wall-clock
-#: seconds, and simulated rounds per second.
-COST_HEADER = ("stage", "wall_time_s", "rounds_per_sec")
 
 
 def json_safe(value):

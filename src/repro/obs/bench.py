@@ -92,8 +92,10 @@ def core_benchmarks(
     its gains from a built ``(n, n)`` matrix, as a reused deployment
     does; ``fast_path_execution_matrix_free`` runs the same execution on
     a channel that computes them from positions, as a fresh deployment
-    does. ``deployment_uniform_disk_n2048`` times the sampler alone, and
-    ``gain_matrix_construction`` a channel plus its gain matrix.
+    does. ``deployment_uniform_disk_n2048`` times the sampler alone, with
+    ``deployment_uniform_disk_n64`` (16 small deployments) and
+    ``deployment_clustered_4x16`` (16 rejection-heavy ones) beside it,
+    and ``gain_matrix_construction`` a channel plus its gain matrix.
     ``parallel_trials`` sizes the
     ``parallel_trials_w{1,2,4}`` scaling benchmarks — the same large-``n``
     fast-path trial batch sharded over 1/2/4 worker processes
@@ -105,7 +107,7 @@ def core_benchmarks(
     the knobs.
     """
     from repro.analysis.linkclasses import link_class_partition
-    from repro.deploy.topologies import uniform_disk
+    from repro.deploy.topologies import clustered, uniform_disk
     from repro.protocols.backoff import BinaryExponentialBackoffProtocol
     from repro.protocols.simple import FixedProbabilityProtocol
     from repro.sim.engine import Simulation
@@ -129,6 +131,18 @@ def core_benchmarks(
     def deployment_uniform_disk_n2048() -> Dict[str, float]:
         uniform_disk(2048, generator_from(1001))
         return {}
+
+    def deployment_uniform_disk_n64() -> Dict[str, float]:
+        # Small deployments are many short sampler rounds: per-round cost.
+        for seed in range(16):
+            uniform_disk(64, generator_from(seed))
+        return {"calls": 16}
+
+    def deployment_clustered_4x16() -> Dict[str, float]:
+        # Dense clusters: most candidates are rejected, round after round.
+        for seed in range(16):
+            clustered(4, 16, generator_from(seed))
+        return {"calls": 16}
 
     def single_round_resolve() -> Dict[str, float]:
         # One resolve is ~tens of microseconds at n=512; batch it so the
@@ -253,6 +267,8 @@ def core_benchmarks(
 
     return [
         ("deployment_uniform_disk_n2048", deployment_uniform_disk_n2048),
+        ("deployment_uniform_disk_n64", deployment_uniform_disk_n64),
+        ("deployment_clustered_4x16", deployment_clustered_4x16),
         ("gain_matrix_construction", gain_matrix_construction),
         ("single_round_resolve", single_round_resolve),
         ("full_execution_engine", full_execution_engine),

@@ -7,13 +7,19 @@ report — the generated appendix of ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import COST_HEADER, ExperimentResult
+if TYPE_CHECKING:
+    from repro.experiments.common import ExperimentResult
 
-__all__ = ["render_result_markdown", "strip_cost_tables", "write_report"]
+__all__ = ["COST_HEADER", "render_result_markdown", "strip_cost_tables", "write_report"]
+
+#: Column names of the per-experiment cost table (see
+#: :attr:`ExperimentResult.timings`): sweep-point label, wall-clock
+#: seconds, and simulated rounds per second.
+COST_HEADER = ("stage", "wall_time_s", "rounds_per_sec")
 
 
 def _render_cell(cell) -> str:

@@ -47,6 +47,9 @@ from repro.sinr.parameters import SINRParameters
 
 __all__ = ["ReceptionReport", "SINRChannel"]
 
+#: Matrix cells per row block when :attr:`SINRChannel.base_gains` is built.
+_GAIN_BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class ReceptionReport:
@@ -147,10 +150,19 @@ class SINRChannel:
 
     @cached_property
     def _gain_matrix(self) -> np.ndarray:
-        # G[i, j]: power arriving at j when i transmits. Self-reception is
-        # meaningless; zeroing the diagonal keeps every reduction clean.
+        # G[i, j]: power arriving at j when i transmits, built in row
+        # blocks in place: each block's distances become its gains, so no
+        # (n, n) temporary is held. Same ufuncs, same bits as
+        # `power / distances**alpha`. Self-reception is meaningless;
+        # zeroing the diagonal keeps every reduction clean.
+        gains = np.empty((self.n, self.n), dtype=np.float64)
+        rows = max(1, _GAIN_BLOCK_CELLS // self.n)
         with np.errstate(divide="ignore"):
-            gains = self.params.power / self.distances**self.params.alpha
+            for start in range(0, self.n, rows):
+                block = slice(start, start + rows)
+                distances = cross_distances(self.positions[block], self.positions)
+                np.power(distances, self.params.alpha, out=distances)
+                np.divide(self.params.power, distances, out=gains[block])
         np.fill_diagonal(gains, 0.0)
         return gains
 
@@ -158,7 +170,7 @@ class SINRChannel:
     def base_gains(self) -> np.ndarray:
         """The deterministic ``(n, n)`` gain matrix (read-only view).
 
-        Built on first access, together with :attr:`distances`, and kept
+        Built on first access, without :attr:`distances`, and kept
         for the channel's lifetime; from then on :meth:`gain_rows`
         gathers from it instead of computing gains from positions.
         """

@@ -30,6 +30,8 @@ class TestHarness:
         names = set(results)
         assert names == {
             "deployment_uniform_disk_n2048",
+            "deployment_uniform_disk_n64",
+            "deployment_clustered_4x16",
             "gain_matrix_construction",
             "single_round_resolve",
             "full_execution_engine",

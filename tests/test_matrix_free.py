@@ -16,6 +16,7 @@ from repro.experiments import e1_scaling_n, e17_large_scale
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.parallel import StaticDeploymentFactory, UniformDiskFactory
 from repro.sim.seeding import generator_from
+from repro.sinr import channel as sinr_channel
 from repro.sinr import geometry
 from repro.sinr.channel import SINRChannel
 from repro.sinr.geometry import diameter_of, has_colocated_pair, pairwise_distances
@@ -103,6 +104,124 @@ class TestSampler:
             )
             assert np.array_equal(fast, dense), seed
 
+    @pytest.mark.parametrize("min_separation", [0.5, 1.0, 3.0])
+    def test_exact_separations_in_small_batches(self, min_separation):
+        # The lattice test's pairs at exactly min_separation, in batches
+        # small enough to be compared in one distance block.
+        def draw_from(rng):
+            return lambda k: rng.integers(-4, 4, size=(k, 2)) * (min_separation / 2.0)
+
+        for seed in range(6):
+            draw = draw_from(generator_from(seed))
+            fast = topologies._rejection_sample(12, None, draw, min_separation)
+            draw = draw_from(generator_from(seed))
+            dense = dense_rejection_sample(12, None, draw, min_separation)
+            assert np.array_equal(fast, dense), seed
+
+    def test_cell_keys_stay_below_two_to_the_63(self):
+        # Corner (0, 0) and a top row of 2**32 - 2 make a column 2**32 cell
+        # keys high: the clashing pair's cell, column 2**31 and row 0, would
+        # key 2**63. A larger cell side keeps the keys in range.
+        def draw(k):
+            fillers = 1e6 * (1.0 + np.arange(k - 4, dtype=np.float64))
+            points = np.column_stack((fillers, fillers))
+            points[:4] = [
+                [0.0, 0.0],
+                [0.0, 2.0**33 - 3.5],
+                [2.0**32 + 0.5, 0.5],
+                [2.0**32 + 0.9, 0.5],
+            ]
+            return points
+
+        fast = topologies._rejection_sample(60, None, draw, 1.0)
+        assert np.array_equal(fast, dense_rejection_sample(60, None, draw, 1.0))
+        assert [2.0**32 + 0.9, 0.5] not in fast.tolist()
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            # Near the packing limit: every batch is dense, so most of its
+            # survivors clash with earlier candidates of the same batch
+            # (small batches, one distance block; large ones, grid cells).
+            lambda rng: topologies.two_cluster(12, rng, cluster_radius=2.0),
+            lambda rng: topologies.uniform_disk(120, rng, radius=8.0),
+        ],
+        ids=["two_cluster", "uniform_disk"],
+    )
+    def test_batches_near_the_packing_limit(self, monkeypatch, generate):
+        for seed in range(4):
+            outcomes = []
+            for sampler in (topologies._rejection_sample, dense_rejection_sample):
+                with monkeypatch.context() as patched:
+                    patched.setattr(topologies, "_rejection_sample", sampler)
+                    try:
+                        outcomes.append(generate(generator_from(seed)))
+                    except RuntimeError:
+                        outcomes.append(None)
+            fast, dense = outcomes
+            assert (fast is None) == (dense is None), seed
+            assert fast is None or np.array_equal(fast, dense), seed
+
+    @pytest.mark.parametrize("offset", [1e12, -1e12])
+    def test_cell_indices_beyond_two_to_the_31(self, offset):
+        # Cell indices near 5e11 must not overflow the packed cell keys.
+        def draw_from(rng):
+            return lambda k: offset + 30.0 * rng.random((k, 2))
+
+        fast = topologies._rejection_sample(300, None, draw_from(generator_from(1)), 1.0)
+        dense = dense_rejection_sample(300, None, draw_from(generator_from(1)), 1.0)
+        assert np.array_equal(fast, dense)
+
+    def test_spans_beyond_two_to_the_30_cells(self):
+        # A dense patch beside points 1e12 away: the cells grow past twice
+        # the separation, and the patch's clashes must still all be found.
+        def draw_from(rng):
+            def draw(k):
+                points = 12.0 * rng.random((k, 2))
+                far = rng.random(k) < 0.25
+                points[far] *= 1e11
+                return points
+
+            return draw
+
+        for seed in range(3):
+            fast = topologies._rejection_sample(150, None, draw_from(generator_from(seed)), 1.0)
+            dense = dense_rejection_sample(150, None, draw_from(generator_from(seed)), 1.0)
+            assert np.array_equal(fast, dense), seed
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_zero_separation_takes_the_first_candidates(self, n):
+        draw = lambda k: np.zeros((k, 2))  # noqa: E731 - every candidate coincides
+        fast = topologies._rejection_sample(n, None, draw, 0.0)
+        assert np.array_equal(fast, dense_rejection_sample(n, None, draw, 0.0))
+        assert np.array_equal(fast, np.zeros((n, 2)))
+
+    def test_one_point(self, monkeypatch):
+        for generate in (
+            lambda rng: topologies.uniform_disk(1, rng),
+            lambda rng: topologies.clustered(1, 1, rng),
+        ):
+            fast = generate(generator_from(5))
+            with monkeypatch.context() as patched:
+                patched.setattr(topologies, "_rejection_sample", dense_rejection_sample)
+                dense = generate(generator_from(5))
+            assert fast.shape == (1, 2)
+            assert np.array_equal(fast, dense)
+
+    def test_infeasible_density_raises_the_same_error(self):
+        # Five points a unit apart do not fit in a unit square.
+        def draw_from(rng):
+            return lambda k: rng.random((k, 2))
+
+        with pytest.raises(RuntimeError, match="infeasible"):
+            dense_rejection_sample(5, None, draw_from(generator_from(0)), 1.0)
+        with pytest.raises(RuntimeError) as raised:
+            topologies._rejection_sample(5, None, draw_from(generator_from(0)), 1.0)
+        assert str(raised.value) == (
+            "could not place 5 points with separation 1.0; "
+            "the requested density is infeasible — enlarge the region"
+        )
+
 
 def _deployments():
     rng = generator_from(7)
@@ -127,6 +246,19 @@ class TestChannelWithoutMatrix:
     def test_chain_reaches_beyond_two_to_the_32(self):
         distances = pairwise_distances(DEPLOYMENTS["exponential_chain"])
         assert distances.max() / distances[distances > 0].min() > 2.0**32
+
+    @pytest.mark.parametrize("block_cells", [1 << 20, 1000])
+    @pytest.mark.parametrize("name", sorted(DEPLOYMENTS))
+    def test_blocked_matrix_equals_the_one_step_matrix(self, monkeypatch, name, block_cells):
+        # 1000 cells is a few rows per block on every deployment here.
+        monkeypatch.setattr(sinr_channel, "_GAIN_BLOCK_CELLS", block_cells)
+        positions = DEPLOYMENTS[name]
+        channel = SINRChannel(positions)
+        with np.errstate(divide="ignore"):
+            dense = channel.params.power / pairwise_distances(positions) ** channel.params.alpha
+        np.fill_diagonal(dense, 0.0)
+        assert np.array_equal(channel.base_gains, dense)
+        assert "distances" not in vars(channel)
 
     @pytest.mark.parametrize("name", sorted(DEPLOYMENTS))
     def test_gain_rows_equal_the_dense_gather(self, name):
@@ -243,6 +375,7 @@ class TestFastPathWithoutMatrix:
     def test_static_factory_builds_the_matrix(self):
         channel = StaticDeploymentFactory(topologies.grid(16))(None)
         assert "_gain_matrix" in vars(channel)
+        assert "distances" not in vars(channel)
 
 
 def _rows_digest(result) -> str:

@@ -1,5 +1,10 @@
 """Tests for the top-level public API surface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -23,6 +28,24 @@ class TestExports:
             "AdaptiveReferee",
         ):
             assert name in repro.__all__
+
+
+class TestImportCost:
+    def test_import_loads_no_experiment(self):
+        # The experiments import every E1-E18 module; the library must not
+        # pay for them on `import repro`.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(repro.__file__).resolve().parent.parent), env.get("PYTHONPATH", "")]
+        )
+        script = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert loaded.stdout.strip() == "[]"
 
 
 class TestQuickstartFromDocstring:
