@@ -85,10 +85,12 @@ def core_benchmarks(
 
     ``n`` sizes the generic-engine workloads; ``fast_n`` sizes the
     vectorised fast-path execution (kept larger because that is the
-    scaling-study regime it exists for). ``full_execution_engine`` runs
-    the paper's algorithm through the engine's vectorised step and
-    ``full_execution_engine_beb`` runs BEB through its per-node step, on
-    the same channel and seed. ``fast_path_execution`` gathers
+    scaling-study regime it exists for). On one channel and seed,
+    ``full_execution_engine`` runs the paper's algorithm and
+    ``full_execution_engine_beb`` runs BEB, both through the engine's
+    vector steps, and ``full_execution_engine_per_node`` runs the
+    carrier-sense tournament, whose feedback reads the measured energy,
+    through its per-node step. ``fast_path_execution`` gathers
     its gains from a built ``(n, n)`` matrix, as a reused deployment
     does; ``fast_path_execution_matrix_free`` runs the same execution on
     a channel that computes them from positions, as a fresh deployment
@@ -109,6 +111,10 @@ def core_benchmarks(
     from repro.analysis.linkclasses import link_class_partition
     from repro.deploy.topologies import clustered, uniform_disk
     from repro.protocols.backoff import BinaryExponentialBackoffProtocol
+    from repro.protocols.carrier_sense import (
+        CarrierSenseTournamentProtocol,
+        carrier_sense_threshold,
+    )
     from repro.protocols.simple import FixedProbabilityProtocol
     from repro.sim.engine import Simulation
     from repro.sim.fast import fast_fixed_probability_run
@@ -152,38 +158,22 @@ def core_benchmarks(
             channel.resolve(transmitters)
         return {"calls": calls}
 
-    def full_execution_engine() -> Dict[str, float]:
-        nodes = FixedProbabilityProtocol(p=0.1).build(channel.n)
-        trace = Simulation(
-            channel,
-            nodes,
-            rng=generator_from(1003),
-            max_rounds=50_000,
-            keep_records=False,
-        ).run()
-        return {
-            "rounds": trace.rounds_executed,
-            "peak_active": channel.n,
-            "solved": trace.solved,
-        }
+    def engine_execution(protocol) -> BenchFn:
+        def bench() -> Dict[str, float]:
+            trace = Simulation(
+                channel,
+                protocol.build(channel.n),
+                rng=generator_from(1003),
+                max_rounds=50_000,
+                keep_records=False,
+            ).run()
+            return {
+                "rounds": trace.rounds_executed,
+                "peak_active": channel.n,
+                "solved": trace.solved,
+            }
 
-    def full_execution_engine_beb() -> Dict[str, float]:
-        # BEB keeps per-node state, so it takes the engine's per-node step;
-        # this entry gates that step while the one above takes the
-        # vectorised one.
-        nodes = BinaryExponentialBackoffProtocol().build(channel.n)
-        trace = Simulation(
-            channel,
-            nodes,
-            rng=generator_from(1003),
-            max_rounds=50_000,
-            keep_records=False,
-        ).run()
-        return {
-            "rounds": trace.rounds_executed,
-            "peak_active": channel.n,
-            "solved": trace.solved,
-        }
+        return bench
 
     def fast_path_execution() -> Dict[str, float]:
         result = fast_fixed_probability_run(
@@ -271,8 +261,14 @@ def core_benchmarks(
         ("deployment_clustered_4x16", deployment_clustered_4x16),
         ("gain_matrix_construction", gain_matrix_construction),
         ("single_round_resolve", single_round_resolve),
-        ("full_execution_engine", full_execution_engine),
-        ("full_execution_engine_beb", full_execution_engine_beb),
+        ("full_execution_engine", engine_execution(FixedProbabilityProtocol(p=0.1))),
+        ("full_execution_engine_beb", engine_execution(BinaryExponentialBackoffProtocol())),
+        (
+            "full_execution_engine_per_node",
+            engine_execution(
+                CarrierSenseTournamentProtocol(carrier_sense_threshold(channel))
+            ),
+        ),
         ("fast_path_execution", fast_path_execution),
         ("fast_path_execution_matrix_free", fast_path_execution_matrix_free),
         ("fast_path_execution_probes", fast_path_execution_probes),

@@ -37,7 +37,14 @@ PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("gain_matrix", ("sinr/fading", "sinr/jamming", "sinr/parameters")),
     (
         "round_loop",
-        ("sim/engine", "sim/fast", "sim/parallel", "sinr/channel", "protocols/"),
+        (
+            "sim/engine",
+            "sim/fast",
+            "sim/parallel",
+            "sinr/channel",
+            "radio/",
+            "protocols/",
+        ),
     ),
     (
         "stats",

@@ -12,17 +12,29 @@ This baseline exists to show that uncoordinated window growth is *worse*
 than the paper's fixed probability: windows keep growing, the aggregate
 broadcast rate decays, and the time to a solo transmission stretches far
 beyond ``O(log n)``. It is the cautionary member of the E3 lineup.
+
+:class:`BackoffStep` runs the rounds of a whole list of BEB nodes as
+numpy over a ``window`` and a ``countdown`` array (the engine's vector
+step, :func:`repro.protocols.schedules.vector_step`).
 """
 
 from __future__ import annotations
 
-from typing import List
+from operator import attrgetter
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
 
-__all__ = ["BinaryExponentialBackoffNode", "BinaryExponentialBackoffProtocol"]
+__all__ = [
+    "BackoffStep",
+    "BinaryExponentialBackoffNode",
+    "BinaryExponentialBackoffProtocol",
+]
+
+#: Window caps below this keep ``2 * window`` inside int64.
+_WINDOW_LIMIT = 1 << 62
 
 
 class BinaryExponentialBackoffNode(NodeProtocol):
@@ -50,6 +62,72 @@ class BinaryExponentialBackoffNode(NodeProtocol):
     def on_feedback(self, round_index: int, feedback: Feedback) -> None:
         if feedback.received is not None:
             self._active = False
+
+
+class BackoffStep:
+    """Rounds of a list of BEB nodes with one window cap, as arrays.
+
+    ``decide`` has every awake active node whose countdown is 0 transmit
+    and every other one count down; the transmitters' windows double up
+    to the cap and their new countdowns come from one
+    ``rng.integers(0, windows)`` over the transmitters in id order, which
+    draws exactly the numbers the nodes' own ``decide`` calls would.
+    Listeners that decode a message drop out. :meth:`finish` writes
+    ``window`` and ``_countdown`` back, so the nodes end a run in the
+    state their own steps leave them in.
+    """
+
+    def __init__(self, nodes: Sequence[BinaryExponentialBackoffNode]) -> None:
+        self.nodes = nodes
+        self.max_window = nodes[0].max_window
+        self.window = np.fromiter(map(attrgetter("window"), nodes), np.int64, len(nodes))
+        self.countdown = np.fromiter(
+            map(attrgetter("_countdown"), nodes), np.int64, len(nodes)
+        )
+
+    @classmethod
+    def for_nodes(cls, nodes: Sequence[NodeProtocol]) -> Optional["BackoffStep"]:
+        """A step for ``nodes``, or ``None`` unless all are plain BEB nodes with one cap."""
+        if set(map(type, nodes)) != {BinaryExponentialBackoffNode}:
+            return None
+        caps = set(map(attrgetter("max_window"), nodes))
+        if len(caps) == 1 and caps.pop() < _WINDOW_LIMIT:
+            return cls(nodes)
+        return None
+
+    def decide(
+        self,
+        active_ids: np.ndarray,
+        local_rounds: np.ndarray,
+        rng: np.random.Generator,
+        staggered: bool,
+    ) -> np.ndarray:
+        """The transmit mask over ``active_ids`` (BEB ignores the round)."""
+        countdown = self.countdown[active_ids]
+        transmit = countdown <= 0
+        waiting = ~transmit
+        self.countdown[active_ids[waiting]] = countdown[waiting] - 1
+        tx_ids = active_ids[transmit]
+        if tx_ids.size:
+            windows = np.minimum(self.window[tx_ids] * 2, self.max_window)
+            self.window[tx_ids] = windows
+            self.countdown[tx_ids] = rng.integers(0, windows)
+        return transmit
+
+    def knock_out(self, report) -> np.ndarray:
+        """Knock out the listeners that decoded a message; return their ids."""
+        knocked_out = report.listener_ids[report.decoded >= 0]
+        for i in knocked_out.tolist():
+            self.nodes[i]._active = False
+        return knocked_out
+
+    def finish(self) -> None:
+        """Write each node's window and countdown back."""
+        for node, window, countdown in zip(
+            self.nodes, self.window.tolist(), self.countdown.tolist()
+        ):
+            node.window = window
+            node._countdown = countdown
 
 
 class BinaryExponentialBackoffProtocol(ProtocolFactory):

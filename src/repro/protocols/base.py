@@ -141,7 +141,7 @@ class ObliviousNode(NodeProtocol):
     ``self.p``). They must not override :meth:`decide` or
     :meth:`on_feedback`: the engine replaces both by one vectorised step
     over all nodes when every node of a run shares a type and schedule
-    (:func:`repro.protocols.schedules.oblivious_template`).
+    (:func:`repro.protocols.schedules.vector_step`).
     """
 
     knockout: Knockout = Knockout.NEVER

@@ -20,31 +20,40 @@ A protocol qualifies if its node objects expose
 (the paper's algorithm, ALOHA, the tournaments). State-dependent protocols
 (BEB) do not have an oblivious schedule and are rejected.
 
-``oblivious_template``
-    Whether a whole node list can run as one vectorised step in the
-    engine (:mod:`repro.sim.engine`): one :class:`ObliviousNode` type with
-    one schedule. The carrier-sense tournament has a constant ``p`` and so
-    an oblivious schedule, but it is not an ``ObliviousNode``: its
-    feedback reads the measured energy, which no knockout mask covers, so
-    it keeps the engine's per-node step.
+``vector_step``
+    The numpy step the engine (:mod:`repro.sim.engine`) runs a whole node
+    list's rounds with, or ``None`` when each node must be asked in turn.
+    A list of one :class:`ObliviousNode` type with one schedule gets an
+    :class:`ObliviousStep`; a list of plain BEB nodes with one window cap
+    gets a :class:`~repro.protocols.backoff.BackoffStep`. The
+    carrier-sense tournament has a constant ``p`` and so an oblivious
+    schedule, but it is not an ``ObliviousNode``: its feedback reads the
+    measured energy, which no knockout mask covers, so it keeps the
+    engine's per-node step.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.protocols.base import NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.backoff import BackoffStep, BinaryExponentialBackoffNode
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.radio.channel import ChannelObservation
 
 __all__ = [
-    "oblivious_template",
+    "ObliviousStep",
+    "vector_step",
     "probability_schedule",
     "expected_transmitters",
     "solo_probability",
     "has_oblivious_schedule",
 ]
+
+_NO_IDS = np.empty(0, dtype=np.intp)
+_NO_IDS.flags.writeable = False
 
 
 def _node_probability(node: NodeProtocol, round_index: int) -> float:
@@ -68,18 +77,81 @@ def has_oblivious_schedule(factory: ProtocolFactory, n: int = 2) -> bool:
     return True
 
 
-def oblivious_template(nodes: Sequence[NodeProtocol]) -> Optional[ObliviousNode]:
-    """The node whose schedule and knockout rule stand for all of ``nodes``.
+class ObliviousStep:
+    """Rounds of one :class:`ObliviousNode` schedule over a whole node list.
 
-    Returns ``None`` unless every node has one :class:`ObliviousNode` type
-    that keeps the base ``decide`` and ``on_feedback``, and every node
-    carries the first node's parameters (its instance attributes apart
-    from id and activity, plus the knockout rule).
+    ``decide`` draws one ``rng.random(k)`` over the ``k`` awake active
+    nodes in id order, exactly the numbers ``k`` per-node
+    ``rng.random()`` calls would draw, and compares each with its local
+    round's probability. ``knock_out`` applies the nodes' knockout rule
+    as a mask over the channel's report.
+    """
+
+    def __init__(self, nodes: Sequence[ObliviousNode]) -> None:
+        self.nodes = nodes
+        self.template = nodes[0]
+
+    def decide(
+        self,
+        active_ids: np.ndarray,
+        local_rounds: np.ndarray,
+        rng: np.random.Generator,
+        staggered: bool,
+    ) -> np.ndarray:
+        """The transmit mask over ``active_ids``.
+
+        ``broadcast_probability`` runs once per distinct local round;
+        without staggered activation every node shares one.
+        """
+        template = self.template
+        if staggered:
+            rounds, position = np.unique(local_rounds, return_inverse=True)
+            probability = np.array(
+                [template.broadcast_probability(r) for r in rounds.tolist()]
+            )[position]
+        else:
+            probability = template.broadcast_probability(int(local_rounds[0]))
+        return rng.random(local_rounds.size) < probability
+
+    def knock_out(self, report) -> np.ndarray:
+        """Knock out the listeners the rule removes; return their ids."""
+        rule = self.template.knockout
+        if rule is Knockout.ON_RECEIVE:
+            knocked_out = report.listener_ids[report.decoded >= 0]
+        elif (
+            rule is Knockout.ON_COLLISION
+            and report.observation is ChannelObservation.COLLISION
+        ):
+            knocked_out = report.listener_ids
+        else:
+            return _NO_IDS
+        for i in knocked_out.tolist():
+            self.nodes[i].knock_out()
+        return knocked_out
+
+    def finish(self) -> None:
+        """Nothing to write back: knockouts already reached the nodes."""
+
+
+def vector_step(
+    nodes: Sequence[NodeProtocol],
+) -> Optional[Union[ObliviousStep, BackoffStep]]:
+    """The vector step for ``nodes``, or ``None`` for the per-node step.
+
+    An :class:`ObliviousStep` when every node has one
+    :class:`ObliviousNode` type that keeps the base ``decide`` and
+    ``on_feedback`` and carries the first node's parameters (its instance
+    attributes apart from id and activity, plus the knockout rule). A
+    :class:`~repro.protocols.backoff.BackoffStep` when every node is a
+    plain :class:`~repro.protocols.backoff.BinaryExponentialBackoffNode`
+    with the first node's ``max_window``.
     """
     if not nodes:
         return None
     template = nodes[0]
     kind = type(template)
+    if kind is BinaryExponentialBackoffNode:
+        return BackoffStep.for_nodes(nodes)
     if not (
         isinstance(template, ObliviousNode)
         and kind.decide is ObliviousNode.decide
@@ -90,8 +162,11 @@ def oblivious_template(nodes: Sequence[NodeProtocol]) -> Optional[ObliviousNode]
         *sorted({"knockout", *vars(template)} - {"node_id", "_active"})
     )
     expected = schedule(template)
-    if all(type(node) is kind and schedule(node) == expected for node in nodes):
-        return template
+    # map() keeps these per-node checks out of the interpreter loop.
+    if set(map(type, nodes)) == {kind} and list(map(schedule, nodes)).count(
+        expected
+    ) == len(nodes):
+        return ObliviousStep(nodes)
     return None
 
 

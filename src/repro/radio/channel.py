@@ -10,15 +10,15 @@ receiver collision detection enabled — the ``Theta(log n)`` bound of [20].
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.registry import get_registry
 
-__all__ = ["ChannelObservation", "RadioReport", "RadioChannel"]
+__all__ = ["ChannelObservation", "RadioReport", "RadioChannel", "node_mask"]
 
 
 class ChannelObservation(Enum):
@@ -29,29 +29,101 @@ class ChannelObservation(Enum):
     COLLISION = "collision"
 
 
-@dataclass(frozen=True)
-class RadioReport:
-    """Outcome of one round on the collision channel.
+_NO_IDS = np.empty(0, dtype=np.intp)
+_NO_IDS.flags.writeable = False
 
-    ``received_from`` maps every listener that decoded the (unique)
-    transmission to its sender; it is empty unless exactly one node
-    transmitted. ``observations`` maps every listener to what it perceived,
-    with collisions reported as :attr:`ChannelObservation.SILENCE` when the
-    channel was built without collision detection.
+
+def node_mask(ids: Sequence[int], n: int, role: str) -> np.ndarray:
+    """The length-``n`` boolean mask of ``ids``; duplicates are ignored.
+
+    Both channels validate a round's ids with it: a negative id raises
+    instead of wrapping (-1 would address node ``n - 1``), and an id
+    ``>= n`` raises a clear ``IndexError`` instead of a raw numpy error.
+    Arrays are used as given, without a copy.
+    """
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    ids = np.asarray(ids, dtype=np.intp)
+    # Viewed unsigned, a negative id is huge: one max covers both bounds.
+    if ids.size and ids.view(np.uintp).max() >= n:
+        raise IndexError(f"{role} index out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+class RadioReport:
+    """Outcome of one round on the collision channel, held as arrays.
+
+    ``tx_ids`` and ``listener_ids`` are the round's sorted transmitters and
+    listeners, and ``observation`` is what every listener perceived, with
+    collisions reported as :attr:`ChannelObservation.SILENCE` when the
+    channel was built without collision detection. The mappings
+    :attr:`received_from` (every listener that decoded the unique
+    transmission, to its sender; empty unless exactly one node
+    transmitted) and :attr:`observations` (every listener, to
+    ``observation``) and the tuple :attr:`transmitters` are views built
+    on first access.
     """
 
-    transmitters: tuple
-    received_from: Dict[int, int] = field(default_factory=dict)
-    observations: Dict[int, ChannelObservation] = field(default_factory=dict)
+    def __init__(
+        self,
+        transmitters: Sequence[int],
+        listener_ids: np.ndarray = _NO_IDS,
+        observation: ChannelObservation = ChannelObservation.SILENCE,
+    ) -> None:
+        self.tx_ids = np.asarray(transmitters, dtype=np.intp)
+        self.listener_ids = listener_ids
+        self.observation = observation
+
+    @cached_property
+    def decoded(self) -> np.ndarray:
+        """Per listener, the transmitter it decoded, or -1."""
+        sender = int(self.tx_ids[0]) if self.tx_ids.size == 1 else -1
+        return np.full(self.listener_ids.size, sender, dtype=np.intp)
+
+    @cached_property
+    def transmitters(self) -> tuple:
+        """Sorted node indices that transmitted this round."""
+        return tuple(self.tx_ids.tolist())
+
+    @cached_property
+    def received_from(self) -> Dict[int, int]:
+        """Mapping ``listener -> sender``; empty unless the round was solo."""
+        if self.tx_ids.size != 1:
+            return {}
+        return dict.fromkeys(self.listener_ids.tolist(), int(self.tx_ids[0]))
+
+    @cached_property
+    def observations(self) -> Dict[int, ChannelObservation]:
+        """Mapping ``listener -> observation`` for every listener."""
+        return dict.fromkeys(self.listener_ids.tolist(), self.observation)
 
     @property
     def is_solo(self) -> bool:
         """Whether exactly one node transmitted (the success condition)."""
-        return len(self.transmitters) == 1
+        return self.tx_ids.size == 1
 
     def heard_by(self, listener: int) -> Optional[int]:
         """The transmitter decoded by ``listener``, or ``None``."""
         return self.received_from.get(listener)
+
+    def _views(self) -> tuple:
+        return self.transmitters, self.received_from, self.observations
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._views() == other._views()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"RadioReport(transmitters={self.transmitters!r}, "
+            f"received_from={self.received_from!r}, "
+            f"observations={self.observations!r})"
+        )
 
 
 class RadioChannel:
@@ -104,43 +176,21 @@ class RadioChannel:
         listeners: Optional[Sequence[int]],
     ) -> RadioReport:
         """The uninstrumented resolve body (see :meth:`resolve`)."""
-        tx = sorted(set(int(i) for i in transmitters))
-        if tx and (tx[0] < 0 or tx[-1] >= self.n):
-            raise IndexError("transmitter index out of range")
-        tx_set = set(tx)
+        tx_mask = node_mask(transmitters, self.n, "transmitter")
         if listeners is None:
-            listen_ids = [i for i in range(self.n) if i not in tx_set]
+            listen_mask = ~tx_mask
         else:
-            # Same index semantics as the SINR channel: negatives never
-            # wrap, out-of-range raises a clear IndexError.
-            requested = [int(i) for i in listeners]
-            if requested and (min(requested) < 0 or max(requested) >= self.n):
-                raise IndexError("listener index out of range")
-            listen_ids = [i for i in requested if i not in tx_set]
+            listen_mask = node_mask(listeners, self.n, "listener")
+            listen_mask[tx_mask] = False
+        tx = tx_mask.nonzero()[0]
 
-        received: Dict[int, int] = {}
-        observations: Dict[int, ChannelObservation] = {}
-        if len(tx) == 1:
-            sender = tx[0]
-            for listener in listen_ids:
-                received[listener] = sender
-                observations[listener] = ChannelObservation.MESSAGE
-        elif len(tx) == 0:
-            for listener in listen_ids:
-                observations[listener] = ChannelObservation.SILENCE
+        if tx.size == 1:
+            observation = ChannelObservation.MESSAGE
+        elif tx.size >= 2 and self.collision_detection:
+            observation = ChannelObservation.COLLISION
         else:
-            collided = (
-                ChannelObservation.COLLISION
-                if self.collision_detection
-                else ChannelObservation.SILENCE
-            )
-            for listener in listen_ids:
-                observations[listener] = collided
-        return RadioReport(
-            transmitters=tuple(tx),
-            received_from=received,
-            observations=observations,
-        )
+            observation = ChannelObservation.SILENCE
+        return RadioReport(tx, listen_mask.nonzero()[0], observation)
 
     def __repr__(self) -> str:
         return f"RadioChannel(n={self.n}, collision_detection={self.collision_detection})"

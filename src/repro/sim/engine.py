@@ -17,17 +17,35 @@ executes Section 2's model faithfully:
 The engine stops at the solving round — the paper's completion condition is
 about the round occurring, not about any node detecting it.
 
-When every node of a run is the same :class:`~repro.protocols.base.ObliviousNode`
-with the same schedule (:func:`repro.protocols.schedules.oblivious_template`:
-the paper's algorithm, ALOHA, decay, JS16, sawtooth and the CD tournament),
-a round's decide and feedback each run as one numpy step: one
-``rng.random(k)`` over the awake active nodes in id order, which draws
-exactly the numbers ``k`` per-node ``rng.random()`` calls would, and the
-node list's knockout rule applied as a mask over the channel's report.
-Every other node list (BEB, carrier sense, interleaving, mixed lists) asks
-each node in turn. Both steps feed the same round loop, ``channel.resolve``
-call and bookkeeping, and give the same trace, records and final
-``node.active``.
+The channel resolves a round into arrays
+(:class:`~repro.sinr.channel.ReceptionReport`,
+:class:`~repro.radio.channel.RadioReport`): sorted transmitter ids, the
+listener ids, the sender each listener decoded or -1, and energy per
+listener (SINR) or one observation for the round (radio). Their
+``received_from`` / ``energy`` / ``observations`` mappings are built only
+when read, which the engine does only for round records.
+
+A round's decide and feedback take one of two steps.
+:func:`repro.protocols.schedules.vector_step` looks the node list up
+once per run:
+
+* the **vector step**, when every node is the same
+  :class:`~repro.protocols.base.ObliviousNode` with the same schedule
+  (the paper's algorithm, ALOHA, decay, JS16, sawtooth and the CD
+  tournament) or a plain BEB node with one window cap. Oblivious nodes
+  flip all coins with one ``rng.random(k)`` over the awake active nodes
+  in id order, which draws exactly the numbers ``k`` per-node
+  ``rng.random()`` calls would; BEB keeps its windows and countdowns as
+  arrays and draws the transmitters' new countdowns with one
+  ``rng.integers(0, windows)``. The knockout rule is a mask over the
+  report's arrays, and node state is written back to the nodes;
+* the **per-node step** for every other node list (carrier sense,
+  interleaving, mixed lists): each node decides and receives its
+  :class:`~repro.protocols.base.Feedback`, read from the report's arrays
+  by listener position.
+
+Both steps feed the same round loop, ``channel.resolve`` call and
+bookkeeping, and give the same trace, records and final node state.
 
 Staggered activation (the *wake-up* flavour of the problem, [7] in the
 paper's related work) is supported via ``activation_schedule``: node ``i``
@@ -41,14 +59,15 @@ exactly this.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
-from repro.protocols.base import Action, Feedback, Knockout, NodeProtocol, ObliviousNode
-from repro.protocols.schedules import oblivious_template
+from repro.protocols.base import Action, Feedback, NodeProtocol
+from repro.protocols.schedules import vector_step
 from repro.radio.channel import RadioChannel
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
@@ -61,9 +80,6 @@ RoundObserver = Callable[[RoundRecord, np.ndarray], None]
 #: Everything a transmitter learns; frozen, so one instance serves all.
 _TRANSMITTED = Feedback(transmitted=True)
 
-_NO_IDS = np.empty(0, dtype=np.intp)
-_NO_IDS.flags.writeable = False
-
 
 class Simulation:
     """Run one execution of a protocol on a channel.
@@ -73,7 +89,8 @@ class Simulation:
     channel:
         Any object exposing ``resolve(transmitters, rng=..., listeners=...)``
         and an ``n`` attribute — :class:`repro.sinr.SINRChannel` or
-        :class:`repro.radio.RadioChannel`.
+        :class:`repro.radio.RadioChannel` — whose reports carry their
+        array fields (``listener_ids``, ``decoded``, ``observation``).
     nodes:
         Per-node state machines, one per channel node, in id order
         (typically ``factory.build(channel.n)``).
@@ -195,12 +212,13 @@ class Simulation:
         trace = ExecutionTrace(n=self.channel.n, protocol_name=self.protocol_name)
         active = np.array([node.active for node in self.nodes], dtype=bool)
         everyone_awake_from_start = bool(np.all(self.activation == 0))
-        template = oblivious_template(self.nodes)
+        step = vector_step(self.nodes)
+        staggered = not everyone_awake_from_start
         recorded = self.keep_records or bool(self.observers)
 
         for round_index in range(self.max_rounds):
             awake = self.activation <= round_index
-            active_ids = np.flatnonzero(active & awake)
+            active_ids = (active & awake).nonzero()[0]
             if active_ids.size == 0 and (
                 everyone_awake_from_start or round_index >= int(self.activation.max())
             ):
@@ -210,28 +228,24 @@ class Simulation:
                 break
 
             local_rounds = round_index - self.activation[active_ids]
-            if template is None:
+            if step is None:
                 transmit = self._decide_each(active_ids, local_rounds)
             else:
-                transmit = self._decide_all(
-                    template, local_rounds, not everyone_awake_from_start
-                )
+                transmit = step.decide(active_ids, local_rounds, self.rng, staggered)
             tx_ids = active_ids[transmit]
             listener_ids = active_ids[~transmit]
             if probing:
                 bus.begin_round(round_index)
                 if nearest is not None:
                     nearest.sync(active & awake)
-            report = self.channel.resolve(
-                tx_ids.tolist(), rng=self.rng, listeners=listener_ids.tolist()
-            )
+            report = self.channel.resolve(tx_ids, rng=self.rng, listeners=listener_ids)
 
-            if template is None:
+            if step is None:
                 knocked_out = self._deliver_feedback(
                     active_ids, local_rounds, transmit, report
                 )
             else:
-                knocked_out = self._knock_out(template.knockout, listener_ids, report)
+                knocked_out = step.knock_out(report)
             active[knocked_out] = False
             if probing:
                 bus.emit_round(
@@ -249,7 +263,7 @@ class Simulation:
                 record = RoundRecord(
                     index=round_index,
                     transmitters=tuple(tx_ids.tolist()),
-                    receptions=dict(report.received_from),
+                    receptions=report.received_from,
                     active_before=tuple(active_ids.tolist()),
                     knocked_out=tuple(knocked_out.tolist()),
                 )
@@ -260,7 +274,7 @@ class Simulation:
             if recording:
                 c_rounds.inc()
                 c_tx.inc(tx_ids.size)
-                c_rx.inc(len(report.received_from))
+                c_rx.inc(int(np.count_nonzero(report.decoded >= 0)))
                 c_ko.inc(knocked_out.size)
                 h_tx.observe(tx_ids.size)
                 g_active.set(int(np.count_nonzero(active)))
@@ -269,6 +283,8 @@ class Simulation:
             if tx_ids.size == 1:
                 trace.solved_round = round_index
                 break
+        if step is not None:
+            step.finish()
         if recording and trace.solved:
             obs.counter("sim.solved_executions").inc()
         if probing:
@@ -287,23 +303,6 @@ class Simulation:
             count=active_ids.size,
         )
 
-    def _decide_all(
-        self, template: ObliviousNode, local_rounds: np.ndarray, staggered: bool
-    ) -> np.ndarray:
-        """One uniform per awake active node, compared with its round's ``p``.
-
-        ``broadcast_probability`` runs once per distinct local round; without
-        staggered activation every node shares one.
-        """
-        if staggered:
-            rounds, position = np.unique(local_rounds, return_inverse=True)
-            probability = np.array(
-                [template.broadcast_probability(r) for r in rounds.tolist()]
-            )[position]
-        else:
-            probability = template.broadcast_probability(int(local_rounds[0]))
-        return self.rng.random(local_rounds.size) < probability
-
     def _deliver_feedback(
         self,
         active_ids: np.ndarray,
@@ -311,10 +310,18 @@ class Simulation:
         transmit: np.ndarray,
         report,
     ) -> np.ndarray:
-        """Hand each active node its round feedback; return new knockouts."""
-        received = report.received_from
-        observations = getattr(report, "observations", None) or {}
-        energy = getattr(report, "energy", None) or {}
+        """Hand each active node its round feedback; return new knockouts.
+
+        The report's listeners are the round's listeners in id order, so
+        the ``k``-th listener's reception and energy sit at position ``k``
+        of the report's arrays.
+        """
+        energy_entries = getattr(report, "energy_entries", None)
+        per_listener = zip(
+            report.decoded.tolist(),
+            energy_entries() if energy_entries else repeat(None),
+        )
+        observation = report.observation
         knocked_out: List[int] = []
         for i, local, transmitted in zip(
             active_ids.tolist(), local_rounds.tolist(), transmit.tolist()
@@ -323,34 +330,12 @@ class Simulation:
             if transmitted:
                 feedback = _TRANSMITTED
             else:
+                sender, energy = next(per_listener)
                 # Positional: (transmitted, received, observation, energy).
                 feedback = Feedback(
-                    False, received.get(i), observations.get(i), energy.get(i)
+                    False, None if sender < 0 else sender, observation, energy
                 )
             node.on_feedback(local, feedback)
             if not node.active:
                 knocked_out.append(i)
         return np.array(knocked_out, dtype=np.intp)
-
-    def _knock_out(
-        self, rule: Knockout, listener_ids: np.ndarray, report
-    ) -> np.ndarray:
-        """Apply an oblivious node list's knockout rule; return new knockouts."""
-        if rule is Knockout.ON_RECEIVE:
-            received = report.received_from
-            knocked_out = np.sort(
-                np.fromiter(received, dtype=np.intp, count=len(received))
-            )
-        elif (
-            rule is Knockout.ON_COLLISION
-            and getattr(self.channel, "collision_detection", False)
-            and len(report.transmitters) >= 2
-        ):
-            # A collision-detection radio channel reports a collision to
-            # every listener whenever two or more nodes transmit.
-            knocked_out = listener_ids
-        else:
-            return _NO_IDS
-        for i in knocked_out.tolist():
-            self.nodes[i].knock_out()
-        return knocked_out

@@ -24,9 +24,8 @@ per-listener argmax. When ``beta >= 1`` that decode is additionally unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import time
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from repro.obs.probe import get_probe_bus, publish_sinr
 from repro.obs.registry import get_registry
+from repro.radio.channel import node_mask
 from repro.sinr.fading import DeterministicGain, GainModel
 from repro.sinr.geometry import (
     as_positions,
@@ -51,40 +51,112 @@ __all__ = ["ReceptionReport", "SINRChannel"]
 _GAIN_BLOCK_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
+_NO_IDS = np.empty(0, dtype=np.intp)
+_NO_IDS.flags.writeable = False
+_NO_ENERGY = np.empty(0, dtype=np.float64)
+_NO_ENERGY.flags.writeable = False
+
+
 class ReceptionReport:
-    """Outcome of one round on the channel.
+    """Outcome of one round on the channel, held as arrays.
 
     Attributes
     ----------
-    transmitters:
+    tx_ids:
         Sorted node indices that transmitted this round.
-    received_from:
-        Mapping ``listener -> transmitter`` for every listener that decoded
-        a message this round. Transmitting nodes never appear as keys: a
-        node cannot transmit and listen in the same round (Section 2).
-    energy:
-        Mapping ``listener -> total arriving signal power`` (the sum over
-        all transmitters and any external sources on the air; noise
+    listener_ids:
+        Sorted node indices that listened this round. Transmitting nodes
+        never listen: a node cannot transmit and listen in the same round
+        (Section 2).
+    decoded:
+        Per listener (aligned with ``listener_ids``), the transmitter it
+        decoded, or -1.
+    listener_energy:
+        Per listener, the total arriving signal power (the sum over all
+        transmitters and any external sources on the air; noise
         excluded). This is what a carrier-sensing radio measures;
-        protocols that do not sense energy simply ignore it. Empty only
-        when nobody transmitted *and* no external source was on the air —
-        on transmitter-free rounds listeners still sense active jammers
-        (:mod:`repro.sinr.jamming`).
+        protocols that do not sense energy simply ignore it.
+
+    The mappings :attr:`received_from` and :attr:`energy` and the tuple
+    :attr:`transmitters` are views of these arrays, built on first access.
     """
 
-    transmitters: tuple
-    received_from: Dict[int, int] = field(default_factory=dict)
-    energy: Dict[int, float] = field(default_factory=dict)
+    #: SINR listeners perceive no ternary channel observation (see
+    #: :class:`repro.radio.channel.RadioReport`).
+    observation = None
+
+    def __init__(
+        self,
+        transmitters: Sequence[int],
+        listener_ids: np.ndarray = _NO_IDS,
+        decoded: np.ndarray = _NO_IDS,
+        listener_energy: np.ndarray = _NO_ENERGY,
+    ) -> None:
+        self.tx_ids = np.asarray(transmitters, dtype=np.intp)
+        self.listener_ids = listener_ids
+        self.decoded = decoded
+        self.listener_energy = listener_energy
+
+    @cached_property
+    def transmitters(self) -> tuple:
+        """Sorted node indices that transmitted this round."""
+        return tuple(self.tx_ids.tolist())
+
+    @cached_property
+    def received_from(self) -> Dict[int, int]:
+        """Mapping ``listener -> transmitter`` for every listener that decoded."""
+        heard = self.decoded >= 0
+        return dict(zip(self.listener_ids[heard].tolist(), self.decoded[heard].tolist()))
+
+    def energy_entries(self) -> List[Optional[float]]:
+        """:attr:`energy`'s value per listener position, ``None`` where it has none.
+
+        On a round nobody transmitted, only listeners that sensed an
+        external source (:mod:`repro.sinr.jamming`) have an entry.
+        """
+        values = self.listener_energy.tolist()
+        if self.tx_ids.size:
+            return values
+        return [value if value > 0.0 else None for value in values]
+
+    @cached_property
+    def energy(self) -> Dict[int, float]:
+        """Mapping ``listener -> total arriving signal power``.
+
+        Empty only when nobody transmitted *and* no external source was on
+        the air — on transmitter-free rounds listeners still sense active
+        jammers.
+        """
+        return {
+            listener: value
+            for listener, value in zip(self.listener_ids.tolist(), self.energy_entries())
+            if value is not None
+        }
 
     @property
     def is_solo(self) -> bool:
         """Whether exactly one node transmitted (the success condition)."""
-        return len(self.transmitters) == 1
+        return self.tx_ids.size == 1
 
     def heard_by(self, listener: int) -> Optional[int]:
         """The transmitter decoded by ``listener``, or ``None``."""
         return self.received_from.get(listener)
+
+    def _views(self) -> tuple:
+        return self.transmitters, self.received_from, self.energy
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._views() == other._views()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"ReceptionReport(transmitters={self.transmitters!r}, "
+            f"received_from={self.received_from!r}, energy={self.energy!r})"
+        )
 
 
 class SINRChannel:
@@ -247,10 +319,9 @@ class SINRChannel:
         report = self._resolve(transmitters, rng, listeners)
         obs.counter("channel.sinr.resolve_calls").inc()
         # Every (transmitter, listener) pair costs one gain-matrix cell
-        # evaluation in the reductions; the energy map keys every listener
-        # whenever anyone transmitted.
+        # evaluation in the reductions.
         obs.counter("channel.sinr.gain_evaluations").inc(
-            len(report.transmitters) * len(report.energy)
+            report.tx_ids.size * report.listener_ids.size
         )
         obs.histogram("channel.sinr.resolve_seconds").observe(
             time.perf_counter() - started
@@ -264,36 +335,26 @@ class SINRChannel:
         listeners: Optional[Sequence[int]],
     ) -> ReceptionReport:
         """The uninstrumented resolve body (see :meth:`resolve`)."""
-        tx = np.unique(np.asarray(list(transmitters), dtype=np.intp))
-        if tx.size and (tx.min() < 0 or tx.max() >= self.n):
-            raise IndexError("transmitter index out of range")
+        tx_mask = node_mask(transmitters, self.n, "transmitter")
         if listeners is None:
-            listen_mask = np.ones(self.n, dtype=bool)
+            listen_mask = ~tx_mask
         else:
-            # Validated exactly like transmitters: without the check a
-            # negative index silently wraps (listener -1 -> node n-1) and
-            # an out-of-range positive surfaces as a raw numpy error from
-            # the mask assignment.
-            listen_ids = np.asarray(list(listeners), dtype=np.intp)
-            if listen_ids.size and (listen_ids.min() < 0 or listen_ids.max() >= self.n):
-                raise IndexError("listener index out of range")
-            listen_mask = np.zeros(self.n, dtype=bool)
-            listen_mask[listen_ids] = True
-        listen_mask[tx] = False
+            listen_mask = node_mask(listeners, self.n, "listener")
+            listen_mask[tx_mask] = False
+        tx = tx_mask.nonzero()[0]
+        listener_ids = listen_mask.nonzero()[0]
 
-        if not listen_mask.any():
-            return ReceptionReport(transmitters=tuple(int(i) for i in tx))
+        if listener_ids.size == 0:
+            return ReceptionReport(tx)
         if tx.size == 0:
             # Nothing to decode; listeners may still sense external energy.
-            external = self._external_interference(listen_mask, rng)
-            energy = {
-                int(node): float(value)
-                for node, value in zip(np.flatnonzero(listen_mask), external)
-                if value > 0.0
-            }
-            return ReceptionReport(transmitters=(), energy=energy)
+            return ReceptionReport(
+                tx,
+                listener_ids,
+                np.full(listener_ids.size, -1, dtype=np.intp),
+                self._external_interference(listen_mask, rng),
+            )
 
-        listener_ids = np.flatnonzero(listen_mask)
         # (|T|, |L|) power arriving at each listener.
         if self.gain_model.is_deterministic:
             rows = self.gain_rows(tx, listener_ids)
@@ -304,7 +365,6 @@ class SINRChannel:
             rows = gains[tx][:, listen_mask]
         external = self._external_interference(listen_mask, rng)
         totals = rows.sum(axis=0) + external
-        received: Dict[int, int] = {}
 
         # SINR_i = s_i / (noise + tot - s_i) is monotone increasing in the
         # arriving signal s_i, so the strongest transmitter clears the
@@ -326,17 +386,7 @@ class SINRChannel:
                 self.params.noise, self.params.beta,
             )
 
-        for col in np.flatnonzero(ok):
-            received[int(listener_ids[col])] = int(tx[best_rows[col]])
-        energy = {
-            int(listener_ids[col]): float(totals[col])
-            for col in range(listener_ids.size)
-        }
-        return ReceptionReport(
-            transmitters=tuple(int(i) for i in tx),
-            received_from=received,
-            energy=energy,
-        )
+        return ReceptionReport(tx, listener_ids, np.where(ok, tx[best_rows], -1), totals)
 
     def _external_interference(
         self, listen_mask: np.ndarray, rng: Optional[np.random.Generator]

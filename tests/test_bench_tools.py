@@ -36,6 +36,7 @@ class TestHarness:
             "single_round_resolve",
             "full_execution_engine",
             "full_execution_engine_beb",
+            "full_execution_engine_per_node",
             "fast_path_execution",
             "fast_path_execution_matrix_free",
             "fast_path_execution_probes",

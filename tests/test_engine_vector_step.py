@@ -2,12 +2,15 @@
 
 When every node of a run is the same :class:`ObliviousNode` with the same
 schedule, :class:`Simulation` flips all of a round's coins with one
-``rng.random(k)`` and applies the knockout rule as a mask. The reference
-here is the per-node step, reached by re-typing each node to a test-only
-subclass that overrides ``decide`` (any override opts a node list out).
-Both runs share a seed, so everything must agree exactly: round records,
-observer views, final ``node.active``, the generator's state after the
-run, registry counters and probe arrays.
+``rng.random(k)`` and applies the knockout rule as a mask. When every
+node is a plain BEB node with one window cap, it keeps the windows and
+countdowns as arrays and draws the transmitters' new countdowns with one
+``rng.integers(0, windows)``. The reference here is the per-node step,
+reached by re-typing each node to a test-only subclass that overrides
+``decide`` (any override opts a node list out). Both runs share a seed,
+so everything must agree exactly: round records, observer views, final
+node state (``active``, and BEB's ``window`` and ``_countdown``), the
+generator's state after the run, registry counters and probe arrays.
 """
 
 import functools
@@ -30,8 +33,9 @@ from repro.protocols import (
     SlottedAlohaProtocol,
     carrier_sense_threshold,
 )
+from repro.protocols.backoff import BackoffStep, BinaryExponentialBackoffNode
 from repro.protocols.base import Knockout, ObliviousNode
-from repro.protocols.schedules import oblivious_template
+from repro.protocols.schedules import ObliviousStep, vector_step
 from repro.protocols.simple import FixedProbabilityNode
 from repro.radio.channel import RadioChannel
 from repro.sim.engine import Simulation
@@ -76,6 +80,14 @@ PROTOCOLS = {
     "cd_tournament": CollisionDetectionTournamentProtocol(),
 }
 
+BACKOFF = {
+    "beb": BinaryExponentialBackoffProtocol(),
+    # A cap the windows reach within a run.
+    "beb_capped": BinaryExponentialBackoffProtocol(initial_window=3, max_window=24),
+}
+
+FACTORIES = {**PROTOCOLS, **BACKOFF}
+
 CASES = [
     (protocol, channel)
     for protocol in PROTOCOLS
@@ -95,13 +107,13 @@ def _per_node_class(kind):
 
 
 def _nodes(protocol, per_node):
-    nodes = PROTOCOLS[protocol].build(N)
+    nodes = FACTORIES[protocol].build(N)
     if per_node:
         for node in nodes:
             node.__class__ = _per_node_class(type(node))
-        assert oblivious_template(nodes) is None
+        assert vector_step(nodes) is None
     else:
-        assert oblivious_template(nodes) is nodes[0]
+        assert vector_step(nodes) is not None
     return nodes
 
 
@@ -128,6 +140,7 @@ def _run(protocol, channel, seed, per_node, keep_records=True, observe=True, **k
         "records": trace.records,
         "seen": [(record, active.tolist()) for record, active in seen],
         "final_active": [node.active for node in nodes],
+        "final_state": [vars(node) for node in nodes],
         "rng_state": rng.bit_generator.state,
     }
 
@@ -227,7 +240,8 @@ def _instrumented(protocol, channel, seed, per_node):
 class TestTelemetryParity:
     @pytest.mark.parametrize(
         "protocol,channel",
-        [(p, c) for p, c in CASES if c in ("sinr", "jammer", "radio_cd")],
+        [(p, c) for p, c in CASES if c in ("sinr", "jammer", "radio_cd")]
+        + [(p, c) for p in sorted(BACKOFF) for c in sorted(CHANNELS)],
     )
     def test_registry_and_probes_match(self, protocol, channel):
         ch = CHANNELS[channel]()
@@ -242,6 +256,61 @@ class TestTelemetryParity:
         assert vector_probes["rounds_round"].size == vector["rounds_executed"]
 
 
+class TestBackoffParity:
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("protocol", sorted(BACKOFF))
+    def test_records_observers_and_state_match(self, protocol, channel):
+        knockouts = 0
+        for seed in SEEDS:
+            ch = CHANNELS[channel]()
+            vector = _run(protocol, ch, seed, per_node=False)
+            reference = _run(protocol, ch, seed, per_node=True)
+            assert vector == reference
+            assert vector["solved_round"] is not None
+            knockouts += sum(len(r.knocked_out) for r in vector["records"])
+        if channel not in ("radio", "radio_cd"):
+            # A radio listener decodes only in the solo round, which ends the run.
+            assert knockouts > 0
+        if protocol == "beb_capped":
+            cap = BACKOFF[protocol].max_window
+            assert any(state["window"] == cap for state in vector["final_state"])
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("protocol", sorted(BACKOFF))
+    def test_staggered_activation(self, protocol, channel):
+        schedule = generator_from(12).integers(0, 25, size=N).tolist()
+        for seed in SEEDS:
+            ch = CHANNELS[channel]()
+            vector = _run(protocol, ch, seed, per_node=False, activation_schedule=schedule)
+            reference = _run(protocol, ch, seed, per_node=True, activation_schedule=schedule)
+            assert vector == reference
+
+    def test_array_highs_draw_like_scalar_calls(self):
+        # One rng.integers(0, highs) over an array must draw, in order, the
+        # numbers per-element rng.integers(0, h) calls draw, and leave the
+        # generator where they leave it.
+        picker = generator_from(21)
+        highs = np.concatenate(
+            [
+                [1, 2, 1, 3, 1 << 16, 1, (1 << 16) - 1, 2],
+                1 << picker.integers(0, 17, size=300),
+                picker.integers(1, (1 << 16) + 1, size=300),
+            ]
+        )
+        picker.shuffle(highs)
+        assert highs.min() == 1 and highs.max() == 1 << 16 and highs.size >= 400
+        for seed in range(3):
+            vector_rng, scalar_rng = generator_from(seed), generator_from(seed)
+            drawn = vector_rng.integers(0, highs)
+            scalar = [int(scalar_rng.integers(0, int(h))) for h in highs]
+            message = (
+                "rng.integers(0, highs) no longer draws like per-element scalar "
+                "calls; the engine's BEB vector step depends on this"
+            )
+            assert drawn.tolist() == scalar, message
+            assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state, message
+
+
 class TestWhichStepRuns:
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -254,9 +323,8 @@ class TestWhichStepRuns:
 
             return wrapped
 
-        monkeypatch.setattr(
-            Simulation, "_decide_all", spy("vector", Simulation._decide_all)
-        )
+        for step in (ObliviousStep, BackoffStep):
+            monkeypatch.setattr(step, "decide", spy("vector", step.decide))
         monkeypatch.setattr(
             Simulation, "_decide_each", spy("per_node", Simulation._decide_each)
         )
@@ -267,17 +335,19 @@ class TestWhichStepRuns:
         channel = channel if channel is not None else SINRChannel(_POSITIONS)
         Simulation(channel, nodes, rng=generator_from(1), max_rounds=200).run()
 
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", sorted(FACTORIES))
     def test_opted_in_protocols_take_the_vector_step(self, steps, protocol):
         channel = CHANNELS["radio_cd"]() if protocol == "cd_tournament" else None
-        self._execute(PROTOCOLS[protocol].build(N), channel)
+        self._execute(FACTORIES[protocol].build(N), channel)
         assert steps["vector"] > 0 and steps["per_node"] == 0
 
     @pytest.mark.parametrize(
         "nodes",
         [
             pytest.param(
-                lambda: BinaryExponentialBackoffProtocol().build(N), id="beb"
+                lambda: BinaryExponentialBackoffProtocol().build(N - 1)
+                + [BinaryExponentialBackoffNode(N - 1, 2, 1 << 10)],
+                id="beb_mixed_max_window",
             ),
             pytest.param(
                 lambda: CarrierSenseTournamentProtocol(
@@ -310,6 +380,6 @@ class TestWhichStepRuns:
     )
     def test_other_node_lists_take_the_per_node_step(self, steps, nodes):
         nodes = nodes()
-        assert oblivious_template(nodes) is None
+        assert vector_step(nodes) is None
         self._execute(nodes)
         assert steps["per_node"] > 0 and steps["vector"] == 0

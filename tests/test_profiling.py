@@ -35,6 +35,7 @@ class TestClassifyPhase:
             ("src/repro/sinr/channel.py", "__init__", "gain_matrix"),
             ("src/repro/sinr/channel.py", "resolve", "round_loop"),
             ("src/repro/sim/engine.py", "run", "round_loop"),
+            ("src/repro/radio/channel.py", "_resolve", "round_loop"),
             ("src/repro/sim/fast.py", "fast_fixed_probability_run", "round_loop"),
             ("src/repro/sim/runner.py", "run_trials", "stats"),
             ("src/repro/analysis/linkclasses.py", "link_class_partition", "stats"),
