@@ -80,6 +80,7 @@ def core_benchmarks(
     n: int = 512,
     fast_n: int = 2048,
     parallel_trials: int = 32,
+    large_n: int = 16384,
 ) -> List[Tuple[str, BenchFn]]:
     """The named hot-path benchmarks, mirroring bench_core_microbenchmarks.
 
@@ -94,7 +95,10 @@ def core_benchmarks(
     its gains from a built ``(n, n)`` matrix, as a reused deployment
     does; ``fast_path_execution_matrix_free`` runs the same execution on
     a channel that computes them from positions, as a fresh deployment
-    does. ``deployment_uniform_disk_n2048`` times the sampler alone, with
+    does. ``fast_path_execution_n16384`` times one fresh trial at
+    ``large_n`` nodes (deployment, channel and execution; the matrix is
+    never built), the regime where each round decodes block by block.
+    ``deployment_uniform_disk_n2048`` times the sampler alone, with
     ``deployment_uniform_disk_n64`` (16 small deployments) and
     ``deployment_clustered_4x16`` (16 rejection-heavy ones) beside it,
     and ``gain_matrix_construction`` a channel plus its gain matrix.
@@ -175,29 +179,31 @@ def core_benchmarks(
 
         return bench
 
-    def fast_path_execution() -> Dict[str, float]:
+    def fast_execution(channel) -> Dict[str, float]:
         result = fast_fixed_probability_run(
-            fast_channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
+            channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
         )
         return {
             "rounds": result.rounds_executed,
             "peak_active": max(result.active_counts, default=0),
             "solved": result.solved,
         }
+
+    def fast_path_execution() -> Dict[str, float]:
+        return fast_execution(fast_channel)
 
     # The same deployment and seed on a channel whose gain matrix is never
     # built: every round computes its gains from positions.
     free_channel = SINRChannel(fast_channel.positions)
 
     def fast_path_execution_matrix_free() -> Dict[str, float]:
-        result = fast_fixed_probability_run(
-            free_channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
-        )
-        return {
-            "rounds": result.rounds_executed,
-            "peak_active": max(result.active_counts, default=0),
-            "solved": result.solved,
-        }
+        return fast_execution(free_channel)
+
+    def fast_path_execution_n16384() -> Dict[str, float]:
+        # Deployed inside the timing, like a fresh trial, and listed last:
+        # its large temporaries then cannot shift the heap state (and so
+        # the timings) of the entries before it.
+        return fast_execution(SINRChannel(uniform_disk(large_n, generator_from(1001))))
 
     def fast_path_execution_probes() -> Dict[str, float]:
         # The identical workload with the round-level flight recorder on
@@ -211,17 +217,11 @@ def core_benchmarks(
         bus.subscribe(recorder)
         previous = set_probe_bus(bus)
         try:
-            result = fast_fixed_probability_run(
-                fast_channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
-            )
+            entry = fast_execution(fast_channel)
         finally:
             set_probe_bus(previous)
-        return {
-            "rounds": result.rounds_executed,
-            "peak_active": max(result.active_counts, default=0),
-            "solved": result.solved,
-            "probe_rounds": recorder.rounds_recorded,
-        }
+        entry["probe_rounds"] = recorder.rounds_recorded
+        return entry
 
     def link_class_partition_cost() -> Dict[str, float]:
         import numpy as np
@@ -276,6 +276,7 @@ def core_benchmarks(
         ("parallel_trials_w1", parallel_trials_bench(1)),
         ("parallel_trials_w2", parallel_trials_bench(2)),
         ("parallel_trials_w4", parallel_trials_bench(4)),
+        ("fast_path_execution_n16384", fast_path_execution_n16384),
     ]
 
 

@@ -21,8 +21,9 @@ Three kinds of probes flow over the bus:
     Per listener of one round — the decoded-candidate SINR, its margin to
     ``beta``, whether the message was delivered, and the top interferer
     (the strongest *other* transmitter) with its share of the
-    interference sum. Published by :meth:`repro.sinr.SINRChannel.resolve`
-    and by the vectorised fast path, which resolves rounds itself.
+    interference sum. Published by :meth:`repro.sinr.SINRChannel.decode`,
+    which :meth:`~repro.sinr.SINRChannel.resolve` and the vectorised fast
+    path both decode through, and by a fading round's resolve.
 
 :class:`ExecutionProbe`
     One per execution — node count, rounds executed, solving round.
@@ -38,7 +39,7 @@ built from the channel's positions, which re-queries only the nodes
 whose nearest neighbour left; probing never builds the channel's
 ``(n, n)`` matrices. :func:`link_class_round_stats` is the same
 computation over a full distance matrix, kept as the reference. Both
-SINR publishers go through :func:`publish_sinr`.
+SINR publishers fill a :class:`SINRProbeColumns` as they decode.
 
 Zero cost when disabled — the same contract as the metrics registry: the
 process-global bus defaults to ``enabled = False`` and every hot path
@@ -64,10 +65,10 @@ __all__ = [
     "ProbeRecorder",
     "RoundProbe",
     "SINRProbe",
+    "SINRProbeColumns",
     "get_probe_bus",
     "link_class_round_stats",
     "load_probes",
-    "publish_sinr",
     "set_probe_bus",
 ]
 
@@ -304,55 +305,72 @@ class ProbeBus:
                 handler(snapshot)
 
 
-def publish_sinr(
-    bus: "ProbeBus",
-    tx: np.ndarray,
-    listeners: np.ndarray,
-    rows: np.ndarray,
-    best_rows: np.ndarray,
-    external: np.ndarray,
-    delivered: np.ndarray,
-    noise: float,
-    beta: float,
-) -> None:
-    """Publish one resolved round's :class:`SINRProbe` on ``bus``.
+class SINRProbeColumns:
+    """One round's :class:`SINRProbe` columns, filled listener block by block.
 
-    ``rows`` holds the round's ``(|tx|, |listeners|)`` gains and is
-    overwritten, ``best_rows`` each listener's strongest transmitter (its
-    decode candidate), ``external`` the external power landing on each
-    listener and ``delivered`` the channel's decode. Consumes no RNG
-    draws.
+    ``tx`` are the round's transmitters, ``listeners`` its listeners and
+    ``external`` the external power landing on each listener. The decode
+    hands each block of listeners to :meth:`fill` and, once every block
+    is in, calls :meth:`publish` with its decisions, so the round's probe
+    is emitted once and no ``|tx| x |listeners|`` array is needed.
+    Consumes no RNG draws.
 
     Interference is summed directly: every transmitter but the candidate,
     plus ``external``. Subtracting the candidate from the total instead
     cancels catastrophically when it dominates the sum (relative error
     2e-7 at 8 link classes of an exponential chain, 100% at 48).
     """
-    cols = np.arange(listeners.size)
-    best = rows[best_rows, cols]
-    rows[best_rows, cols] = 0.0
-    interference = rows.sum(axis=0) + external
-    denom = noise + interference
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(denom > 0.0, best / denom, np.inf)
-    if tx.size > 1:
-        rows[best_rows, cols] = -np.inf
-        second_rows = rows.argmax(axis=0)
-        second = rows[second_rows, cols]
-        top_ids = tx[second_rows].astype(np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            top_frac = np.where(interference > 0.0, second / interference, 0.0)
-    else:
-        top_ids = np.full(listeners.size, -1, dtype=np.int64)
-        top_frac = np.zeros(listeners.size)
-    bus.emit_sinr(
-        receivers=listeners.astype(np.int64),
-        sinr=sinr,
-        delivered=delivered,
-        top_interferer=top_ids,
-        top_fraction=top_frac,
-        beta=beta,
-    )
+
+    def __init__(
+        self, tx: np.ndarray, listeners: np.ndarray, external: np.ndarray, noise: float
+    ) -> None:
+        self.tx = tx
+        self.listeners = listeners
+        self.external = external
+        self.noise = noise
+        self.sinr = np.empty(listeners.size)
+        self.top_interferer = np.full(listeners.size, -1, dtype=np.int64)
+        self.top_fraction = np.zeros(listeners.size)
+
+    def fill(
+        self, start: int, rows: np.ndarray, best: np.ndarray, strongest: np.ndarray
+    ) -> None:
+        """Fill the columns of ``listeners[start : start + len(rows)]``.
+
+        ``rows`` holds those listeners' gains, one listener per row in
+        ``tx`` order, and is overwritten; ``best`` is each row's decode
+        candidate (an index into ``tx``) and ``strongest`` its gain.
+        """
+        stop = start + rows.shape[0]
+        cols = np.arange(rows.shape[0])
+        rows[cols, best] = 0.0
+        interference = rows.sum(axis=1)
+        interference += self.external[start:stop]
+        denom = self.noise + interference
+        sinr = self.sinr[start:stop]
+        sinr.fill(np.inf)
+        np.divide(strongest, denom, out=sinr, where=denom > 0.0)
+        if self.tx.size > 1:
+            rows[cols, best] = -np.inf
+            second_rows = rows.argmax(axis=1)
+            self.top_interferer[start:stop] = self.tx[second_rows]
+            np.divide(
+                rows[cols, second_rows],
+                interference,
+                out=self.top_fraction[start:stop],
+                where=interference > 0.0,
+            )
+
+    def publish(self, bus: "ProbeBus", delivered: np.ndarray, beta: float) -> None:
+        """Emit the round's :class:`SINRProbe`; ``delivered`` is the decode."""
+        bus.emit_sinr(
+            receivers=self.listeners.astype(np.int64),
+            sinr=self.sinr,
+            delivered=delivered,
+            top_interferer=self.top_interferer,
+            top_fraction=self.top_fraction,
+            beta=beta,
+        )
 
 
 #: ``snapshot()`` column names and dtypes — the ``probes.npz`` layout.

@@ -64,9 +64,11 @@ def classify_phase(filename: str, funcname: str) -> str:
     """Attribute one profiled function to a pipeline phase.
 
     The channel is set up in ``SINRChannel.__init__`` and its lazily
-    built ``distances`` / ``_gain_matrix`` (which live in the same file
-    as the round loop's ``resolve`` and ``gain_rows``), so channel-file
-    functions are split by function name before the path fragments apply.
+    built ``distances`` / ``_gain_matrix``. Those live in the same file
+    as the round loop's ``resolve`` and ``decode``, whose per-block gain
+    fills (the closures ``_gain_filler`` returns) also count as the round
+    loop. So channel-file functions are split by function name before
+    the path fragments apply.
     """
     path = filename.replace("\\", "/")
     if "sinr/channel" in path and funcname in _CHANNEL_SETUP:

@@ -6,12 +6,13 @@ round. The paper's algorithm has no per-node state beyond active/inactive
 and a constant probability, so a whole execution collapses into numpy:
 
 * coin flips: one ``rng.random(n_active)`` per round;
-* reception: the same gain reductions the channel uses, over only the
-  ``(transmitter, listener)`` gains of the round
-  (:meth:`~repro.sinr.channel.SINRChannel.gain_rows`): computed from
-  positions, or gathered when the channel's ``(n, n)`` matrix has been
-  built. A fresh deployment therefore never needs that matrix, so a
-  trial's memory is O(n) plus one round's ``|T| x |L|`` gains;
+* reception: the channel's own decode
+  (:meth:`~repro.sinr.channel.SINRChannel.decode`), which walks the
+  round's listeners in fixed-size blocks of ``(transmitter, listener)``
+  gains: computed from positions, or gathered when the channel's
+  ``(n, n)`` matrix has been built. A fresh deployment therefore never
+  needs that matrix, and a trial's memory is O(n) whatever the round's
+  ``|T| x |L|``;
 * knockout: a boolean mask update.
 
 ``fast_fixed_probability_run`` is behaviourally equivalent to running
@@ -33,7 +34,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.obs.probe import get_probe_bus, publish_sinr
+from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
 from repro.sinr.channel import SINRChannel
 
@@ -108,7 +109,6 @@ def fast_fixed_probability_run(
             "the fast path supports continuous external sources only"
         )
 
-    params = channel.params
     n = channel.n
     if channel.external_sources:
         static_external = channel.external_gains.sum(axis=0)
@@ -181,27 +181,11 @@ def fast_fixed_probability_run(
         if tx.size > 0:
             listeners = active_ids[~coins]
             if listeners.size > 0:
-                rows = channel.gain_rows(tx, listeners)
-                totals = rows.sum(axis=0) + static_external[listeners]
-                if probing:
-                    # argmax instead of max: same best value bit-for-bit,
-                    # but keeps the winning row for the SINR probe. No
-                    # extra RNG draws — probes never perturb the run.
-                    cols = np.arange(listeners.size)
-                    best_rows = rows.argmax(axis=0)
-                    best = rows[best_rows, cols]
-                else:
-                    best = rows.max(axis=0)
-                interference = totals - best
-                decoded = best >= params.beta * (params.noise + interference)
+                # Publishes the round's SINR probe when probing; no RNG
+                # draws, so probes never perturb the run.
+                _, _, decoded = channel.decode(tx, listeners, static_external[listeners])
                 knockouts = int(np.count_nonzero(decoded))
                 knocked_nodes = listeners[decoded]
-                if probing:
-                    publish_sinr(
-                        bus, tx, listeners, rows, best_rows,
-                        static_external[listeners], decoded,
-                        params.noise, params.beta,
-                    )
                 active[knocked_nodes] = False
         if telemetry is not None:
             telemetry(round_index, num_active, int(tx.size), knockouts)

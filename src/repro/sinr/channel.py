@@ -2,17 +2,22 @@
 
 Given a deployment (fixed positions) a round with transmitters ``T`` and
 listeners ``L`` needs the gains ``G[i, j] = P / d(i, j)^alpha`` only for
-``i`` in ``T`` and ``j`` in ``L``. :meth:`SINRChannel.gain_rows` computes
-those ``|T| x |L|`` cells from positions, or gathers them once the full
-``(n, n)`` matrix has been built (:attr:`SINRChannel.base_gains`, built on
-first access); both give the same bits. Constructing a channel builds no
-``(n, n)`` object. Resolving one round is then a handful of vectorised
-reductions:
+``i`` in ``T`` and ``j`` in ``L``. Those cells are computed from
+positions, or gathered once the full ``(n, n)`` matrix has been built
+(:attr:`SINRChannel.base_gains`, built on first access); both give the
+same bits. Constructing a channel builds no ``(n, n)`` object. Decoding
+one round (:meth:`SINRChannel.decode`) is then a handful of vectorised
+reductions per listener:
 
 * total arriving power at each listener: ``tot = G[T].sum(axis=0)``
 * strongest arriving signal at each listener: ``best = G[T].max(axis=0)``
 * listener ``v`` receives the strongest transmitter ``u`` iff
   ``G[u, v] / (noise + tot_v - G[u, v]) >= beta``.
+
+The decode takes the listeners in fixed-size blocks, so no round holds
+its ``|T| x |L|`` gains at once: a round's memory is O(n) whatever its
+size. :meth:`SINRChannel.gain_rows` returns the whole array for callers
+that want it.
 
 Because the SINR of a candidate transmitter is monotone increasing in its
 arriving signal (each transmitter's own power is excluded from its
@@ -25,13 +30,13 @@ per-listener argmax. When ``beta >= 1`` that decode is additionally unique.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import time
 
 import numpy as np
 
-from repro.obs.probe import get_probe_bus, publish_sinr
+from repro.obs.probe import SINRProbeColumns, get_probe_bus
 from repro.obs.registry import get_registry
 from repro.radio.channel import node_mask
 from repro.sinr.fading import DeterministicGain, GainModel
@@ -49,6 +54,10 @@ __all__ = ["ReceptionReport", "SINRChannel"]
 
 #: Matrix cells per row block when :attr:`SINRChannel.base_gains` is built.
 _GAIN_BLOCK_CELLS = 1 << 20
+
+#: Gain cells per listener block when :meth:`SINRChannel.decode` decodes a
+#: round (256 KiB of float64 per buffer).
+_DECODE_BLOCK_CELLS = 1 << 15
 
 
 _NO_IDS = np.empty(0, dtype=np.intp)
@@ -257,24 +266,122 @@ class SINRChannel:
         itself. Gathered from :attr:`base_gains` when the matrix has been
         built, otherwise computed from positions with the matrix's
         elementwise expressions, so both give the same bits; only the
-        touched cells cost anything.
+        touched cells cost anything. :meth:`decode` fills its listener
+        blocks with the same code.
 
         The array is column-major, the layout ``G[tx][:, listeners]``
-        itself has. numpy's summation order over transmitters follows the
+        itself has: each listener's gains are contiguous, in ``tx``
+        order. numpy's summation order over transmitters follows the
         layout, so ``rows.sum(axis=0)`` gives the same bits whichever way
-        the cells were obtained.
+        the cells were obtained, and the same bits as :meth:`decode`'s
+        totals.
+        """
+        rows = np.empty((listeners.size, tx.size))
+        self._gain_filler(tx)(listeners, rows, np.empty_like(rows))
+        return rows.T
+
+    def _gain_filler(self, tx: np.ndarray):
+        """``fill(listeners, out, work)``, writing ``G[tx][:, listeners].T`` into ``out``.
+
+        ``out`` is a C-order ``(|listeners|, |tx|)`` buffer: one row of
+        gains per listener; ``work``, a C-order buffer of the same shape,
+        is scratch. The per-round set-up (the transmitters' coordinates)
+        is done once here.
         """
         if "_gain_matrix" in self.__dict__:
-            # np.take plus a column-major copy gives the same array as
-            # [:, listeners], about 3x faster at n = 4096.
-            return np.asfortranarray(np.take(self._gain_matrix[tx], listeners, axis=1))
-        # Listener-major distances, transposed: column-major (|T|, |L|).
-        # Swapping the points only negates dx and dy, so no bit changes.
-        distances = cross_distances(self.positions[listeners], self.positions[tx]).T
-        # In place, one buffer: the same ufuncs as the matrix's expression.
-        gains = np.power(distances, self.params.alpha, out=distances)
-        with np.errstate(divide="ignore"):
-            return np.divide(self.params.power, gains, out=gains)
+            matrix = self._gain_matrix
+
+            def gather(listeners, out, work):
+                # Only the strip of G[tx] between the lowest and the
+                # highest listener is copied, so a round never holds all
+                # |tx| rows. The (|tx|, b) take lands in work's memory,
+                # then goes transposed into out: one listener per row.
+                # "clip" lets take write there directly (the ids are in
+                # range).
+                first = listeners.min()
+                strip = matrix[tx, first : listeners.max() + 1]
+                taken = work.reshape(out.shape[::-1])
+                np.take(strip, listeners - first, axis=1, out=taken, mode="clip")
+                np.copyto(out, taken.T)
+
+            return gather
+        positions = self.positions
+        # Column-major, so cross_distances' coordinate rows are views.
+        points = np.asfortranarray(positions[tx])
+        alpha, power = self.params.alpha, self.params.power
+
+        def compute(listeners, out, work):
+            # The matrix's ufuncs, in place: the same bits. Swapping the
+            # points only negates dx and dy, so no bit changes either.
+            cross_distances(positions[listeners], points, out=out, work=work)
+            np.power(out, alpha, out=out)
+            with np.errstate(divide="ignore"):
+                np.divide(power, out, out=out)
+
+        return compute
+
+    def decode(
+        self, tx: np.ndarray, listeners: np.ndarray, external: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode one round of the deterministic gains from ``tx`` to ``listeners``.
+
+        ``tx`` and ``listeners`` are sorted, disjoint and non-empty;
+        ``external`` is the external power landing on each listener.
+        Returns, per listener, ``(totals, best, decoded)``: the total
+        arriving power, external included; the index in ``tx`` of its
+        strongest transmitter, its decode candidate; and whether that
+        candidate's SINR clears ``beta``. With the probe bus on, the
+        round's :class:`~repro.obs.probe.SINRProbe` is published too.
+
+        The listeners are taken in blocks of about ``_DECODE_BLOCK_CELLS``
+        gains, filled in place into two ``(block, |tx|)`` buffers kept for
+        the round, so a round of any size holds O(|tx| + |listeners|)
+        memory beside them. Each listener's gains form one contiguous
+        row in ``tx`` order, reduced by one row reduction: the order
+        :meth:`gain_rows`' ``sum(axis=0)`` uses, so totals and decisions
+        have the same bits as a decode over the whole ``|tx| x
+        |listeners|`` array. A round that fits one block is one pass.
+        """
+        num_tx, num_listeners = tx.size, listeners.size
+        block = max(1, min(num_listeners, _DECODE_BLOCK_CELLS // num_tx))
+        gains = np.empty((block, num_tx))
+        work = np.empty_like(gains)
+        fill = self._gain_filler(tx)
+        cols = np.arange(block)
+        bus = get_probe_bus()
+        probe = (
+            SINRProbeColumns(tx, listeners, external, self.params.noise)
+            if bus.enabled
+            else None
+        )
+        blocks = []
+        for start in range(0, num_listeners, block):
+            rows = gains[: num_listeners - start]
+            fill(listeners[start : start + block], rows, work[: rows.shape[0]])
+            picked = rows.argmax(axis=1)
+            strongest = rows[cols[: rows.shape[0]], picked]
+            blocks.append((rows.sum(axis=1), picked, strongest))
+            if probe is not None:
+                probe.fill(start, rows, picked, strongest)
+        if len(blocks) == 1:
+            totals, best, strongest = blocks[0]
+        else:
+            totals, best, strongest = (np.concatenate(column) for column in zip(*blocks))
+        totals += external
+
+        # SINR_i = s_i / (noise + tot - s_i) is monotone increasing in the
+        # arriving signal s_i, so the strongest transmitter clears the
+        # threshold iff any transmitter does — for every beta. With capture
+        # (decode the strongest signal that clears), checking the argmax is
+        # therefore exhaustive. External interference sits in the
+        # denominator alongside the other transmitters.
+        params = self.params
+        decoded = strongest >= params.beta * (params.noise + (totals - strongest))
+        if probe is not None:
+            # Flight-recorder probe (repro.obs.probe): per-listener SINR of
+            # the decode candidate and its strongest competitor.
+            probe.publish(bus, decoded, params.beta)
+        return totals, best, decoded
 
     @property
     def external_gains(self) -> np.ndarray:
@@ -355,23 +462,22 @@ class SINRChannel:
                 self._external_interference(listen_mask, rng),
             )
 
-        # (|T|, |L|) power arriving at each listener.
         if self.gain_model.is_deterministic:
-            rows = self.gain_rows(tx, listener_ids)
-        else:
-            if rng is None:
-                raise ValueError("a stochastic gain model requires an rng")
-            gains = self.gain_model.round_gains(self._gain_matrix, rng)
-            rows = gains[tx][:, listen_mask]
+            external = self._external_interference(listen_mask, rng)
+            totals, best, decoded = self.decode(tx, listener_ids, external)
+            return ReceptionReport(
+                tx, listener_ids, np.where(decoded, tx[best], -1), totals
+            )
+
+        # (|T|, |L|) faded power arriving at each listener.
+        if rng is None:
+            raise ValueError("a stochastic gain model requires an rng")
+        gains = self.gain_model.round_gains(self._gain_matrix, rng)
+        rows = gains[tx][:, listen_mask]
         external = self._external_interference(listen_mask, rng)
         totals = rows.sum(axis=0) + external
 
-        # SINR_i = s_i / (noise + tot - s_i) is monotone increasing in the
-        # arriving signal s_i, so the strongest transmitter clears the
-        # threshold iff any transmitter does — for every beta. With capture
-        # (decode the strongest signal that clears), checking the argmax is
-        # therefore exhaustive. External interference sits in the
-        # denominator alongside the other transmitters.
+        # The argmax is exhaustive here too (see decode).
         best_rows = rows.argmax(axis=0)
         best = rows[best_rows, np.arange(rows.shape[1])]
         interference = totals - best
@@ -379,12 +485,9 @@ class SINRChannel:
 
         bus = get_probe_bus()
         if bus.enabled:
-            # Flight-recorder probe (repro.obs.probe): per-listener SINR of
-            # the decode candidate and its strongest competitor.
-            publish_sinr(
-                bus, tx, listener_ids, rows, best_rows, external, ok,
-                self.params.noise, self.params.beta,
-            )
+            probe = SINRProbeColumns(tx, listener_ids, external, self.params.noise)
+            probe.fill(0, rows.T, best_rows, best)
+            probe.publish(bus, ok, self.params.beta)
 
         return ReceptionReport(tx, listener_ids, np.where(ok, tx[best_rows], -1), totals)
 

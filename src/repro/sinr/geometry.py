@@ -62,17 +62,26 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     return distances
 
 
-def cross_distances(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def cross_distances(
+    sources: np.ndarray,
+    targets: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Distances from each of ``sources`` to each of ``targets``, ``(m, k)``.
 
     Computed as ``sqrt(dx*dx + dy*dy)``. :func:`pairwise_distances`, the
     channel's gains and its construction checks all go through this
-    function, so they agree bit for bit.
+    function, so they agree bit for bit. ``out`` and ``work``, two
+    C-order ``(m, k)`` float64 buffers, let a caller that fills many
+    blocks reuse its memory: the distances land in ``out``, ``work`` is
+    scratch.
     """
-    # Contiguous x and y rows make the broadcast subtractions faster.
+    # Contiguous x and y rows make the broadcast subtractions faster
+    # (a view, without a copy, when ``targets`` is column-major).
     target_x, target_y = np.ascontiguousarray(targets.T)
-    dx = sources[:, 0, None] - target_x
-    dy = sources[:, 1, None] - target_y
+    dx = np.subtract(sources[:, 0, None], target_x, out=out)
+    dy = np.subtract(sources[:, 1, None], target_y, out=work)
     dx *= dx
     dy *= dy
     dx += dy
@@ -99,13 +108,18 @@ def has_colocated_pair(positions: np.ndarray) -> bool:
     axes, so it shares a run of points sorted by ``x`` whose consecutive
     gaps are all below it, and within that run a run sorted by ``y``. Only
     those runs, almost always single points, are compared pairwise:
-    O(n log n) time and no ``(n, n)`` matrix.
+    O(n log n) time and no ``(n, n)`` matrix. When every x-run is a
+    single point there is nothing to compare, and the ``y`` sort is
+    skipped.
     """
     n = positions.shape[0]
     if n < 2:
         return False
     by_x = np.argsort(positions[:, 0], kind="stable")
     x_runs = _runs(positions[by_x, 0], np.zeros(n, dtype=np.intp))
+    if x_runs[-1] == n:
+        # Every x-run is one point, and a co-located pair shares one.
+        return False
     within = np.lexsort((positions[by_x, 1], x_runs))
     order = by_x[within]
     runs = _runs(positions[order, 1], x_runs[within])

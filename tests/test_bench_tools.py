@@ -24,7 +24,7 @@ class TestHarness:
     def test_core_benchmarks_run_and_record(self, tmp_path):
         # Tiny sizes: this is a correctness test of the harness, not a perf run.
         results = run_benchmarks(
-            core_benchmarks(n=24, fast_n=48, parallel_trials=4),
+            core_benchmarks(n=24, fast_n=48, parallel_trials=4, large_n=64),
             repeats=1,
         )
         names = set(results)
@@ -39,6 +39,7 @@ class TestHarness:
             "full_execution_engine_per_node",
             "fast_path_execution",
             "fast_path_execution_matrix_free",
+            "fast_path_execution_n16384",
             "fast_path_execution_probes",
             "link_class_partition",
             "parallel_trials_w1",
@@ -59,6 +60,7 @@ class TestHarness:
         free = results["fast_path_execution_matrix_free"]
         assert free["rounds"] == fast["rounds"]
         assert free["peak_active"] == 48
+        assert results["fast_path_execution_n16384"]["peak_active"] == 64
         probed = results["fast_path_execution_probes"]
         # The probes variant runs the identical seeded workload — same
         # round count — and actually records one probe per round.

@@ -342,6 +342,31 @@ class TestChannelWithoutMatrix:
         assert has_colocated_pair(np.asarray(points)) is False
         assert SINRChannel(points).n == len(points)
 
+    def test_many_shared_x_values_match_the_dense_check(self):
+        # A jittered grid: 12 columns of 20 points each share their x, so
+        # every x-run holds many points and the y runs decide.
+        rng = generator_from(17)
+        grid = np.column_stack(
+            (np.repeat(np.arange(12.0), 20), np.tile(np.arange(20.0), 12))
+        )
+        grid[:, 1] += rng.uniform(-0.4, 0.4, grid.shape[0])
+        outcomes = set()
+        for variant in range(8):
+            points = grid.copy()
+            picks = rng.choice(points.shape[0], size=variant % 3, replace=False)
+            for pick in picks:
+                # An exact copy, or the next float up in y: a distinct
+                # point in the same x-run.
+                twin = points[pick].copy()
+                if variant % 2:
+                    twin[1] = np.nextafter(twin[1], np.inf)
+                points = np.vstack((points, twin))
+            dense = pairwise_distances(points)
+            expected = bool(np.any(dense[~np.eye(points.shape[0], dtype=bool)] == 0.0))
+            assert has_colocated_pair(points) is expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
 
 class TestFastPathWithoutMatrix:
     @pytest.mark.parametrize("seed", range(6))

@@ -2,15 +2,22 @@
 
 A run's report is a pure function of its seeds once the Cost (timing)
 tables are stripped, and so is every ``metrics.json`` entry apart from
-the ``*_seconds`` histograms. This script hashes both::
+the ``*_seconds`` histograms. This script hashes both, and the run's
+``probes.npz`` when it has one (each array's name, dtype, shape and
+bytes)::
 
     PYTHONPATH=src python -m repro.experiments E3,E11 \\
         --report /tmp/report.md --telemetry-dir /tmp/telemetry
     PYTHONPATH=src python tools/run_digests.py /tmp/report.md /tmp/telemetry \\
         --expect tests/data/engine_digests.json
 
+    PYTHONPATH=src python -m repro.experiments E1,E17 --probes \\
+        --report /tmp/report.md --telemetry-dir /tmp/telemetry
+    PYTHONPATH=src python tools/run_digests.py /tmp/report.md /tmp/telemetry \\
+        --expect tests/data/fast_digests.json
+
 Without ``--expect`` it prints the digests as JSON. With it, it exits 1
-when either digest differs from the recorded one.
+when any digest differs from the recorded one.
 """
 
 from __future__ import annotations
@@ -21,7 +28,21 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.reporting.markdown import strip_cost_tables
+
+
+def probes_digest(path: Path) -> str:
+    """sha256 over every array in ``path``: name, dtype, shape and bytes, by name."""
+    digest = hashlib.sha256()
+    with np.load(path) as arrays:
+        for name in sorted(arrays.files):
+            array = np.ascontiguousarray(arrays[name])
+            header = f"{name}|{array.dtype.str}|{array.shape}|"
+            digest.update(header.encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def digests(report: Path, telemetry_dir: Path) -> dict:
@@ -31,12 +52,16 @@ def digests(report: Path, telemetry_dir: Path) -> dict:
     counters = {
         name: entry for name, entry in snapshot.items() if not name.endswith("_seconds")
     }
-    return {
+    found = {
         "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "metrics_sha256": hashlib.sha256(
             json.dumps(counters, sort_keys=True).encode()
         ).hexdigest(),
     }
+    probes = telemetry_dir / "probes.npz"
+    if probes.exists():
+        found["probes_sha256"] = probes_digest(probes)
+    return found
 
 
 def main(argv=None) -> int:
