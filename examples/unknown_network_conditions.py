@@ -10,9 +10,6 @@ real radio fleet might meet:
 * a sparse highway corridor (exponential chain, large R);
 * a Rayleigh-fading factory floor (stochastic per-round gains).
 
-and interleaves it with decay (Section 3.1's remark) to hedge against the
-pathological super-polynomial-R case where the decay bound would win.
-
 Run: ``python examples/unknown_network_conditions.py``
 """
 
@@ -49,33 +46,23 @@ def main() -> None:
     trials = 30
     # One configuration for every environment: this is the whole point.
     plain = repro.FixedProbabilityProtocol(p=0.1)
-    # The paper's hedge for unknown R: interleave with an R-insensitive
-    # algorithm (here decay with a generous size bound).
-    hedged = repro.InterleavedProtocol(
-        repro.FixedProbabilityProtocol(p=0.1),
-        repro.DecayProtocol(size_bound=4096, deactivate_on_receive=True),
-    )
 
     print(f"{trials} trials per environment; identical firmware everywhere\n")
-    header = f"{'environment':<33} {'plain mean':>10} {'plain p95':>10} {'hedged mean':>12}"
+    header = f"{'environment':<33} {'plain mean':>10} {'plain p95':>10}"
     print(header)
     print("-" * len(header))
     for index, (label, factory) in enumerate(environments()):
         plain_stats = repro.run_trials(
             factory, plain, trials=trials, seed=(17, index), max_rounds=100_000
         )
-        hedged_stats = repro.run_trials(
-            factory, hedged, trials=trials, seed=(18, index), max_rounds=100_000
-        )
         print(
             f"{label:<33} {plain_stats.mean_rounds:>10.1f} "
-            f"{plain_stats.percentile(95):>10.1f} {hedged_stats.mean_rounds:>12.1f}"
+            f"{plain_stats.percentile(95):>10.1f}"
         )
 
     print(
         "\nNo per-site tuning: the constant-probability rule adapts through"
-        "\nthe channel itself. The interleaved hedge costs at most 2x and"
-        "\ncaps the damage if R were ever super-polynomial in n."
+        "\nthe channel itself."
     )
 
 

@@ -43,15 +43,11 @@ from repro.analysis import (
     LinkClassTracker,
     cliffs_delta,
     compare_round_counts,
-    contention_decay_rate,
     fit_models,
     fit_scaling_law,
     good_nodes,
-    hazard_curve,
-    knockout_efficiency,
     link_class_partition,
     mann_whitney_u,
-    survival_curve,
     well_separated_subset,
 )
 from repro.deploy import (
@@ -61,8 +57,6 @@ from repro.deploy import (
     grid,
     line,
     link_ratio,
-    load_deployment,
-    save_deployment,
     two_cluster,
     uniform_disk,
     uniform_square,
@@ -88,7 +82,6 @@ from repro.protocols import (
     DecayProtocol,
     Feedback,
     FixedProbabilityProtocol,
-    InterleavedProtocol,
     JurdzinskiStachowiakProtocol,
     NodeProtocol,
     ProtocolFactory,
@@ -109,15 +102,12 @@ from repro.sim import (
     generator_from,
     get_default_workers,
     high_probability_budget,
-    load_trace,
     run_fast_trials,
     run_trials,
     run_trials_parallel,
-    save_trace,
     set_default_workers,
     spawn_generators,
     spawn_seed_sequences,
-    verify_trace,
 )
 from repro.sinr import (
     DeterministicGain,
@@ -147,7 +137,6 @@ __all__ = [
     "FitResult",
     "FixedProbabilityProtocol",
     "FixedTargetReferee",
-    "InterleavedProtocol",
     "JurdzinskiStachowiakProtocol",
     "LinkClassPartition",
     "LinkClassTracker",
@@ -173,7 +162,6 @@ __all__ = [
     "cliffs_delta",
     "clustered",
     "compare_round_counts",
-    "contention_decay_rate",
     "default_workers",
     "get_default_workers",
     "deployment_stats",
@@ -185,26 +173,18 @@ __all__ = [
     "get_registry",
     "good_nodes",
     "grid",
-    "hazard_curve",
     "high_probability_budget",
-    "knockout_efficiency",
     "line",
     "link_class_partition",
     "link_ratio",
-    "load_deployment",
-    "load_trace",
     "mann_whitney_u",
     "play_hitting_game",
     "run_fast_trials",
     "run_trials",
     "run_trials_parallel",
     "set_default_workers",
-    "save_deployment",
-    "save_trace",
     "spawn_generators",
     "spawn_seed_sequences",
-    "survival_curve",
-    "verify_trace",
     "two_cluster",
     "two_player_trials",
     "uniform_disk",

@@ -48,12 +48,6 @@ from repro.analysis.linkclasses import (
     LinkClassTracker,
     link_class_partition,
 )
-from repro.analysis.progress import (
-    contention_decay_rate,
-    hazard_curve,
-    knockout_efficiency,
-    survival_curve,
-)
 from repro.analysis.stats import bootstrap_ci, bootstrap_mean_ci
 
 __all__ = [
@@ -69,11 +63,7 @@ __all__ = [
     "bootstrap_mean_ci",
     "claim1_bound",
     "claim1_constant",
-    "contention_decay_rate",
     "fit_models",
-    "hazard_curve",
-    "knockout_efficiency",
-    "survival_curve",
     "fit_scaling_law",
     "good_nodes",
     "is_good",

@@ -18,7 +18,6 @@ All generators return an ``(n, 2)`` float64 array and guarantee pairwise
 distinct positions with a configurable minimum separation.
 """
 
-from repro.deploy.io import load_deployment, save_deployment
 from repro.deploy.metrics import (
     DeploymentStats,
     deployment_stats,
@@ -46,12 +45,10 @@ __all__ = [
     "grid",
     "line",
     "link_ratio",
-    "load_deployment",
     "log_link_ratio",
     "occupied_link_classes",
     "power_law_disk",
     "ring",
-    "save_deployment",
     "two_cluster",
     "uniform_disk",
     "uniform_square",

@@ -22,11 +22,6 @@ deterministic bit-splitting player that meets the bound exactly), the
 two-player game, and the Lemma 14 reduction as executable code.
 """
 
-from repro.hitting.embedding import (
-    EmbeddedOutcome,
-    embedded_two_player_trial,
-    embedded_two_player_trials,
-)
 from repro.hitting.game import (
     AdaptiveReferee,
     FixedTargetReferee,
@@ -46,14 +41,11 @@ __all__ = [
     "AdaptiveReferee",
     "BitSplittingPlayer",
     "ContentionResolutionPlayer",
-    "EmbeddedOutcome",
     "FixedTargetReferee",
     "GameResult",
     "HittingPlayer",
     "SingletonPlayer",
     "UniformSubsetPlayer",
-    "embedded_two_player_trial",
-    "embedded_two_player_trials",
     "play_hitting_game",
     "two_player_trial",
     "two_player_trials",

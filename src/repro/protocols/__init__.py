@@ -43,10 +43,6 @@ Protocols
     The classical feedback-free doubling-window schedule — solves without
     knowledge of ``n`` but pays linear time; the anti-baseline that makes
     decay's ``log^2`` look good.
-:class:`InterleavedProtocol`
-    Round-robin combiner (odd rounds protocol A, even rounds protocol B) —
-    the Section 3.1 remark on handling unknown ``R`` by interleaving the
-    simple algorithm with an ``R``-insensitive one.
 """
 
 from repro.protocols.aloha import SlottedAlohaProtocol
@@ -65,7 +61,6 @@ from repro.protocols.carrier_sense import (
 )
 from repro.protocols.cd_tournament import CollisionDetectionTournamentProtocol
 from repro.protocols.decay import DecayProtocol
-from repro.protocols.interleave import InterleavedProtocol
 from repro.protocols.js16 import JurdzinskiStachowiakProtocol
 from repro.protocols.sawtooth import SawtoothBackoffProtocol
 from repro.protocols.schedules import (
@@ -83,7 +78,6 @@ __all__ = [
     "DecayProtocol",
     "Feedback",
     "FixedProbabilityProtocol",
-    "InterleavedProtocol",
     "JurdzinskiStachowiakProtocol",
     "Knockout",
     "NodeProtocol",

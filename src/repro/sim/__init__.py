@@ -14,8 +14,6 @@ aggregates statistics; ``seeding`` centralises deterministic RNG spawning.
 
 from repro.sim.engine import Simulation
 from repro.sim.fast import FastRunResult, fast_fixed_probability_run
-from repro.sim.trace_io import load_trace, save_trace
-from repro.sim.verification import TraceViolation, verify_trace
 from repro.sim.runner import TrialStats, execute_trial, high_probability_budget, run_trials
 from repro.sim.parallel import (
     StaticDeploymentFactory,
@@ -36,7 +34,6 @@ __all__ = [
     "RoundRecord",
     "Simulation",
     "StaticDeploymentFactory",
-    "TraceViolation",
     "TrialStats",
     "UniformDiskFactory",
     "default_workers",
@@ -45,14 +42,11 @@ __all__ = [
     "generator_from",
     "get_default_workers",
     "high_probability_budget",
-    "load_trace",
     "partition_trials",
     "run_fast_trials",
     "run_trials",
     "run_trials_parallel",
-    "save_trace",
     "set_default_workers",
     "spawn_generators",
     "spawn_seed_sequences",
-    "verify_trace",
 ]

@@ -40,7 +40,7 @@ once per run:
   ``rng.integers(0, windows)``. The knockout rule is a mask over the
   report's arrays, and node state is written back to the nodes;
 * the **per-node step** for every other node list (carrier sense,
-  interleaving, mixed lists): each node decides and receives its
+  mixed lists): each node decides and receives its
   :class:`~repro.protocols.base.Feedback`, read from the report's arrays
   by listener position.
 

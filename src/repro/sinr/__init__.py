@@ -18,7 +18,7 @@ Modules
     :class:`SINRParameters` — validated model constants and derived
     quantities (communication range, single-hop power sizing).
 ``geometry``
-    Vectorised planar geometry: pairwise distances, balls, exponential
+    Vectorised planar geometry: pairwise distances, exponential
     annuli, greedy circle packings.
 ``channel``
     :class:`SINRChannel` — the deterministic path-loss channel: per-round
@@ -37,7 +37,6 @@ from repro.sinr.geometry import (
     exponential_annulus,
     nearest_neighbor_distances,
     pairwise_distances,
-    points_in_ball,
 )
 from repro.sinr.parameters import SINRParameters, single_hop_power
 
@@ -54,6 +53,5 @@ __all__ = [
     "external_gain_matrix",
     "nearest_neighbor_distances",
     "pairwise_distances",
-    "points_in_ball",
     "single_hop_power",
 ]

@@ -23,11 +23,9 @@ __all__ = [
     "has_colocated_pair",
     "diameter_of",
     "nearest_neighbor_distances",
-    "points_in_ball",
     "exponential_annulus",
     "annulus_counts",
     "greedy_separated_subset",
-    "deployment_diameter",
     "link_length_extremes",
     "as_positions",
 ]
@@ -201,26 +199,6 @@ def nearest_neighbor_distances(
     return result
 
 
-def points_in_ball(
-    distances: np.ndarray,
-    center: int,
-    radius: float,
-    active: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Indices of active nodes strictly within ``radius`` of node ``center``.
-
-    Matches the paper's ``B(u, d)`` — the set of active nodes within
-    distance ``d`` of ``u``. The center itself is included when active,
-    mirroring the set definition; callers that need the punctured ball
-    drop it explicitly.
-    """
-    n = distances.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    within = (distances[center] < radius) & active
-    return np.flatnonzero(within)
-
-
 def exponential_annulus(
     distances: np.ndarray,
     center: int,
@@ -295,13 +273,6 @@ def greedy_separated_subset(
         if all(row[other] > separation for other in kept):
             kept.append(int(candidate))
     return kept
-
-
-def deployment_diameter(distances: np.ndarray) -> float:
-    """Longest link in the deployment (the paper's ``R`` numerator)."""
-    if distances.shape[0] < 2:
-        return 0.0
-    return float(distances.max())
 
 
 def link_length_extremes(distances: np.ndarray) -> tuple:

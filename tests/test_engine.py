@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.deploy.topologies import grid
 from repro.protocols.base import Action, NodeProtocol
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.radio.channel import RadioChannel
@@ -232,3 +233,21 @@ class TestEndToEnd:
             small_channel, nodes, rng=generator_from(21), max_rounds=5_000
         ).run()
         assert len(trace.records[-1].transmitters) == 1
+
+
+class TestGoldenRegression:
+    def test_known_seed_produces_stable_summary(self):
+        """Golden check: a fixed (deployment seed, run seed) pair must keep
+        producing the identical execution across library changes. If this
+        test breaks, either a behavioural change was intended (update the
+        golden values and say so in the commit) or a regression slipped in.
+        """
+        channel = SINRChannel(grid(16))
+        nodes = FixedProbabilityProtocol(p=0.2).build(channel.n)
+        trace = Simulation(
+            channel, nodes, rng=generator_from(2024), max_rounds=5_000
+        ).run()
+        assert trace.solved
+        # Golden values for (grid(16), p=0.2, seed 2024):
+        assert trace.rounds_to_solve == 5
+        assert trace.records[0].transmitters == (5, 6, 7, 9, 12, 14)

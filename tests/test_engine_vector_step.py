@@ -27,7 +27,6 @@ from repro.protocols import (
     CollisionDetectionTournamentProtocol,
     DecayProtocol,
     FixedProbabilityProtocol,
-    InterleavedProtocol,
     JurdzinskiStachowiakProtocol,
     SawtoothBackoffProtocol,
     SlottedAlohaProtocol,
@@ -354,12 +353,6 @@ class TestWhichStepRuns:
                     carrier_sense_threshold(SINRChannel(_POSITIONS))
                 ).build(N),
                 id="carrier_sense",
-            ),
-            pytest.param(
-                lambda: InterleavedProtocol(
-                    FixedProbabilityProtocol(), DecayProtocol()
-                ).build(N),
-                id="interleave",
             ),
             pytest.param(
                 lambda: FixedProbabilityProtocol().build(N - 1)

@@ -8,13 +8,11 @@ import pytest
 from repro.sinr.geometry import (
     annulus_counts,
     as_positions,
-    deployment_diameter,
     exponential_annulus,
     greedy_separated_subset,
     link_length_extremes,
     nearest_neighbor_distances,
     pairwise_distances,
-    points_in_ball,
 )
 
 
@@ -122,17 +120,6 @@ class TestNearestNeighbor:
 
 
 class TestBallsAndAnnuli:
-    def test_points_in_ball_strict_radius(self):
-        distances = pairwise_distances([(0, 0), (1, 0), (2, 0)])
-        inside = points_in_ball(distances, center=0, radius=1.5)
-        assert set(inside) == {0, 1}
-
-    def test_points_in_ball_excludes_inactive(self):
-        distances = pairwise_distances([(0, 0), (1, 0), (2, 0)])
-        active = np.array([True, False, True])
-        inside = points_in_ball(distances, center=0, radius=3.0, active=active)
-        assert set(inside) == {0, 2}
-
     def test_annulus_bounds_inclusive_exclusive(self):
         # Nodes at distances 1, 2, 3.9, 4 from center; annulus A^0_1 covers
         # [2, 4).
@@ -212,13 +199,6 @@ class TestGreedySeparatedSubset:
 
 
 class TestExtremes:
-    def test_diameter(self):
-        distances = pairwise_distances([(0, 0), (3, 4), (1, 0)])
-        assert deployment_diameter(distances) == pytest.approx(5.0)
-
-    def test_diameter_single_node(self):
-        assert deployment_diameter(pairwise_distances([(0, 0)])) == 0.0
-
     def test_link_extremes(self):
         distances = pairwise_distances([(0, 0), (1, 0), (10, 0)])
         shortest, longest = link_length_extremes(distances)

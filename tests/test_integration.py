@@ -16,7 +16,6 @@ from repro.deploy.topologies import (
     uniform_disk,
 )
 from repro.protocols.decay import DecayProtocol
-from repro.protocols.interleave import InterleavedProtocol
 from repro.protocols.js16 import JurdzinskiStachowiakProtocol
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.radio.channel import RadioChannel
@@ -171,24 +170,6 @@ class TestProtocolsAcrossChannels:
             channel, nodes, rng=generator_from(33), max_rounds=20_000
         ).run()
         assert trace.solved
-
-    def test_interleaved_solves_both_channels(self):
-        protocol = InterleavedProtocol(
-            FixedProbabilityProtocol(p=0.1), DecayProtocol(size_bound=64)
-        )
-        radio_trace = Simulation(
-            RadioChannel(32),
-            protocol.build(32),
-            rng=generator_from(35),
-            max_rounds=20_000,
-        ).run()
-        assert radio_trace.solved
-        rng = generator_from(36)
-        channel = SINRChannel(uniform_disk(32, rng))
-        sinr_trace = Simulation(
-            channel, protocol.build(32), rng=rng, max_rounds=20_000
-        ).run()
-        assert sinr_trace.solved
 
     def test_simple_protocol_solves_radio_too(self):
         # The paper's algorithm is model-agnostic; on a collision channel

@@ -241,6 +241,14 @@ def _deployments():
 
 DEPLOYMENTS = _deployments()
 
+#: The deployments plus two tiny cases: a 3-4-5 triangle (diameter 5.0)
+#: and a single node (diameter 0.0).
+DIAMETER_CASES = {
+    **DEPLOYMENTS,
+    "triangle_3_4_5": np.array([(0.0, 0.0), (3.0, 4.0), (1.0, 0.0)]),
+    "single_node": np.zeros((1, 2)),
+}
+
 
 class TestChannelWithoutMatrix:
     def test_chain_reaches_beyond_two_to_the_32(self):
@@ -293,9 +301,9 @@ class TestChannelWithoutMatrix:
         assert np.array_equal(fresh.gain_rows(tx, listeners), dense[tx][:, listeners])
         assert np.array_equal(fresh.gain_rows(listeners, tx), dense[listeners][:, tx])
 
-    @pytest.mark.parametrize("name", sorted(DEPLOYMENTS))
+    @pytest.mark.parametrize("name", sorted(DIAMETER_CASES))
     def test_diameter_equals_the_dense_max(self, monkeypatch, name):
-        positions = DEPLOYMENTS[name]
+        positions = DIAMETER_CASES[name]
         dense = float(pairwise_distances(positions).max())
         assert diameter_of(positions) == dense
         assert SINRChannel(positions).diameter == dense

@@ -1,10 +1,9 @@
-"""Property-based tests for schedule inspection and progress analytics."""
+"""Property-based tests for schedule inspection."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.progress import hazard_curve, survival_curve
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.schedules import (
     expected_transmitters,
@@ -49,39 +48,3 @@ class TestScheduleProperties:
             if other <= 1.0:
                 assert at_peak >= solo_probability(n, other) - 1e-12
 
-
-class TestProgressProperties:
-    @given(
-        st.lists(
-            st.one_of(st.none(), st.integers(1, 50)), min_size=1, max_size=40
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_survival_monotone_and_bounded(self, rounds):
-        ts, surv = survival_curve(rounds, max_round=50)
-        assert np.all(surv >= 0.0)
-        assert np.all(surv <= 1.0)
-        assert np.all(np.diff(surv) <= 1e-12)
-        assert surv[0] == 1.0 if all(r is None or r > 0 for r in rounds) else True
-
-    @given(st.lists(st.integers(1, 30), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_hazard_in_unit_interval(self, rounds):
-        ts, hazard = hazard_curve(rounds)
-        finite = hazard[~np.isnan(hazard)]
-        assert np.all(finite >= 0.0)
-        assert np.all(finite <= 1.0)
-
-    @given(st.lists(st.integers(1, 30), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_survival_consistent_with_hazard(self, rounds):
-        # S(t) = prod_{s<=t} (1 - h(s)) for fully observed data.
-        ts, surv = survival_curve(rounds)
-        _, hazard = hazard_curve(rounds)
-        running = 1.0
-        for t in range(1, len(surv)):
-            h = hazard[t - 1]
-            if np.isnan(h):
-                break
-            running *= 1.0 - h
-            assert abs(running - surv[t]) < 1e-9

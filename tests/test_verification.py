@@ -4,13 +4,15 @@ import dataclasses
 
 import pytest
 
+from repro.protocols.schedules import vector_step
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.seeding import generator_from
 from repro.sim.trace import ExecutionTrace, RoundRecord
-from repro.sim.verification import verify_trace
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
+from tests.test_engine_vector_step import CHANNELS, FACTORIES, N, SEEDS
+from tests.trace_rules import verify_trace
 
 
 def _run(channel, seed=3, p=0.2):
@@ -43,6 +45,30 @@ class TestValidTraces:
     def test_verification_without_channel_skips_r3(self, small_channel):
         trace = _run(small_channel)
         assert verify_trace(trace, channel=None) == []
+
+
+class TestVectorStepTraces:
+    """The engine's vector steps (oblivious schedules and BEB) obey R1-R5."""
+
+    @pytest.mark.parametrize(
+        "protocol,channel",
+        [
+            (protocol, channel)
+            for protocol in FACTORIES
+            for channel in CHANNELS
+            # The engine rejects the CD tournament off a CD channel.
+            if protocol != "cd_tournament" or channel == "radio_cd"
+        ],
+    )
+    def test_real_execution_passes_all_rules(self, protocol, channel):
+        for seed in SEEDS:
+            ch = CHANNELS[channel]()
+            nodes = FACTORIES[protocol].build(N)
+            assert vector_step(nodes) is not None
+            trace = Simulation(
+                ch, nodes, rng=generator_from(seed), max_rounds=3_000
+            ).run()
+            assert verify_trace(trace, ch) == []
 
 
 def _corrupt(trace, index, **changes):
@@ -140,7 +166,7 @@ class TestCorruptedTraces:
         assert "R4-termination" in rules or "R5-transmitter-sanity" in rules
 
     def test_violation_str_is_informative(self):
-        from repro.sim.verification import TraceViolation
+        from tests.trace_rules import TraceViolation
 
         violation = TraceViolation("R1-knockout-permanence", 3, "node 2 undead")
         assert "R1" in str(violation)
