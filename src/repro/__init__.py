@@ -30,8 +30,8 @@ Quickstart::
     rng = repro.generator_from(seed=0)
     positions = repro.uniform_disk(n=128, rng=rng)
     channel = repro.SINRChannel(positions)
-    nodes = repro.FixedProbabilityProtocol(p=0.1).build(channel.n)
-    trace = repro.Simulation(channel, nodes, rng=rng).run()
+    protocol = repro.FixedProbabilityProtocol(p=0.1)
+    trace = repro.Simulation(channel, protocol, rng=rng).run()
     print(f"solved in {trace.rounds_to_solve} rounds")
 """
 

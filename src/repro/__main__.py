@@ -40,8 +40,8 @@ def main(argv=None) -> int:
         rng = repro.generator_from(0)
         positions = repro.uniform_disk(32, rng)
         channel = repro.SINRChannel(positions)
-        nodes = repro.FixedProbabilityProtocol(p=0.1).build(channel.n)
-        trace = repro.Simulation(channel, nodes, rng=rng, max_rounds=10_000).run()
+        protocol = repro.FixedProbabilityProtocol(p=0.1)
+        trace = repro.Simulation(channel, protocol, rng=rng, max_rounds=10_000).run()
         status = "ok" if trace.solved else "FAILED"
         print(
             f"selfcheck: {status} — 32 nodes solved in "

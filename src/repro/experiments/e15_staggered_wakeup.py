@@ -94,10 +94,9 @@ def _run_batch(
             schedule = None
         else:
             schedule = schedule_rng.integers(0, window + 1, size=config.n).tolist()
-        nodes = protocol_factory.build(config.n)
         trace = Simulation(
             channel,
-            nodes,
+            protocol_factory,
             rng=run_rng,
             max_rounds=budget,
             keep_records=False,

@@ -91,9 +91,12 @@ def _trial_rounds(config: Config, factor: float, duty: float, params) -> tuple:
             channel = SINRChannel(positions, params=params, external_sources=[jammer])
         else:
             channel = SINRChannel(positions, params=params)
-        nodes = FixedProbabilityProtocol(p=config.p).build(channel.n)
         trace = Simulation(
-            channel, nodes, rng=run_rng, max_rounds=config.max_rounds, keep_records=False
+            channel,
+            FixedProbabilityProtocol(p=config.p),
+            rng=run_rng,
+            max_rounds=config.max_rounds,
+            keep_records=False,
         ).run()
         if trace.solved:
             solved += 1

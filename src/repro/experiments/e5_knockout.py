@@ -70,8 +70,7 @@ def _single_round_knockout(positions, params, p, rng) -> float:
 
     channel = SINRChannel(positions, params=params)
     protocol = FixedProbabilityProtocol(p=p)
-    nodes = protocol.build(channel.n)
-    simulation = Simulation(channel, nodes, rng=rng, max_rounds=1, keep_records=True)
+    simulation = Simulation(channel, protocol, rng=rng, max_rounds=1, keep_records=True)
     trace = simulation.run()
     knocked = set(trace.records[0].knocked_out) if trace.records else set()
     if not members:

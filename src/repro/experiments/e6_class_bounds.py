@@ -105,10 +105,9 @@ def run(config: Config) -> ExperimentResult:
             tracker = LinkClassTracker(distances, unit=initial.unit)
 
             channel = SINRChannel(positions, params=params)
-            nodes = protocol.build(channel.n)
             simulation = Simulation(
                 channel,
-                nodes,
+                protocol,
                 rng=run_rng,
                 max_rounds=config.max_rounds,
                 keep_records=False,

@@ -49,10 +49,9 @@ def two_player_trial(
 ) -> TwoPlayerOutcome:
     """One execution of the protocol with exactly two nodes."""
     channel = RadioChannel(2, collision_detection=False)
-    nodes = protocol.build(2)
     simulation = Simulation(
         channel,
-        nodes,
+        protocol,
         rng=rng,
         max_rounds=max_rounds,
         keep_records=False,

@@ -166,7 +166,7 @@ def core_benchmarks(
         def bench() -> Dict[str, float]:
             trace = Simulation(
                 channel,
-                protocol.build(channel.n),
+                protocol,
                 rng=generator_from(1003),
                 max_rounds=50_000,
                 keep_records=False,

@@ -11,9 +11,7 @@ experiment E3.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.protocols.base import NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.base import NodeSpec, ObliviousNode, ProtocolFactory
 
 __all__ = ["SlottedAlohaNode", "SlottedAlohaProtocol"]
 
@@ -33,7 +31,5 @@ class SlottedAlohaProtocol(ProtocolFactory):
     requires_collision_detection = False
     name = "aloha(1/n)"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [SlottedAlohaNode(i, 1.0 / n) for i in range(n)]
+    def node_spec(self, n: int) -> NodeSpec:
+        return SlottedAlohaNode, (1.0 / n,)

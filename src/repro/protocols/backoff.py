@@ -13,19 +13,25 @@ than the paper's fixed probability: windows keep growing, the aggregate
 broadcast rate decays, and the time to a solo transmission stretches far
 beyond ``O(log n)``. It is the cautionary member of the E3 lineup.
 
-:class:`BackoffStep` runs the rounds of a whole list of BEB nodes as
+:class:`BackoffStep` runs the rounds of all of a run's BEB nodes as
 numpy over a ``window`` and a ``countdown`` array (the engine's vector
-step, :func:`repro.protocols.schedules.vector_step`).
+step, :mod:`repro.protocols.schedules`).
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import (
+    Action,
+    Feedback,
+    NodeProtocol,
+    NodeSpec,
+    ProtocolFactory,
+)
 
 __all__ = [
     "BackoffStep",
@@ -65,24 +71,36 @@ class BinaryExponentialBackoffNode(NodeProtocol):
 
 
 class BackoffStep:
-    """Rounds of a list of BEB nodes with one window cap, as arrays.
+    """Rounds of BEB nodes with one window cap, as arrays.
 
     ``decide`` has every awake active node whose countdown is 0 transmit
     and every other one count down; the transmitters' windows double up
     to the cap and their new countdowns come from one
     ``rng.integers(0, windows)`` over the transmitters in id order, which
     draws exactly the numbers the nodes' own ``decide`` calls would.
-    Listeners that decode a message drop out. :meth:`finish` writes
-    ``window`` and ``_countdown`` back, so the nodes end a run in the
-    state their own steps leave them in.
+    Listeners that decode a message drop out. A run of a node list ends
+    with :meth:`write_back`, which leaves the nodes in the state their
+    own steps would.
     """
 
-    def __init__(self, nodes: Sequence[BinaryExponentialBackoffNode]) -> None:
-        self.nodes = nodes
-        self.max_window = nodes[0].max_window
-        self.window = np.fromiter(map(attrgetter("window"), nodes), np.int64, len(nodes))
-        self.countdown = np.fromiter(
-            map(attrgetter("_countdown"), nodes), np.int64, len(nodes)
+    def __init__(
+        self, max_window: int, window: np.ndarray, countdown: np.ndarray
+    ) -> None:
+        self.max_window = max_window
+        self.window = window
+        self.countdown = countdown
+
+    @classmethod
+    def for_template(
+        cls, template: BinaryExponentialBackoffNode, n: int
+    ) -> Optional["BackoffStep"]:
+        """A step for ``n`` copies of ``template``; ``None`` if its cap is too large."""
+        if template.max_window >= _WINDOW_LIMIT:
+            return None
+        return cls(
+            template.max_window,
+            np.full(n, template.window, dtype=np.int64),
+            np.full(n, template._countdown, dtype=np.int64),
         )
 
     @classmethod
@@ -91,9 +109,13 @@ class BackoffStep:
         if set(map(type, nodes)) != {BinaryExponentialBackoffNode}:
             return None
         caps = set(map(attrgetter("max_window"), nodes))
-        if len(caps) == 1 and caps.pop() < _WINDOW_LIMIT:
-            return cls(nodes)
-        return None
+        if len(caps) != 1 or caps.pop() >= _WINDOW_LIMIT:
+            return None
+        return cls(
+            nodes[0].max_window,
+            np.fromiter(map(attrgetter("window"), nodes), np.int64, len(nodes)),
+            np.fromiter(map(attrgetter("_countdown"), nodes), np.int64, len(nodes)),
+        )
 
     def decide(
         self,
@@ -114,20 +136,20 @@ class BackoffStep:
             self.countdown[tx_ids] = rng.integers(0, windows)
         return transmit
 
-    def knock_out(self, report) -> np.ndarray:
-        """Knock out the listeners that decoded a message; return their ids."""
-        knocked_out = report.listener_ids[report.decoded >= 0]
-        for i in knocked_out.tolist():
-            self.nodes[i]._active = False
-        return knocked_out
+    @staticmethod
+    def knock_out(report) -> np.ndarray:
+        """The ids of the listeners that decoded a message."""
+        return report.listener_ids[report.decoded >= 0]
 
-    def finish(self) -> None:
-        """Write each node's window and countdown back."""
-        for node, window, countdown in zip(
-            self.nodes, self.window.tolist(), self.countdown.tolist()
+    def write_back(self, nodes: Sequence[NodeProtocol], active: np.ndarray) -> None:
+        """Give each node its window, countdown and activity."""
+        for node, window, countdown, still_in in zip(
+            nodes, self.window.tolist(), self.countdown.tolist(), active.tolist()
         ):
             node.window = window
             node._countdown = countdown
+            if not still_in:
+                node._active = False
 
 
 class BinaryExponentialBackoffProtocol(ProtocolFactory):
@@ -155,10 +177,5 @@ class BinaryExponentialBackoffProtocol(ProtocolFactory):
         self.max_window = max_window
         self.name = f"beb(w0={initial_window})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [
-            BinaryExponentialBackoffNode(i, self.initial_window, self.max_window)
-            for i in range(n)
-        ]
+    def node_spec(self, n: int) -> NodeSpec:
+        return BinaryExponentialBackoffNode, (self.initial_window, self.max_window)

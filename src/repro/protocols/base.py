@@ -30,7 +30,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "Feedback",
     "Knockout",
     "NodeProtocol",
+    "NodeSpec",
     "ObliviousNode",
     "ProtocolFactory",
 ]
@@ -174,15 +175,26 @@ class ObliviousNode(NodeProtocol):
             self.knock_out()
 
 
+#: ``(node_class, args)``: every node of a run is ``node_class(node_id, *args)``.
+NodeSpec = Tuple[Type[NodeProtocol], tuple]
+
+
 class ProtocolFactory(ABC):
     """Builds the per-node state machines for one execution.
+
+    A factory describes its ``n`` nodes once, by :meth:`node_spec`: one
+    node class and the constructor arguments all of them share. The base
+    class builds the node list from it (:meth:`build`), or the single
+    node that stands for all of them (:meth:`template`), which is all the
+    engine's vector step needs (:mod:`repro.sim.engine`).
 
     Class attributes declare a protocol's assumptions so experiments can
     report them honestly:
 
     ``knows_network_size``
-        Whether :meth:`build` uses its ``n`` argument (e.g. decay needs an
-        upper bound on the network size; the paper's algorithm does not).
+        Whether :meth:`node_spec` uses its ``n`` argument (e.g. decay
+        needs an upper bound on the network size; the paper's algorithm
+        does not).
     ``requires_collision_detection``
         Whether the protocol only makes sense on a radio channel with
         receiver collision detection.
@@ -197,8 +209,23 @@ class ProtocolFactory(ABC):
     requires_energy_sensing: bool = False
 
     @abstractmethod
+    def node_spec(self, n: int) -> NodeSpec:
+        """The node class and shared constructor arguments for ``n >= 1`` nodes."""
+
+    def _checked_spec(self, n: int) -> NodeSpec:
+        if n < 1:
+            raise ValueError(f"n must be positive (got {n})")
+        return self.node_spec(n)
+
     def build(self, n: int) -> List[NodeProtocol]:
         """Instantiate fresh state machines for ``n`` participating nodes."""
+        kind, args = self._checked_spec(n)
+        return [kind(i, *args) for i in range(n)]
+
+    def template(self, n: int) -> NodeProtocol:
+        """A fresh node 0 of ``build(n)``: every node's class and parameters."""
+        kind, args = self._checked_spec(n)
+        return kind(0, *args)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -29,11 +29,15 @@ ambient noise never trips it.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import (
+    Action,
+    Feedback,
+    NodeProtocol,
+    NodeSpec,
+    ProtocolFactory,
+)
 
 __all__ = [
     "carrier_sense_threshold",
@@ -107,7 +111,5 @@ class CarrierSenseTournamentProtocol(ProtocolFactory):
         self.p = p
         self.name = f"carrier-sense(p={p:g})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [CarrierSenseNode(i, self.p, self.threshold) for i in range(n)]
+    def node_spec(self, n: int) -> NodeSpec:
+        return CarrierSenseNode, (self.p, self.threshold)

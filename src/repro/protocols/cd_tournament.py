@@ -23,9 +23,7 @@ channel that cannot deliver the ternary observation.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.base import Knockout, NodeSpec, ObliviousNode, ProtocolFactory
 
 __all__ = ["CollisionDetectionTournamentNode", "CollisionDetectionTournamentProtocol"]
 
@@ -60,7 +58,5 @@ class CollisionDetectionTournamentProtocol(ProtocolFactory):
         self.p = p
         self.name = f"cd-tournament(p={p:g})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [CollisionDetectionTournamentNode(i, self.p) for i in range(n)]
+    def node_spec(self, n: int) -> NodeSpec:
+        return CollisionDetectionTournamentNode, (self.p,)

@@ -18,9 +18,7 @@ knockout protocol on the SINR channel for cross-model comparisons.
 from __future__ import annotations
 
 import math
-from typing import List
-
-from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.base import Knockout, NodeSpec, ObliviousNode, ProtocolFactory
 
 __all__ = ["DecayNode", "DecayProtocol"]
 
@@ -64,13 +62,9 @@ class DecayProtocol(ProtocolFactory):
         suffix = "" if size_bound is None else f"(N={size_bound})"
         self.name = f"decay{suffix}"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
+    def node_spec(self, n: int) -> NodeSpec:
         bound = self.size_bound if self.size_bound is not None else n
         if bound < n:
             raise ValueError(f"size_bound {bound} is below the actual network size {n}")
         sweep_length = max(1, math.ceil(math.log2(max(bound, 2))))
-        return [
-            DecayNode(i, sweep_length, self.deactivate_on_receive) for i in range(n)
-        ]
+        return DecayNode, (sweep_length, self.deactivate_on_receive)

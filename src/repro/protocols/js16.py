@@ -30,9 +30,7 @@ of some sweep step; ``Theta(log N / log log N)`` sweeps give the
 from __future__ import annotations
 
 import math
-from typing import List
-
-from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.base import Knockout, NodeSpec, ObliviousNode, ProtocolFactory
 
 __all__ = ["JurdzinskiStachowiakNode", "JurdzinskiStachowiakProtocol"]
 
@@ -99,13 +97,9 @@ class JurdzinskiStachowiakProtocol(ProtocolFactory):
         suffix = "" if size_bound is None else f"(N={size_bound})"
         self.name = f"js16{suffix}"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
+    def node_spec(self, n: int) -> NodeSpec:
         bound = self.size_bound if self.size_bound is not None else n
         if bound < n:
             raise ValueError(f"size_bound {bound} is below the actual network size {n}")
         num_steps, dwell, base = _schedule_parameters(bound)
-        return [
-            JurdzinskiStachowiakNode(i, num_steps, dwell, base) for i in range(n)
-        ]
+        return JurdzinskiStachowiakNode, (num_steps, dwell, base)

@@ -28,9 +28,7 @@ the canonical endpoint.)
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.base import Knockout, NodeSpec, ObliviousNode, ProtocolFactory
 
 __all__ = ["SawtoothBackoffNode", "SawtoothBackoffProtocol"]
 
@@ -88,10 +86,5 @@ class SawtoothBackoffProtocol(ProtocolFactory):
         self.deactivate_on_receive = deactivate_on_receive
         self.name = f"sawtooth(2^{max_exponent})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [
-            SawtoothBackoffNode(i, self.max_exponent, self.deactivate_on_receive)
-            for i in range(n)
-        ]
+    def node_spec(self, n: int) -> NodeSpec:
+        return SawtoothBackoffNode, (self.max_exponent, self.deactivate_on_receive)

@@ -20,13 +20,14 @@ A protocol qualifies if its node objects expose
 (the paper's algorithm, ALOHA, the tournaments). State-dependent protocols
 (BEB) do not have an oblivious schedule and are rejected.
 
-``vector_step``
-    The numpy step the engine (:mod:`repro.sim.engine`) runs a whole node
-    list's rounds with, or ``None`` when each node must be asked in turn.
-    A list of one :class:`ObliviousNode` type with one schedule gets an
-    :class:`ObliviousStep`; a list of plain BEB nodes with one window cap
-    gets a :class:`~repro.protocols.backoff.BackoffStep`. The
-    carrier-sense tournament has a constant ``p`` and so an oblivious
+``template_step`` / ``vector_step``
+    The numpy step the engine (:mod:`repro.sim.engine`) runs all of a
+    run's nodes with, or ``None`` when each node must be asked in turn:
+    from a factory's template node, or from a node list whose nodes all
+    match its first. An :class:`ObliviousNode` type that keeps the base
+    ``decide`` and ``on_feedback`` gets an :class:`ObliviousStep`; a
+    plain BEB node gets a :class:`~repro.protocols.backoff.BackoffStep`.
+    The carrier-sense tournament has a constant ``p`` and so an oblivious
     schedule, but it is not an ``ObliviousNode``: its feedback reads the
     measured energy, which no knockout mask covers, so it keeps the
     engine's per-node step.
@@ -45,6 +46,7 @@ from repro.radio.channel import ChannelObservation
 
 __all__ = [
     "ObliviousStep",
+    "template_step",
     "vector_step",
     "probability_schedule",
     "expected_transmitters",
@@ -69,16 +71,15 @@ def _node_probability(node: NodeProtocol, round_index: int) -> float:
 
 def has_oblivious_schedule(factory: ProtocolFactory, n: int = 2) -> bool:
     """Whether the factory's nodes expose a round-indexed probability."""
-    node = factory.build(n)[0]
     try:
-        _node_probability(node, 0)
+        _node_probability(factory.template(n), 0)
     except TypeError:
         return False
     return True
 
 
 class ObliviousStep:
-    """Rounds of one :class:`ObliviousNode` schedule over a whole node list.
+    """Rounds of one :class:`ObliviousNode` schedule over all of a run's nodes.
 
     ``decide`` draws one ``rng.random(k)`` over the ``k`` awake active
     nodes in id order, exactly the numbers ``k`` per-node
@@ -87,9 +88,8 @@ class ObliviousStep:
     as a mask over the channel's report.
     """
 
-    def __init__(self, nodes: Sequence[ObliviousNode]) -> None:
-        self.nodes = nodes
-        self.template = nodes[0]
+    def __init__(self, template: ObliviousNode) -> None:
+        self.template = template
 
     def decide(
         self,
@@ -114,23 +114,48 @@ class ObliviousStep:
         return rng.random(local_rounds.size) < probability
 
     def knock_out(self, report) -> np.ndarray:
-        """Knock out the listeners the rule removes; return their ids."""
+        """The ids of the listeners the knockout rule removes."""
         rule = self.template.knockout
         if rule is Knockout.ON_RECEIVE:
-            knocked_out = report.listener_ids[report.decoded >= 0]
-        elif (
+            return report.listener_ids[report.decoded >= 0]
+        if (
             rule is Knockout.ON_COLLISION
             and report.observation is ChannelObservation.COLLISION
         ):
-            knocked_out = report.listener_ids
-        else:
-            return _NO_IDS
-        for i in knocked_out.tolist():
-            self.nodes[i].knock_out()
-        return knocked_out
+            return report.listener_ids
+        return _NO_IDS
 
-    def finish(self) -> None:
-        """Nothing to write back: knockouts already reached the nodes."""
+    @staticmethod
+    def write_back(nodes: Sequence[ObliviousNode], active: np.ndarray) -> None:
+        """Knock out every node the run left inactive."""
+        for i in (~active).nonzero()[0].tolist():
+            nodes[i].knock_out()
+
+
+def _is_oblivious(kind: type) -> bool:
+    """Whether ``kind`` is an :class:`ObliviousNode` keeping the base decide and feedback."""
+    return (
+        issubclass(kind, ObliviousNode)
+        and kind.decide is ObliviousNode.decide
+        and kind.on_feedback is ObliviousNode.on_feedback
+    )
+
+
+def template_step(
+    template: NodeProtocol, n: int
+) -> Optional[Union[ObliviousStep, BackoffStep]]:
+    """The vector step for ``n`` fresh copies of ``template``, or ``None``.
+
+    A factory's nodes all share the template's class and parameters
+    (:meth:`~repro.protocols.base.ProtocolFactory.template`), so the
+    template alone decides.
+    """
+    kind = type(template)
+    if kind is BinaryExponentialBackoffNode:
+        return BackoffStep.for_template(template, n)
+    if _is_oblivious(kind):
+        return ObliviousStep(template)
+    return None
 
 
 def vector_step(
@@ -144,7 +169,8 @@ def vector_step(
     attributes apart from id and activity, plus the knockout rule). A
     :class:`~repro.protocols.backoff.BackoffStep` when every node is a
     plain :class:`~repro.protocols.backoff.BinaryExponentialBackoffNode`
-    with the first node's ``max_window``.
+    with the first node's ``max_window``; it starts from each node's own
+    window and countdown.
     """
     if not nodes:
         return None
@@ -152,11 +178,7 @@ def vector_step(
     kind = type(template)
     if kind is BinaryExponentialBackoffNode:
         return BackoffStep.for_nodes(nodes)
-    if not (
-        isinstance(template, ObliviousNode)
-        and kind.decide is ObliviousNode.decide
-        and kind.on_feedback is ObliviousNode.on_feedback
-    ):
+    if not _is_oblivious(kind):
         return None
     schedule = operator.attrgetter(
         *sorted({"knockout", *vars(template)} - {"node_id", "_active"})
@@ -166,7 +188,7 @@ def vector_step(
     if set(map(type, nodes)) == {kind} and list(map(schedule, nodes)).count(
         expected
     ) == len(nodes):
-        return ObliviousStep(nodes)
+        return ObliviousStep(template)
     return None
 
 
@@ -175,12 +197,12 @@ def probability_schedule(
 ) -> np.ndarray:
     """One node's broadcast probability for rounds ``0 .. horizon - 1``.
 
-    ``n`` is passed to ``build`` because some schedules depend on the
-    network size the factory is told about (decay's sweep length).
+    ``n`` is passed to the factory because some schedules depend on the
+    network size it is told about (decay's sweep length).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive (got {horizon})")
-    node = factory.build(n)[0]
+    node = factory.template(n)
     return np.asarray(
         [_node_probability(node, r) for r in range(horizon)], dtype=np.float64
     )
@@ -207,9 +229,9 @@ def expected_transmitters(
     n = len(activations)
     if n < 1:
         raise ValueError("need at least one node")
-    nodes = factory.build(n)
+    node = factory.template(n)
     expected = np.zeros(horizon, dtype=np.float64)
-    for node, activation in zip(nodes, activations):
+    for activation in activations:
         for t in range(activation, horizon):
             expected[t] += _node_probability(node, t - activation)
     return expected

@@ -21,9 +21,7 @@ deployments in the test suite.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
+from repro.protocols.base import Knockout, NodeSpec, ObliviousNode, ProtocolFactory
 
 __all__ = ["FixedProbabilityNode", "FixedProbabilityProtocol"]
 
@@ -60,7 +58,5 @@ class FixedProbabilityProtocol(ProtocolFactory):
         self.p = p
         self.name = f"simple(p={p:g})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [FixedProbabilityNode(i, self.p) for i in range(n)]
+    def node_spec(self, n: int) -> NodeSpec:
+        return FixedProbabilityNode, (self.p,)

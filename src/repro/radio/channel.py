@@ -12,13 +12,13 @@ from __future__ import annotations
 import time
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.registry import get_registry
 
-__all__ = ["ChannelObservation", "RadioReport", "RadioChannel", "node_mask"]
+__all__ = ["ChannelObservation", "RadioReport", "RadioChannel", "round_ids"]
 
 
 class ChannelObservation(Enum):
@@ -33,10 +33,10 @@ _NO_IDS = np.empty(0, dtype=np.intp)
 _NO_IDS.flags.writeable = False
 
 
-def node_mask(ids: Sequence[int], n: int, role: str) -> np.ndarray:
+def _node_mask(ids: Sequence[int], n: int, role: str) -> np.ndarray:
     """The length-``n`` boolean mask of ``ids``; duplicates are ignored.
 
-    Both channels validate a round's ids with it: a negative id raises
+    :func:`round_ids` validates a round's ids with it: a negative id raises
     instead of wrapping (-1 would address node ``n - 1``), and an id
     ``>= n`` raises a clear ``IndexError`` instead of a raw numpy error.
     Arrays are used as given, without a copy.
@@ -50,6 +50,24 @@ def node_mask(ids: Sequence[int], n: int, role: str) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
     return mask
+
+
+def round_ids(
+    transmitters: Sequence[int], listeners: Optional[Sequence[int]], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A round's validated ids: sorted transmitters and sorted listeners.
+
+    ``listeners`` defaults to every non-transmitter; a transmitter listed
+    as a listener too only transmits. Both channels' public ``resolve``
+    turns its arguments into the ``resolve_ids`` arguments with it.
+    """
+    tx_mask = _node_mask(transmitters, n, "transmitter")
+    if listeners is None:
+        listen_mask = ~tx_mask
+    else:
+        listen_mask = _node_mask(listeners, n, "listener")
+        listen_mask[tx_mask] = False
+    return tx_mask.nonzero()[0], listen_mask.nonzero()[0]
 
 
 class RadioReport:
@@ -154,43 +172,40 @@ class RadioChannel:
     ) -> RadioReport:
         """Resolve one synchronous round.
 
-        The signature mirrors :meth:`repro.sinr.channel.SINRChannel.resolve`
-        so the simulation engine can drive either substrate; ``rng`` is
-        accepted (and ignored) for that reason — the collision channel is
-        deterministic given the transmitter set.
+        The signature mirrors :meth:`repro.sinr.channel.SINRChannel.resolve`,
+        so callers can drive either substrate; ``rng`` is accepted (and
+        ignored) for that reason — the collision channel is deterministic
+        given the transmitter set. Ids are validated and deduplicated
+        (:func:`round_ids`), then resolved by :meth:`resolve_ids`.
+        """
+        return self.resolve_ids(*round_ids(transmitters, listeners, self.n), rng)
+
+    def resolve_ids(
+        self,
+        tx: np.ndarray,
+        listener_ids: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+    ) -> RadioReport:
+        """Resolve a round given as sorted, disjoint, in-range id arrays.
+
+        The ids are used as given, unchecked: the engine, which already
+        holds them in that form, calls this directly.
         """
         obs = get_registry()
-        if not obs.enabled:
-            return self._resolve(transmitters, listeners)
-        started = time.perf_counter()
-        report = self._resolve(transmitters, listeners)
-        obs.counter("channel.radio.resolve_calls").inc()
-        obs.histogram("channel.radio.resolve_seconds").observe(
-            time.perf_counter() - started
-        )
-        return report
-
-    def _resolve(
-        self,
-        transmitters: Sequence[int],
-        listeners: Optional[Sequence[int]],
-    ) -> RadioReport:
-        """The uninstrumented resolve body (see :meth:`resolve`)."""
-        tx_mask = node_mask(transmitters, self.n, "transmitter")
-        if listeners is None:
-            listen_mask = ~tx_mask
-        else:
-            listen_mask = node_mask(listeners, self.n, "listener")
-            listen_mask[tx_mask] = False
-        tx = tx_mask.nonzero()[0]
-
+        started = time.perf_counter() if obs.enabled else 0.0
         if tx.size == 1:
             observation = ChannelObservation.MESSAGE
         elif tx.size >= 2 and self.collision_detection:
             observation = ChannelObservation.COLLISION
         else:
             observation = ChannelObservation.SILENCE
-        return RadioReport(tx, listen_mask.nonzero()[0], observation)
+        report = RadioReport(tx, listener_ids, observation)
+        if obs.enabled:
+            obs.counter("channel.radio.resolve_calls").inc()
+            obs.histogram("channel.radio.resolve_seconds").observe(
+                time.perf_counter() - started
+            )
+        return report
 
     def __repr__(self) -> str:
         return f"RadioChannel(n={self.n}, collision_detection={self.collision_detection})"

@@ -25,9 +25,8 @@ listener (SINR) or one observation for the round (radio). Their
 ``received_from`` / ``energy`` / ``observations`` mappings are built only
 when read, which the engine does only for round records.
 
-A round's decide and feedback take one of two steps.
-:func:`repro.protocols.schedules.vector_step` looks the node list up
-once per run:
+A round's decide and feedback take one of two steps, chosen once per
+run (:mod:`repro.protocols.schedules`):
 
 * the **vector step**, when every node is the same
   :class:`~repro.protocols.base.ObliviousNode` with the same schedule
@@ -38,14 +37,24 @@ once per run:
   ``rng.random()`` calls would; BEB keeps its windows and countdowns as
   arrays and draws the transmitters' new countdowns with one
   ``rng.integers(0, windows)``. The knockout rule is a mask over the
-  report's arrays, and node state is written back to the nodes;
+  report's arrays;
 * the **per-node step** for every other node list (carrier sense,
   mixed lists): each node decides and receives its
   :class:`~repro.protocols.base.Feedback`, read from the report's arrays
   by listener position.
 
-Both steps feed the same round loop, ``channel.resolve`` call and
-bookkeeping, and give the same trace, records and final node state.
+A simulation takes a protocol factory or a node list. From a factory
+whose :meth:`~repro.protocols.base.ProtocolFactory.template` node takes
+the vector step, a run builds no nodes at all: it starts from an
+all-active mask (and the template's BEB window and countdown). Any other
+factory builds its node list and runs as a list does. A list takes the
+vector step when every node matches its first, and the run ends by
+writing the state the step kept as arrays back to the nodes.
+
+Both steps feed the same round loop, the channel's ``resolve_ids`` (the
+round's sorted, disjoint ids need no re-validation) and bookkeeping,
+and give the same trace, records and final node state; a factory run
+gives the trace and records of a run of its node list.
 
 Staggered activation (the *wake-up* flavour of the problem, [7] in the
 paper's related work) is supported via ``activation_schedule``: node ``i``
@@ -60,14 +69,14 @@ exactly this.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
-from repro.protocols.base import Action, Feedback, NodeProtocol
-from repro.protocols.schedules import vector_step
+from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.schedules import template_step, vector_step
 from repro.radio.channel import RadioChannel
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
@@ -87,13 +96,15 @@ class Simulation:
     Parameters
     ----------
     channel:
-        Any object exposing ``resolve(transmitters, rng=..., listeners=...)``
-        and an ``n`` attribute — :class:`repro.sinr.SINRChannel` or
+        Any object exposing ``resolve_ids(tx, listener_ids, rng)`` and an
+        ``n`` attribute — :class:`repro.sinr.SINRChannel` or
         :class:`repro.radio.RadioChannel` — whose reports carry their
         array fields (``listener_ids``, ``decoded``, ``observation``).
     nodes:
-        Per-node state machines, one per channel node, in id order
-        (typically ``factory.build(channel.n)``).
+        The protocol factory, or per-node state machines, one per
+        channel node, in id order (``factory.build(channel.n)``). Only a
+        node list can be inspected after the run; :attr:`nodes` is
+        ``None`` for a factory run that builds none.
     rng:
         Generator driving every random choice of this execution.
     max_rounds:
@@ -116,7 +127,7 @@ class Simulation:
     def __init__(
         self,
         channel,
-        nodes: List[NodeProtocol],
+        nodes: Union[ProtocolFactory, List[NodeProtocol]],
         rng: np.random.Generator,
         max_rounds: int = 100_000,
         keep_records: bool = True,
@@ -124,13 +135,23 @@ class Simulation:
         protocol_name: Optional[str] = None,
         activation_schedule: Optional[List[int]] = None,
     ) -> None:
-        if len(nodes) != channel.n:
-            raise ValueError(
-                f"node count {len(nodes)} does not match channel size {channel.n}"
-            )
+        if isinstance(nodes, ProtocolFactory):
+            self._factory: Optional[ProtocolFactory] = nodes
+            self._template = nodes.template(channel.n)
+            self.nodes: Optional[List[NodeProtocol]] = None
+            kinds = {type(self._template)}
+        else:
+            if len(nodes) != channel.n:
+                raise ValueError(
+                    f"node count {len(nodes)} does not match channel size {channel.n}"
+                )
+            self._factory = None
+            self._template = nodes[0]
+            self.nodes = nodes
+            kinds = set(map(type, nodes))
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be positive (got {max_rounds})")
-        self._check_capabilities(channel, nodes)
+        self._check_capabilities(channel, kinds)
         if activation_schedule is None:
             activation = np.zeros(channel.n, dtype=np.int64)
         else:
@@ -143,18 +164,16 @@ class Simulation:
             if activation.min() < 0:
                 raise ValueError("activation rounds must be non-negative")
         self.channel = channel
-        self.nodes = nodes
         self.rng = rng
         self.max_rounds = max_rounds
         self.keep_records = keep_records
         self.observers = list(observers) if observers else []
-        self.protocol_name = protocol_name or type(nodes[0]).__name__
+        self.protocol_name = protocol_name or type(self._template).__name__
         self.activation = activation
 
     @staticmethod
-    def _check_capabilities(channel, nodes: List[NodeProtocol]) -> None:
-        """Refuse protocol/channel pairings whose assumptions do not hold."""
-        kinds = {type(node) for node in nodes}
+    def _check_capabilities(channel, kinds: set) -> None:
+        """Refuse pairings with a channel that node classes' assumptions rule out."""
         needs_cd = any(
             getattr(kind, "requires_collision_detection", False) for kind in kinds
         )
@@ -210,9 +229,8 @@ class Simulation:
             h_tx = obs.histogram("sim.transmitters_per_round")
             g_active = obs.gauge("sim.active_population")
         trace = ExecutionTrace(n=self.channel.n, protocol_name=self.protocol_name)
-        active = np.array([node.active for node in self.nodes], dtype=bool)
+        step, active = self._start()
         everyone_awake_from_start = bool(np.all(self.activation == 0))
-        step = vector_step(self.nodes)
         staggered = not everyone_awake_from_start
         recorded = self.keep_records or bool(self.observers)
 
@@ -238,7 +256,7 @@ class Simulation:
                 bus.begin_round(round_index)
                 if nearest is not None:
                     nearest.sync(active & awake)
-            report = self.channel.resolve(tx_ids, rng=self.rng, listeners=listener_ids)
+            report = self.channel.resolve_ids(tx_ids, listener_ids, self.rng)
 
             if step is None:
                 knocked_out = self._deliver_feedback(
@@ -283,13 +301,28 @@ class Simulation:
             if tx_ids.size == 1:
                 trace.solved_round = round_index
                 break
-        if step is not None:
-            step.finish()
+        if step is not None and self.nodes is not None:
+            step.write_back(self.nodes, active)
         if recording and trace.solved:
             obs.counter("sim.solved_executions").inc()
         if probing:
             bus.end_execution(trace.rounds_executed, trace.solved_round)
         return trace
+
+    def _start(self):
+        """The run's vector step (``None``: the per-node step) and active mask.
+
+        A factory run whose template takes the vector step starts with
+        every node active and builds no nodes; any other factory builds
+        its node list here.
+        """
+        if self.nodes is None:
+            step = template_step(self._template, self.channel.n)
+            if step is not None:
+                return step, np.ones(self.channel.n, dtype=bool)
+            self.nodes = self._factory.build(self.channel.n)
+        active = np.array([node.active for node in self.nodes], dtype=bool)
+        return vector_step(self.nodes), active
 
     def _decide_each(self, active_ids: np.ndarray, local_rounds: np.ndarray) -> np.ndarray:
         """Ask each awake active node in id order; the transmit mask."""

@@ -165,10 +165,9 @@ def execute_trial(
     """
     if channel is None:
         channel = channel_factory(deploy_rng)
-    nodes = protocol.build(channel.n)
     simulation = Simulation(
         channel,
-        nodes,
+        protocol,
         rng=protocol_rng,
         max_rounds=max_rounds,
         keep_records=keep_trace,

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.obs.probe import SINRProbeColumns, get_probe_bus
 from repro.obs.registry import get_registry
-from repro.radio.channel import node_mask
+from repro.radio.channel import round_ids
 from repro.sinr.fading import DeterministicGain, GainModel
 from repro.sinr.geometry import (
     as_positions,
@@ -418,12 +418,27 @@ class SINRChannel:
         Returns
         -------
         ReceptionReport
+            What :meth:`resolve_ids` returns for the validated,
+            deduplicated ids (:func:`~repro.radio.channel.round_ids`).
+        """
+        return self.resolve_ids(*round_ids(transmitters, listeners, self.n), rng)
+
+    def resolve_ids(
+        self,
+        tx: np.ndarray,
+        listener_ids: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+    ) -> ReceptionReport:
+        """Resolve a round given as sorted, disjoint, in-range id arrays.
+
+        The ids are used as given, unchecked: the engine, which already
+        holds them in that form, calls this directly.
         """
         obs = get_registry()
         if not obs.enabled:
-            return self._resolve(transmitters, rng, listeners)
+            return self._resolve_ids(tx, listener_ids, rng)
         started = time.perf_counter()
-        report = self._resolve(transmitters, rng, listeners)
+        report = self._resolve_ids(tx, listener_ids, rng)
         obs.counter("channel.sinr.resolve_calls").inc()
         # Every (transmitter, listener) pair costs one gain-matrix cell
         # evaluation in the reductions.
@@ -435,22 +450,13 @@ class SINRChannel:
         )
         return report
 
-    def _resolve(
+    def _resolve_ids(
         self,
-        transmitters: Sequence[int],
+        tx: np.ndarray,
+        listener_ids: np.ndarray,
         rng: Optional[np.random.Generator],
-        listeners: Optional[Sequence[int]],
     ) -> ReceptionReport:
-        """The uninstrumented resolve body (see :meth:`resolve`)."""
-        tx_mask = node_mask(transmitters, self.n, "transmitter")
-        if listeners is None:
-            listen_mask = ~tx_mask
-        else:
-            listen_mask = node_mask(listeners, self.n, "listener")
-            listen_mask[tx_mask] = False
-        tx = tx_mask.nonzero()[0]
-        listener_ids = listen_mask.nonzero()[0]
-
+        """The uninstrumented body of :meth:`resolve_ids`."""
         if listener_ids.size == 0:
             return ReceptionReport(tx)
         if tx.size == 0:
@@ -459,11 +465,11 @@ class SINRChannel:
                 tx,
                 listener_ids,
                 np.full(listener_ids.size, -1, dtype=np.intp),
-                self._external_interference(listen_mask, rng),
+                self._external_interference(listener_ids, rng),
             )
 
         if self.gain_model.is_deterministic:
-            external = self._external_interference(listen_mask, rng)
+            external = self._external_interference(listener_ids, rng)
             totals, best, decoded = self.decode(tx, listener_ids, external)
             return ReceptionReport(
                 tx, listener_ids, np.where(decoded, tx[best], -1), totals
@@ -473,8 +479,8 @@ class SINRChannel:
         if rng is None:
             raise ValueError("a stochastic gain model requires an rng")
         gains = self.gain_model.round_gains(self._gain_matrix, rng)
-        rows = gains[tx][:, listen_mask]
-        external = self._external_interference(listen_mask, rng)
+        rows = gains[tx][:, listener_ids]
+        external = self._external_interference(listener_ids, rng)
         totals = rows.sum(axis=0) + external
 
         # The argmax is exhaustive here too (see decode).
@@ -492,12 +498,11 @@ class SINRChannel:
         return ReceptionReport(tx, listener_ids, np.where(ok, tx[best_rows], -1), totals)
 
     def _external_interference(
-        self, listen_mask: np.ndarray, rng: Optional[np.random.Generator]
+        self, listener_ids: np.ndarray, rng: Optional[np.random.Generator]
     ) -> np.ndarray:
         """Arriving external power per listener for one round."""
-        num_listeners = int(listen_mask.sum())
         if not self.external_sources:
-            return np.zeros(num_listeners)
+            return np.zeros(listener_ids.size)
         duty_cycles = np.asarray([s.duty_cycle for s in self.external_sources])
         if np.all(duty_cycles >= 1.0):
             on_air = np.ones(len(self.external_sources), dtype=bool)
@@ -508,8 +513,8 @@ class SINRChannel:
                 )
             on_air = rng.random(len(self.external_sources)) < duty_cycles
         if not on_air.any():
-            return np.zeros(num_listeners)
-        return self._external_gains[on_air][:, listen_mask].sum(axis=0)
+            return np.zeros(listener_ids.size)
+        return self._external_gains[on_air][:, listener_ids].sum(axis=0)
 
     def sinr(self, sender: int, receiver: int, interferers: Sequence[int]) -> float:
         """Point SINR of Equation 1 for explicit sets — used by tests."""

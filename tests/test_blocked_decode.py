@@ -26,7 +26,7 @@ from repro.sinr import channel as sinr_channel
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
 from tests.test_matrix_free import DEPLOYMENTS
-from tests.test_report_oracles import _jammed, radio_oracle
+from tests.test_report_oracles import _jammed, mask_external_interference, radio_oracle
 
 BLOCK_CELLS = [1, 7, 1000, sinr_channel._DECODE_BLOCK_CELLS]
 
@@ -207,7 +207,7 @@ def dense_resolve(channel, tx, listeners, rng):
     listen_mask = np.zeros(channel.n, dtype=bool)
     listen_mask[listeners] = True
     # Deterministic gains draw nothing, so the external draw comes first.
-    external = channel._external_interference(listen_mask, rng)
+    external = mask_external_interference(channel, listen_mask, rng)
     totals, best_rows, decoded, probe = dense_decode(channel, tx, listeners, external)
     return np.where(decoded, tx[best_rows], -1), totals, probe
 

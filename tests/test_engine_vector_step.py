@@ -11,6 +11,10 @@ reached by re-typing each node to a test-only subclass that overrides
 so everything must agree exactly: round records, observer views, final
 node state (``active``, and BEB's ``window`` and ``_countdown``), the
 generator's state after the run, registry counters and probe arrays.
+
+Each case also runs from the protocol factory instead of a node list,
+which builds no nodes for a vector-step protocol; that run must give
+the same trace, records, observer views and generator state.
 """
 
 import functools
@@ -33,11 +37,12 @@ from repro.protocols import (
     carrier_sense_threshold,
 )
 from repro.protocols.backoff import BackoffStep, BinaryExponentialBackoffNode
-from repro.protocols.base import Knockout, ObliviousNode
+from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
 from repro.protocols.schedules import ObliviousStep, vector_step
 from repro.protocols.simple import FixedProbabilityNode
 from repro.radio.channel import RadioChannel
 from repro.sim.engine import Simulation
+from repro.sim.runner import run_trials
 from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
@@ -116,14 +121,26 @@ def _nodes(protocol, per_node):
     return nodes
 
 
-def _run(protocol, channel, seed, per_node, keep_records=True, observe=True, **kwargs):
-    """One execution; returns everything the two steps must agree on."""
-    nodes = _nodes(protocol, per_node)
+#: Result fields only a run of a node list has.
+_NODE_FIELDS = ("final_active", "final_state")
+
+
+def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwargs):
+    """One execution; returns everything the steps must agree on.
+
+    ``source`` is what the run is given: ``"vector"``, the node list
+    (taking the vector step); ``"per_node"``, the node list re-typed to
+    take the per-node step; or ``"factory"``.
+    """
+    if source == "factory":
+        given = FACTORIES[protocol]
+    else:
+        given = _nodes(protocol, source == "per_node")
     seen = []
     rng = generator_from(seed)
-    trace = Simulation(
+    simulation = Simulation(
         channel,
-        nodes,
+        given,
         rng=rng,
         max_rounds=3_000,
         keep_records=keep_records,
@@ -131,17 +148,34 @@ def _run(protocol, channel, seed, per_node, keep_records=True, observe=True, **k
         if observe
         else None,
         **kwargs,
-    ).run()
-    return {
+    )
+    trace = simulation.run()
+    result = {
         "solved_round": trace.solved_round,
         "rounds_executed": trace.rounds_executed,
         "protocol_name": trace.protocol_name,
         "records": trace.records,
         "seen": [(record, active.tolist()) for record, active in seen],
-        "final_active": [node.active for node in nodes],
-        "final_state": [vars(node) for node in nodes],
         "rng_state": rng.bit_generator.state,
     }
+    if source == "factory":
+        assert simulation.nodes is None  # a vector-step factory builds no nodes
+    else:
+        result["final_active"] = [node.active for node in given]
+        result["final_state"] = [vars(node) for node in given]
+    return result
+
+
+def _without_nodes(result):
+    return {key: value for key, value in result.items() if key not in _NODE_FIELDS}
+
+
+def _parity(protocol, channel, seed, **kwargs):
+    """The vector run of the node list, checked against the per-node and factory runs."""
+    vector = _run(protocol, channel, seed, "vector", **kwargs)
+    assert vector == _run(protocol, channel, seed, "per_node", **kwargs)
+    assert _without_nodes(vector) == _run(protocol, channel, seed, "factory", **kwargs)
+    return vector
 
 
 class TestParity:
@@ -149,10 +183,7 @@ class TestParity:
     def test_records_observers_and_final_state_match(self, protocol, channel):
         knockouts = 0
         for seed in SEEDS:
-            ch = CHANNELS[channel]()
-            vector = _run(protocol, ch, seed, per_node=False)
-            reference = _run(protocol, ch, seed, per_node=True)
-            assert vector == reference
+            vector = _parity(protocol, CHANNELS[channel](), seed)
             assert len(vector["records"]) == vector["rounds_executed"]
             knockouts += sum(len(r.knocked_out) for r in vector["records"])
         if PROTOCOLS[protocol].build(N)[0].knockout is not Knockout.NEVER:
@@ -160,23 +191,27 @@ class TestParity:
 
     @pytest.mark.parametrize("protocol,channel", CASES)
     def test_without_records_or_observers(self, protocol, channel):
-        ch = CHANNELS[channel]()
-        vector = _run(protocol, ch, 7, per_node=False, keep_records=False, observe=False)
-        reference = _run(protocol, ch, 7, per_node=True, keep_records=False, observe=False)
-        assert vector == reference
+        vector = _parity(
+            protocol, CHANNELS[channel](), 7, keep_records=False, observe=False
+        )
         assert vector["records"] == [] and vector["seen"] == []
 
     @pytest.mark.parametrize(
-        "protocol", ["simple", "decay", "decay_knockout", "js16", "sawtooth_knockout"]
+        "channel,protocol",
+        [
+            (channel, protocol)
+            for channel in ("sinr", "radio", "radio_cd")
+            for protocol in PROTOCOLS
+            if protocol != "cd_tournament" or channel == "radio_cd"
+        ],
     )
-    @pytest.mark.parametrize("channel", ["sinr", "radio"])
     def test_staggered_activation(self, protocol, channel):
         schedule = generator_from(12).integers(0, 25, size=N).tolist()
         for seed in SEEDS:
-            ch = CHANNELS[channel]()
-            vector = _run(protocol, ch, seed, per_node=False, activation_schedule=schedule)
-            reference = _run(protocol, ch, seed, per_node=True, activation_schedule=schedule)
-            assert vector == reference
+            vector = _parity(
+                protocol, CHANNELS[channel](), seed, activation_schedule=schedule
+            )
+            assert len(vector["seen"]) == vector["rounds_executed"]
 
     @pytest.mark.parametrize("channel", ["sinr", "radio", "radio_cd"])
     def test_collision_rule_needs_collision_detection(self, channel):
@@ -185,6 +220,10 @@ class TestParity:
         class Conceding(ObliviousNode):
             knockout = Knockout.ON_COLLISION
             p = 0.1
+
+        class ConcedingProtocol(ProtocolFactory):
+            def node_spec(self, n):
+                return Conceding, ()
 
         def run(per_node):
             nodes = [Conceding(i) for i in range(N)]
@@ -200,6 +239,10 @@ class TestParity:
         assert (solved, records, final) == run(per_node=True)
         assert solved
         assert all(final) is (channel != "radio_cd")
+        trace = Simulation(
+            CHANNELS[channel](), ConcedingProtocol(), rng=generator_from(9), max_rounds=2_000
+        ).run()
+        assert (trace.solved, trace.records) == (solved, records)
 
     def test_nodes_inactive_at_start_stay_out(self):
         def run(per_node):
@@ -216,7 +259,7 @@ class TestParity:
         assert all(0 not in r.active_before for r in records)
 
 
-def _instrumented(protocol, channel, seed, per_node):
+def _instrumented(protocol, channel, seed, source):
     registry = MetricsRegistry(enabled=True)
     bus = ProbeBus(enabled=True)
     recorder = ProbeRecorder()
@@ -224,7 +267,7 @@ def _instrumented(protocol, channel, seed, per_node):
     previous_registry = set_registry(registry)
     previous_bus = set_probe_bus(bus)
     try:
-        outcome = _run(protocol, channel, seed, per_node, keep_records=False, observe=False)
+        outcome = _run(protocol, channel, seed, source, keep_records=False, observe=False)
     finally:
         set_probe_bus(previous_bus)
         set_registry(previous_registry)
@@ -244,14 +287,19 @@ class TestTelemetryParity:
     )
     def test_registry_and_probes_match(self, protocol, channel):
         ch = CHANNELS[channel]()
-        vector, vector_metrics, vector_probes = _instrumented(protocol, ch, 8, False)
-        reference, reference_metrics, reference_probes = _instrumented(protocol, ch, 8, True)
+        vector, vector_metrics, vector_probes = _instrumented(protocol, ch, 8, "vector")
+        reference, reference_metrics, reference_probes = _instrumented(
+            protocol, ch, 8, "per_node"
+        )
+        factory, factory_metrics, factory_probes = _instrumented(protocol, ch, 8, "factory")
         assert vector == reference
-        assert vector_metrics == reference_metrics
+        assert _without_nodes(vector) == factory
+        assert vector_metrics == reference_metrics == factory_metrics
         assert vector_metrics["sim.rounds"]["value"] == vector["rounds_executed"]
-        assert vector_probes.keys() == reference_probes.keys()
+        assert vector_probes.keys() == reference_probes.keys() == factory_probes.keys()
         for name in vector_probes:
             np.testing.assert_array_equal(vector_probes[name], reference_probes[name])
+            np.testing.assert_array_equal(vector_probes[name], factory_probes[name])
         assert vector_probes["rounds_round"].size == vector["rounds_executed"]
 
 
@@ -261,10 +309,7 @@ class TestBackoffParity:
     def test_records_observers_and_state_match(self, protocol, channel):
         knockouts = 0
         for seed in SEEDS:
-            ch = CHANNELS[channel]()
-            vector = _run(protocol, ch, seed, per_node=False)
-            reference = _run(protocol, ch, seed, per_node=True)
-            assert vector == reference
+            vector = _parity(protocol, CHANNELS[channel](), seed)
             assert vector["solved_round"] is not None
             knockouts += sum(len(r.knocked_out) for r in vector["records"])
         if channel not in ("radio", "radio_cd"):
@@ -279,10 +324,7 @@ class TestBackoffParity:
     def test_staggered_activation(self, protocol, channel):
         schedule = generator_from(12).integers(0, 25, size=N).tolist()
         for seed in SEEDS:
-            ch = CHANNELS[channel]()
-            vector = _run(protocol, ch, seed, per_node=False, activation_schedule=schedule)
-            reference = _run(protocol, ch, seed, per_node=True, activation_schedule=schedule)
-            assert vector == reference
+            _parity(protocol, CHANNELS[channel](), seed, activation_schedule=schedule)
 
     def test_array_highs_draw_like_scalar_calls(self):
         # One rng.integers(0, highs) over an array must draw, in order, the
@@ -308,6 +350,31 @@ class TestBackoffParity:
             )
             assert drawn.tolist() == scalar, message
             assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state, message
+
+
+def _factory_channel(protocol):
+    return "radio_cd" if protocol == "cd_tournament" else "sinr"
+
+
+class TestFactoryRuns:
+    @pytest.mark.parametrize("protocol", sorted(FACTORIES))
+    def test_runner_trial_builds_at_most_one_node(self, monkeypatch, protocol):
+        built = []
+        original = NodeProtocol.__init__
+
+        def counting(self, node_id):
+            built.append(node_id)
+            original(self, node_id)
+
+        monkeypatch.setattr(NodeProtocol, "__init__", counting)
+        channel = CHANNELS[_factory_channel(protocol)]
+        stats = run_trials(lambda rng: channel(), FACTORIES[protocol], 3, seed=4, workers=1)
+        assert stats.trials == 3 and stats.total_rounds_executed > 0
+        assert len(built) <= 3  # one template per trial
+
+    def test_factory_that_rejects_the_size_raises(self):
+        with pytest.raises(ValueError, match="size_bound"):
+            Simulation(CHANNELS["sinr"](), DecayProtocol(size_bound=N - 1), rng=generator_from(0))
 
 
 class TestWhichStepRuns:
@@ -339,6 +406,27 @@ class TestWhichStepRuns:
         channel = CHANNELS["radio_cd"]() if protocol == "cd_tournament" else None
         self._execute(FACTORIES[protocol].build(N), channel)
         assert steps["vector"] > 0 and steps["per_node"] == 0
+
+    @pytest.mark.parametrize("protocol", sorted(FACTORIES))
+    def test_opted_in_factories_take_the_vector_step(self, steps, protocol):
+        self._execute(FACTORIES[protocol], CHANNELS[_factory_channel(protocol)]())
+        assert steps["vector"] > 0 and steps["per_node"] == 0
+
+    def test_carrier_sense_factory_builds_its_nodes_and_takes_the_per_node_step(
+        self, steps
+    ):
+        channel = SINRChannel(_POSITIONS)
+        protocol = CarrierSenseTournamentProtocol(carrier_sense_threshold(channel))
+        simulation = Simulation(channel, protocol, rng=generator_from(1), max_rounds=200)
+        reference = Simulation(
+            channel, protocol.build(N), rng=generator_from(1), max_rounds=200
+        )
+        assert simulation.run().records == reference.run().records
+        assert len(simulation.nodes) == N
+        assert [node.active for node in simulation.nodes] == [
+            node.active for node in reference.nodes
+        ]
+        assert steps["per_node"] > 0 and steps["vector"] == 0
 
     @pytest.mark.parametrize(
         "nodes",

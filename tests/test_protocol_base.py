@@ -13,8 +13,8 @@ class _MinimalNode(NodeProtocol):
 class _MinimalFactory(ProtocolFactory):
     name = "minimal"
 
-    def build(self, n):
-        return [_MinimalNode(i) for i in range(n)]
+    def node_spec(self, n):
+        return _MinimalNode, ()
 
 
 class TestFeedback:
@@ -68,6 +68,19 @@ class TestProtocolFactory:
     def test_build_produces_sequential_ids(self):
         nodes = _MinimalFactory().build(4)
         assert [n.node_id for n in nodes] == [0, 1, 2, 3]
+
+    def test_template_is_a_fresh_node_zero(self):
+        factory = _MinimalFactory()
+        template = factory.template(4)
+        assert type(template) is _MinimalNode and template.node_id == 0
+        assert vars(template) == vars(factory.build(4)[0])
+        assert factory.template(4) is not template
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_build_and_template_reject_non_positive_sizes(self, n):
+        for make in (_MinimalFactory().build, _MinimalFactory().template):
+            with pytest.raises(ValueError, match="n must be positive"):
+                make(n)
 
 
 class TestActionEnum:

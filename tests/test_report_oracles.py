@@ -5,7 +5,9 @@ round's outcome as arrays (transmitter ids, listener ids, the decoded
 sender per listener, energy per listener or one observation per round)
 and build ``received_from``, ``energy`` and ``observations`` only when
 asked. The oracles below are the resolvers that built those mappings
-directly, one entry per listener, kept here unchanged. On random rounds
+directly, one entry per listener, kept here unchanged, with the
+channel's old external-power sum over a listener mask's columns
+(:func:`mask_external_interference`). On random rounds
 the reports' ``transmitters`` and mappings must equal the oracles', the
 generator must end in the same state, and bad ids must raise the same
 ``IndexError``.
@@ -22,6 +24,25 @@ from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
 from repro.sinr.jamming import ExternalSource
 from tests.test_matrix_free import DEPLOYMENTS
+
+
+def mask_external_interference(
+    channel: SINRChannel, listen_mask: np.ndarray, rng: Optional[np.random.Generator]
+) -> np.ndarray:
+    """Arriving external power per listener, summed over a listener mask's columns."""
+    num_listeners = int(listen_mask.sum())
+    if not channel.external_sources:
+        return np.zeros(num_listeners)
+    duty_cycles = np.asarray([s.duty_cycle for s in channel.external_sources])
+    if np.all(duty_cycles >= 1.0):
+        on_air = np.ones(len(channel.external_sources), dtype=bool)
+    else:
+        if rng is None:
+            raise ValueError("external sources with duty_cycle < 1 require an rng")
+        on_air = rng.random(len(channel.external_sources)) < duty_cycles
+    if not on_air.any():
+        return np.zeros(num_listeners)
+    return channel.external_gains[on_air][:, listen_mask].sum(axis=0)
 
 
 def sinr_oracle(
@@ -47,7 +68,7 @@ def sinr_oracle(
     if not listen_mask.any():
         return tuple(int(i) for i in tx), {}, {}
     if tx.size == 0:
-        external = channel._external_interference(listen_mask, rng)
+        external = mask_external_interference(channel, listen_mask, rng)
         energy = {
             int(node): float(value)
             for node, value in zip(np.flatnonzero(listen_mask), external)
@@ -63,7 +84,7 @@ def sinr_oracle(
             raise ValueError("a stochastic gain model requires an rng")
         gains = channel.gain_model.round_gains(channel._gain_matrix, rng)
         rows = gains[tx][:, listen_mask]
-    external = channel._external_interference(listen_mask, rng)
+    external = mask_external_interference(channel, listen_mask, rng)
     totals = rows.sum(axis=0) + external
     received: Dict[int, int] = {}
     best_rows = rows.argmax(axis=0)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.protocols.aloha import SlottedAlohaProtocol
 from repro.protocols.backoff import BinaryExponentialBackoffProtocol
+from repro.protocols.base import NodeProtocol
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.js16 import JurdzinskiStachowiakProtocol
 from repro.protocols.schedules import (
@@ -51,6 +52,24 @@ class TestHasObliviousSchedule:
         assert has_oblivious_schedule(FixedProbabilityProtocol())
         assert has_oblivious_schedule(DecayProtocol(size_bound=4))
         assert not has_oblivious_schedule(BinaryExponentialBackoffProtocol())
+
+
+class TestReadsTheTemplate:
+    def test_one_node_per_query(self, monkeypatch):
+        built = []
+        original = NodeProtocol.__init__
+
+        def counting(self, node_id):
+            built.append(node_id)
+            original(self, node_id)
+
+        monkeypatch.setattr(NodeProtocol, "__init__", counting)
+        factory = DecayProtocol()
+        schedule = probability_schedule(factory, horizon=12, n=1 << 12)
+        assert np.allclose(schedule[:12], 2.0 ** -(np.arange(12) + 1))
+        assert has_oblivious_schedule(factory, n=1 << 12)
+        expected_transmitters(factory, activations=[0, 1] * 512, horizon=3)
+        assert built == [0, 0, 0]
 
 
 class TestExpectedTransmitters:
