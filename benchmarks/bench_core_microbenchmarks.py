@@ -46,10 +46,9 @@ def test_full_execution_simple_protocol(benchmark):
     channel = SINRChannel(positions)
 
     def execute():
-        nodes = FixedProbabilityProtocol(p=0.1).build(channel.n)
         return Simulation(
             channel,
-            nodes,
+            FixedProbabilityProtocol(p=0.1),
             rng=generator_from(1003),
             max_rounds=50_000,
             keep_records=False,

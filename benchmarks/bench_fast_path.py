@@ -29,10 +29,9 @@ def test_generic_engine_full_run(benchmark):
     channel = _channel()
 
     def run():
-        nodes = FixedProbabilityProtocol(p=P).build(channel.n)
         return Simulation(
             channel,
-            nodes,
+            FixedProbabilityProtocol(p=P),
             rng=generator_from(2003),
             max_rounds=50_000,
             keep_records=False,

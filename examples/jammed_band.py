@@ -33,8 +33,8 @@ def run_batch(jam_factor: float, trials: int = 30, n: int = 48):
             channel = repro.SINRChannel(positions, external_sources=[jammer])
         else:
             channel = repro.SINRChannel(positions)
-        nodes = repro.FixedProbabilityProtocol(p=0.1).build(channel.n)
-        trace = repro.Simulation(channel, nodes, rng=rng, max_rounds=20_000).run()
+        protocol = repro.FixedProbabilityProtocol(p=0.1)
+        trace = repro.Simulation(channel, protocol, rng=rng, max_rounds=20_000).run()
         rounds.append(trace.rounds_to_solve)
     return rounds
 

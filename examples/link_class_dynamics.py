@@ -31,10 +31,10 @@ def main() -> None:
     tracker = repro.LinkClassTracker(distances)
 
     channel = repro.SINRChannel(positions)
-    nodes = repro.FixedProbabilityProtocol(p=0.25).build(channel.n)
+    protocol = repro.FixedProbabilityProtocol(p=0.25)
     rng = repro.generator_from(7)
     trace = repro.Simulation(
-        channel, nodes, rng=rng, max_rounds=10_000, observers=[tracker.observe]
+        channel, protocol, rng=rng, max_rounds=10_000, observers=[tracker.observe]
     ).run()
 
     matrix, occupied = tracker.size_matrix()

@@ -60,8 +60,8 @@ def section_mechanism() -> None:
     rng = repro.generator_from(4)
     positions = repro.uniform_disk(128, rng)
     channel = repro.SINRChannel(positions)
-    nodes = repro.FixedProbabilityProtocol(p=0.1).build(channel.n)
-    trace = repro.Simulation(channel, nodes, rng=rng, max_rounds=5_000).run()
+    protocol = repro.FixedProbabilityProtocol(p=0.1)
+    trace = repro.Simulation(channel, protocol, rng=rng, max_rounds=5_000).run()
     counts = " -> ".join(str(c) for c in trace.active_counts()[:6])
     print(f"   active nodes per round: {counts} "
           f"(Corollary 7: a constant fraction falls each round)")
@@ -93,8 +93,8 @@ def section_robustness() -> None:
     rng = repro.generator_from(6)
     positions = repro.uniform_disk(96, rng)
     rayleigh = repro.SINRChannel(positions, gain_model=repro.RayleighFading())
-    nodes = repro.FixedProbabilityProtocol(p=0.1).build(rayleigh.n)
-    trace = repro.Simulation(rayleigh, nodes, rng=rng, max_rounds=10_000).run()
+    protocol = repro.FixedProbabilityProtocol(p=0.1)
+    trace = repro.Simulation(rayleigh, protocol, rng=rng, max_rounds=10_000).run()
     print(f"   Rayleigh fading   : solved in {trace.rounds_to_solve} rounds (unmodified)")
 
     base = repro.SINRChannel(positions)
@@ -103,9 +103,8 @@ def section_robustness() -> None:
         power=100.0 * base.params.power,
     )
     jammed = repro.SINRChannel(positions, external_sources=[jammer])
-    nodes = repro.FixedProbabilityProtocol(p=0.1).build(jammed.n)
     trace = repro.Simulation(
-        jammed, nodes, rng=repro.generator_from(7), max_rounds=50_000
+        jammed, protocol, rng=repro.generator_from(7), max_rounds=50_000
     ).run()
     print(f"   100x-power jammer : solved in {trace.rounds_to_solve} rounds (graceful)")
 

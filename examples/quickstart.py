@@ -38,9 +38,7 @@ def main() -> None:
 
     # The paper's algorithm — note it gets no information about n.
     protocol = repro.FixedProbabilityProtocol(p=0.1)
-    nodes = protocol.build(channel.n)
-
-    trace = repro.Simulation(channel, nodes, rng=rng, max_rounds=10_000).run()
+    trace = repro.Simulation(channel, protocol, rng=rng, max_rounds=10_000).run()
 
     print(f"\nsolved in {trace.rounds_to_solve} rounds "
           f"(log2 n = {stats.n.bit_length() - 1})")

@@ -13,15 +13,15 @@ than the paper's fixed probability: windows keep growing, the aggregate
 broadcast rate decays, and the time to a solo transmission stretches far
 beyond ``O(log n)``. It is the cautionary member of the E3 lineup.
 
-:class:`BackoffStep` runs the rounds of all of a run's BEB nodes as
-numpy over a ``window`` and a ``countdown`` array (the engine's vector
-step, :mod:`repro.protocols.schedules`).
+:class:`BackoffStep` runs the rounds of all of a factory run's BEB nodes
+as numpy over a ``window`` and a ``countdown`` array (the engine's vector
+step, :func:`repro.protocols.schedules.template_step`); a node list runs
+node by node.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -78,9 +78,7 @@ class BackoffStep:
     to the cap and their new countdowns come from one
     ``rng.integers(0, windows)`` over the transmitters in id order, which
     draws exactly the numbers the nodes' own ``decide`` calls would.
-    Listeners that decode a message drop out. A run of a node list ends
-    with :meth:`write_back`, which leaves the nodes in the state their
-    own steps would.
+    Listeners that decode a message drop out.
     """
 
     def __init__(
@@ -101,20 +99,6 @@ class BackoffStep:
             template.max_window,
             np.full(n, template.window, dtype=np.int64),
             np.full(n, template._countdown, dtype=np.int64),
-        )
-
-    @classmethod
-    def for_nodes(cls, nodes: Sequence[NodeProtocol]) -> Optional["BackoffStep"]:
-        """A step for ``nodes``, or ``None`` unless all are plain BEB nodes with one cap."""
-        if set(map(type, nodes)) != {BinaryExponentialBackoffNode}:
-            return None
-        caps = set(map(attrgetter("max_window"), nodes))
-        if len(caps) != 1 or caps.pop() >= _WINDOW_LIMIT:
-            return None
-        return cls(
-            nodes[0].max_window,
-            np.fromiter(map(attrgetter("window"), nodes), np.int64, len(nodes)),
-            np.fromiter(map(attrgetter("_countdown"), nodes), np.int64, len(nodes)),
         )
 
     def decide(
@@ -140,16 +124,6 @@ class BackoffStep:
     def knock_out(report) -> np.ndarray:
         """The ids of the listeners that decoded a message."""
         return report.listener_ids[report.decoded >= 0]
-
-    def write_back(self, nodes: Sequence[NodeProtocol], active: np.ndarray) -> None:
-        """Give each node its window, countdown and activity."""
-        for node, window, countdown, still_in in zip(
-            nodes, self.window.tolist(), self.countdown.tolist(), active.tolist()
-        ):
-            node.window = window
-            node._countdown = countdown
-            if not still_in:
-                node._active = False
 
 
 class BinaryExponentialBackoffProtocol(ProtocolFactory):

@@ -22,7 +22,7 @@ transmitter as solving the problem, matching Section 2's definition.
 :class:`ObliviousNode` is the shared base of every protocol whose broadcast
 probability depends only on the local round number and whose only reaction
 to feedback is a declared :class:`Knockout` rule. The engine runs a round of
-such nodes as one vectorised step (see :mod:`repro.sim.engine`).
+such a protocol's factory as one vectorised step (see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -141,8 +141,9 @@ class ObliviousNode(NodeProtocol):
     :meth:`broadcast_probability` (the default returns a constant
     ``self.p``). They must not override :meth:`decide` or
     :meth:`on_feedback`: the engine replaces both by one vectorised step
-    over all nodes when every node of a run shares a type and schedule
-    (:func:`repro.protocols.schedules.vector_step`).
+    over all nodes when a run is given the protocol's factory
+    (:func:`repro.protocols.schedules.template_step`); a node list runs
+    node by node.
     """
 
     knockout: Knockout = Knockout.NEVER

@@ -20,14 +20,14 @@ A protocol qualifies if its node objects expose
 (the paper's algorithm, ALOHA, the tournaments). State-dependent protocols
 (BEB) do not have an oblivious schedule and are rejected.
 
-``template_step`` / ``vector_step``
+``template_step``
     The numpy step the engine (:mod:`repro.sim.engine`) runs all of a
-    run's nodes with, or ``None`` when each node must be asked in turn:
-    from a factory's template node, or from a node list whose nodes all
-    match its first. An :class:`ObliviousNode` type that keeps the base
-    ``decide`` and ``on_feedback`` gets an :class:`ObliviousStep`; a
-    plain BEB node gets a :class:`~repro.protocols.backoff.BackoffStep`.
-    The carrier-sense tournament has a constant ``p`` and so an oblivious
+    factory run's nodes with, read from the factory's template node, or
+    ``None`` when each node must be asked in turn (as every node list
+    is). An :class:`ObliviousNode` type that keeps the base ``decide``
+    and ``on_feedback`` gets an :class:`ObliviousStep`; a plain BEB node
+    gets a :class:`~repro.protocols.backoff.BackoffStep`. The
+    carrier-sense tournament has a constant ``p`` and so an oblivious
     schedule, but it is not an ``ObliviousNode``: its feedback reads the
     measured energy, which no knockout mask covers, so it keeps the
     engine's per-node step.
@@ -35,7 +35,6 @@ A protocol qualifies if its node objects expose
 
 from __future__ import annotations
 
-import operator
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.radio.channel import ChannelObservation
 __all__ = [
     "ObliviousStep",
     "template_step",
-    "vector_step",
     "probability_schedule",
     "expected_transmitters",
     "solo_probability",
@@ -125,12 +123,6 @@ class ObliviousStep:
             return report.listener_ids
         return _NO_IDS
 
-    @staticmethod
-    def write_back(nodes: Sequence[ObliviousNode], active: np.ndarray) -> None:
-        """Knock out every node the run left inactive."""
-        for i in (~active).nonzero()[0].tolist():
-            nodes[i].knock_out()
-
 
 def _is_oblivious(kind: type) -> bool:
     """Whether ``kind`` is an :class:`ObliviousNode` keeping the base decide and feedback."""
@@ -154,40 +146,6 @@ def template_step(
     if kind is BinaryExponentialBackoffNode:
         return BackoffStep.for_template(template, n)
     if _is_oblivious(kind):
-        return ObliviousStep(template)
-    return None
-
-
-def vector_step(
-    nodes: Sequence[NodeProtocol],
-) -> Optional[Union[ObliviousStep, BackoffStep]]:
-    """The vector step for ``nodes``, or ``None`` for the per-node step.
-
-    An :class:`ObliviousStep` when every node has one
-    :class:`ObliviousNode` type that keeps the base ``decide`` and
-    ``on_feedback`` and carries the first node's parameters (its instance
-    attributes apart from id and activity, plus the knockout rule). A
-    :class:`~repro.protocols.backoff.BackoffStep` when every node is a
-    plain :class:`~repro.protocols.backoff.BinaryExponentialBackoffNode`
-    with the first node's ``max_window``; it starts from each node's own
-    window and countdown.
-    """
-    if not nodes:
-        return None
-    template = nodes[0]
-    kind = type(template)
-    if kind is BinaryExponentialBackoffNode:
-        return BackoffStep.for_nodes(nodes)
-    if not _is_oblivious(kind):
-        return None
-    schedule = operator.attrgetter(
-        *sorted({"knockout", *vars(template)} - {"node_id", "_active"})
-    )
-    expected = schedule(template)
-    # map() keeps these per-node checks out of the interpreter loop.
-    if set(map(type, nodes)) == {kind} and list(map(schedule, nodes)).count(
-        expected
-    ) == len(nodes):
         return ObliviousStep(template)
     return None
 

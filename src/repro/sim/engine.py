@@ -26,35 +26,30 @@ listener (SINR) or one observation for the round (radio). Their
 when read, which the engine does only for round records.
 
 A round's decide and feedback take one of two steps, chosen once per
-run (:mod:`repro.protocols.schedules`):
+run:
 
-* the **vector step**, when every node is the same
-  :class:`~repro.protocols.base.ObliviousNode` with the same schedule
-  (the paper's algorithm, ALOHA, decay, JS16, sawtooth and the CD
-  tournament) or a plain BEB node with one window cap. Oblivious nodes
-  flip all coins with one ``rng.random(k)`` over the awake active nodes
-  in id order, which draws exactly the numbers ``k`` per-node
-  ``rng.random()`` calls would; BEB keeps its windows and countdowns as
-  arrays and draws the transmitters' new countdowns with one
-  ``rng.integers(0, windows)``. The knockout rule is a mask over the
-  report's arrays;
-* the **per-node step** for every other node list (carrier sense,
-  mixed lists): each node decides and receives its
-  :class:`~repro.protocols.base.Feedback`, read from the report's arrays
-  by listener position.
-
-A simulation takes a protocol factory or a node list. From a factory
-whose :meth:`~repro.protocols.base.ProtocolFactory.template` node takes
-the vector step, a run builds no nodes at all: it starts from an
-all-active mask (and the template's BEB window and countdown). Any other
-factory builds its node list and runs as a list does. A list takes the
-vector step when every node matches its first, and the run ends by
-writing the state the step kept as arrays back to the nodes.
+* the **vector step**, for a protocol factory whose
+  :meth:`~repro.protocols.base.ProtocolFactory.template` node
+  :func:`~repro.protocols.schedules.template_step` accepts: an
+  :class:`~repro.protocols.base.ObliviousNode` type (the paper's
+  algorithm, ALOHA, decay, JS16, sawtooth and the CD tournament) or a
+  plain BEB node. Oblivious nodes flip all coins with one
+  ``rng.random(k)`` over the awake active nodes in id order, which draws
+  exactly the numbers ``k`` per-node ``rng.random()`` calls would; BEB
+  keeps its windows and countdowns as arrays and draws the transmitters'
+  new countdowns with one ``rng.integers(0, windows)``. The knockout
+  rule is a mask over the report's arrays. Such a run builds no nodes:
+  it starts from an all-active mask (and the template's BEB window and
+  countdown);
+* the **per-node step** for every node list and every other factory
+  (carrier sense, whose nodes each run builds afresh): each node decides
+  and receives its :class:`~repro.protocols.base.Feedback`, read from
+  the report's arrays by listener position. A node list keeps its state,
+  so it can be inspected after the run.
 
 Both steps feed the same round loop, the channel's ``resolve_ids`` (the
 round's sorted, disjoint ids need no re-validation) and bookkeeping,
-and give the same trace, records and final node state; a factory run
-gives the trace and records of a run of its node list.
+and a factory run gives the trace and records of a run of its node list.
 
 Staggered activation (the *wake-up* flavour of the problem, [7] in the
 paper's related work) is supported via ``activation_schedule``: node ``i``
@@ -76,7 +71,7 @@ import numpy as np
 from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
 from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-from repro.protocols.schedules import template_step, vector_step
+from repro.protocols.schedules import template_step
 from repro.radio.channel import RadioChannel
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
@@ -102,9 +97,9 @@ class Simulation:
         array fields (``listener_ids``, ``decoded``, ``observation``).
     nodes:
         The protocol factory, or per-node state machines, one per
-        channel node, in id order (``factory.build(channel.n)``). Only a
-        node list can be inspected after the run; :attr:`nodes` is
-        ``None`` for a factory run that builds none.
+        channel node, in id order (``factory.build(channel.n)``). A node
+        list runs on the per-node step and can be inspected after the
+        run; :attr:`nodes` is ``None`` for a factory run that builds none.
     rng:
         Generator driving every random choice of this execution.
     max_rounds:
@@ -301,8 +296,6 @@ class Simulation:
             if tx_ids.size == 1:
                 trace.solved_round = round_index
                 break
-        if step is not None and self.nodes is not None:
-            step.write_back(self.nodes, active)
         if recording and trace.solved:
             obs.counter("sim.solved_executions").inc()
         if probing:
@@ -312,17 +305,16 @@ class Simulation:
     def _start(self):
         """The run's vector step (``None``: the per-node step) and active mask.
 
-        A factory run whose template takes the vector step starts with
-        every node active and builds no nodes; any other factory builds
-        its node list here.
+        A factory whose template takes the vector step builds no nodes and
+        starts with every node active; any other factory builds a fresh
+        node list on every run.
         """
-        if self.nodes is None:
+        if self._factory is not None:
             step = template_step(self._template, self.channel.n)
             if step is not None:
                 return step, np.ones(self.channel.n, dtype=bool)
             self.nodes = self._factory.build(self.channel.n)
-        active = np.array([node.active for node in self.nodes], dtype=bool)
-        return vector_step(self.nodes), active
+        return None, np.array([node.active for node in self.nodes], dtype=bool)
 
     def _decide_each(self, active_ids: np.ndarray, local_rounds: np.ndarray) -> np.ndarray:
         """Ask each awake active node in id order; the transmit mask."""

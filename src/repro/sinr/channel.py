@@ -142,15 +142,6 @@ class ReceptionReport:
             if value is not None
         }
 
-    @property
-    def is_solo(self) -> bool:
-        """Whether exactly one node transmitted (the success condition)."""
-        return self.tx_ids.size == 1
-
-    def heard_by(self, listener: int) -> Optional[int]:
-        """The transmitter decoded by ``listener``, or ``None``."""
-        return self.received_from.get(listener)
-
     def _views(self) -> tuple:
         return self.transmitters, self.received_from, self.energy
 

@@ -1,23 +1,17 @@
 """The engine's vectorised decide/feedback step against its per-node step.
 
-When every node of a run is the same :class:`ObliviousNode` with the same
-schedule, :class:`Simulation` flips all of a round's coins with one
-``rng.random(k)`` and applies the knockout rule as a mask. When every
-node is a plain BEB node with one window cap, it keeps the windows and
-countdowns as arrays and draws the transmitters' new countdowns with one
-``rng.integers(0, windows)``. The reference here is the per-node step,
-reached by re-typing each node to a test-only subclass that overrides
-``decide`` (any override opts a node list out). Both runs share a seed,
-so everything must agree exactly: round records, observer views, final
-node state (``active``, and BEB's ``window`` and ``_countdown``), the
-generator's state after the run, registry counters and probe arrays.
-
-Each case also runs from the protocol factory instead of a node list,
-which builds no nodes for a vector-step protocol; that run must give
-the same trace, records, observer views and generator state.
+Given a protocol factory whose nodes are one :class:`ObliviousNode`
+type, :class:`Simulation` flips all of a round's coins with one
+``rng.random(k)`` and applies the knockout rule as a mask. Given a plain
+BEB factory, it keeps the windows and countdowns as arrays and draws the
+transmitters' new countdowns with one ``rng.integers(0, windows)``. Such
+a run builds no nodes. The reference is the per-node step, which every
+node list takes: each case runs the factory's node list and the factory
+itself from one seed, and everything must agree exactly: round records,
+observer views, the generator's state after the run, registry counters
+and probe arrays. The list's nodes end in the active state the last
+observer view shows.
 """
-
-import functools
 
 import numpy as np
 import pytest
@@ -38,7 +32,7 @@ from repro.protocols import (
 )
 from repro.protocols.backoff import BackoffStep, BinaryExponentialBackoffNode
 from repro.protocols.base import Knockout, NodeProtocol, ObliviousNode, ProtocolFactory
-from repro.protocols.schedules import ObliviousStep, vector_step
+from repro.protocols.schedules import ObliviousStep
 from repro.protocols.simple import FixedProbabilityNode
 from repro.radio.channel import RadioChannel
 from repro.sim.engine import Simulation
@@ -100,27 +94,6 @@ CASES = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _per_node_class(kind):
-    class PerNode(kind):
-        def decide(self, round_index, rng):
-            return super().decide(round_index, rng)
-
-    PerNode.__name__ = PerNode.__qualname__ = kind.__name__
-    return PerNode
-
-
-def _nodes(protocol, per_node):
-    nodes = FACTORIES[protocol].build(N)
-    if per_node:
-        for node in nodes:
-            node.__class__ = _per_node_class(type(node))
-        assert vector_step(nodes) is None
-    else:
-        assert vector_step(nodes) is not None
-    return nodes
-
-
 #: Result fields only a run of a node list has.
 _NODE_FIELDS = ("final_active", "final_state")
 
@@ -128,14 +101,12 @@ _NODE_FIELDS = ("final_active", "final_state")
 def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwargs):
     """One execution; returns everything the steps must agree on.
 
-    ``source`` is what the run is given: ``"vector"``, the node list
-    (taking the vector step); ``"per_node"``, the node list re-typed to
-    take the per-node step; or ``"factory"``.
+    ``source`` is what the run is given: ``"list"``, the factory's node
+    list (taking the per-node step), or ``"factory"`` (the vector step).
     """
-    if source == "factory":
-        given = FACTORIES[protocol]
-    else:
-        given = _nodes(protocol, source == "per_node")
+    given = FACTORIES[protocol]
+    if source == "list":
+        given = given.build(N)
     seen = []
     rng = generator_from(seed)
     simulation = Simulation(
@@ -163,6 +134,8 @@ def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwa
     else:
         result["final_active"] = [node.active for node in given]
         result["final_state"] = [vars(node) for node in given]
+        if seen:
+            assert result["final_active"] == result["seen"][-1][1]
     return result
 
 
@@ -171,11 +144,10 @@ def _without_nodes(result):
 
 
 def _parity(protocol, channel, seed, **kwargs):
-    """The vector run of the node list, checked against the per-node and factory runs."""
-    vector = _run(protocol, channel, seed, "vector", **kwargs)
-    assert vector == _run(protocol, channel, seed, "per_node", **kwargs)
-    assert _without_nodes(vector) == _run(protocol, channel, seed, "factory", **kwargs)
-    return vector
+    """The node list's (per-node) run, checked against the factory's (vector) run."""
+    listed = _run(protocol, channel, seed, "list", **kwargs)
+    assert _without_nodes(listed) == _run(protocol, channel, seed, "factory", **kwargs)
+    return listed
 
 
 class TestParity:
@@ -183,18 +155,18 @@ class TestParity:
     def test_records_observers_and_final_state_match(self, protocol, channel):
         knockouts = 0
         for seed in SEEDS:
-            vector = _parity(protocol, CHANNELS[channel](), seed)
-            assert len(vector["records"]) == vector["rounds_executed"]
-            knockouts += sum(len(r.knocked_out) for r in vector["records"])
+            listed = _parity(protocol, CHANNELS[channel](), seed)
+            assert len(listed["records"]) == listed["rounds_executed"]
+            knockouts += sum(len(r.knocked_out) for r in listed["records"])
         if PROTOCOLS[protocol].build(N)[0].knockout is not Knockout.NEVER:
             assert knockouts > 0  # the feedback rule actually fired
 
     @pytest.mark.parametrize("protocol,channel", CASES)
     def test_without_records_or_observers(self, protocol, channel):
-        vector = _parity(
+        listed = _parity(
             protocol, CHANNELS[channel](), 7, keep_records=False, observe=False
         )
-        assert vector["records"] == [] and vector["seen"] == []
+        assert listed["records"] == [] and listed["seen"] == []
 
     @pytest.mark.parametrize(
         "channel,protocol",
@@ -208,10 +180,10 @@ class TestParity:
     def test_staggered_activation(self, protocol, channel):
         schedule = generator_from(12).integers(0, 25, size=N).tolist()
         for seed in SEEDS:
-            vector = _parity(
+            listed = _parity(
                 protocol, CHANNELS[channel](), seed, activation_schedule=schedule
             )
-            assert len(vector["seen"]) == vector["rounds_executed"]
+            assert len(listed["seen"]) == listed["rounds_executed"]
 
     @pytest.mark.parametrize("channel", ["sinr", "radio", "radio_cd"])
     def test_collision_rule_needs_collision_detection(self, channel):
@@ -225,38 +197,26 @@ class TestParity:
             def node_spec(self, n):
                 return Conceding, ()
 
-        def run(per_node):
-            nodes = [Conceding(i) for i in range(N)]
-            if per_node:
-                for node in nodes:
-                    node.__class__ = _per_node_class(Conceding)
-            trace = Simulation(
-                CHANNELS[channel](), nodes, rng=generator_from(9), max_rounds=2_000
-            ).run()
-            return trace.solved, trace.records, [node.active for node in nodes]
-
-        solved, records, final = run(per_node=False)
-        assert (solved, records, final) == run(per_node=True)
-        assert solved
-        assert all(final) is (channel != "radio_cd")
+        nodes = [Conceding(i) for i in range(N)]
+        listed = Simulation(
+            CHANNELS[channel](), nodes, rng=generator_from(9), max_rounds=2_000
+        ).run()
+        assert listed.solved
+        assert all(node.active for node in nodes) is (channel != "radio_cd")
         trace = Simulation(
             CHANNELS[channel](), ConcedingProtocol(), rng=generator_from(9), max_rounds=2_000
         ).run()
-        assert (trace.solved, trace.records) == (solved, records)
+        assert (trace.solved, trace.records) == (listed.solved, listed.records)
 
     def test_nodes_inactive_at_start_stay_out(self):
-        def run(per_node):
-            nodes = _nodes("simple", per_node)
-            for node in nodes[::3]:
-                node.knock_out()
-            trace = Simulation(
-                CHANNELS["sinr"](), nodes, rng=generator_from(2)
-            ).run()
-            return trace.records, [node.active for node in nodes]
-
-        records, final = run(per_node=False)
-        assert (records, final) == run(per_node=True)
-        assert all(0 not in r.active_before for r in records)
+        nodes = FACTORIES["simple"].build(N)
+        for node in nodes[::3]:
+            node.knock_out()
+        trace = Simulation(CHANNELS["sinr"](), nodes, rng=generator_from(2)).run()
+        out = set(range(0, N, 3))
+        assert trace.solved
+        assert all(out.isdisjoint(r.active_before) for r in trace.records)
+        assert not any(nodes[i].active for i in out)
 
 
 def _instrumented(protocol, channel, seed, source):
@@ -287,20 +247,15 @@ class TestTelemetryParity:
     )
     def test_registry_and_probes_match(self, protocol, channel):
         ch = CHANNELS[channel]()
-        vector, vector_metrics, vector_probes = _instrumented(protocol, ch, 8, "vector")
-        reference, reference_metrics, reference_probes = _instrumented(
-            protocol, ch, 8, "per_node"
-        )
+        listed, listed_metrics, listed_probes = _instrumented(protocol, ch, 8, "list")
         factory, factory_metrics, factory_probes = _instrumented(protocol, ch, 8, "factory")
-        assert vector == reference
-        assert _without_nodes(vector) == factory
-        assert vector_metrics == reference_metrics == factory_metrics
-        assert vector_metrics["sim.rounds"]["value"] == vector["rounds_executed"]
-        assert vector_probes.keys() == reference_probes.keys() == factory_probes.keys()
-        for name in vector_probes:
-            np.testing.assert_array_equal(vector_probes[name], reference_probes[name])
-            np.testing.assert_array_equal(vector_probes[name], factory_probes[name])
-        assert vector_probes["rounds_round"].size == vector["rounds_executed"]
+        assert _without_nodes(listed) == factory
+        assert listed_metrics == factory_metrics
+        assert listed_metrics["sim.rounds"]["value"] == listed["rounds_executed"]
+        assert listed_probes.keys() == factory_probes.keys()
+        for name in listed_probes:
+            np.testing.assert_array_equal(listed_probes[name], factory_probes[name])
+        assert listed_probes["rounds_round"].size == listed["rounds_executed"]
 
 
 class TestBackoffParity:
@@ -309,15 +264,15 @@ class TestBackoffParity:
     def test_records_observers_and_state_match(self, protocol, channel):
         knockouts = 0
         for seed in SEEDS:
-            vector = _parity(protocol, CHANNELS[channel](), seed)
-            assert vector["solved_round"] is not None
-            knockouts += sum(len(r.knocked_out) for r in vector["records"])
+            listed = _parity(protocol, CHANNELS[channel](), seed)
+            assert listed["solved_round"] is not None
+            knockouts += sum(len(r.knocked_out) for r in listed["records"])
         if channel not in ("radio", "radio_cd"):
             # A radio listener decodes only in the solo round, which ends the run.
             assert knockouts > 0
         if protocol == "beb_capped":
             cap = BACKOFF[protocol].max_window
-            assert any(state["window"] == cap for state in vector["final_state"])
+            assert any(state["window"] == cap for state in listed["final_state"])
 
     @pytest.mark.parametrize("channel", sorted(CHANNELS))
     @pytest.mark.parametrize("protocol", sorted(BACKOFF))
@@ -356,6 +311,31 @@ def _factory_channel(protocol):
     return "radio_cd" if protocol == "cd_tournament" else "sinr"
 
 
+def _carrier_sense():
+    return CarrierSenseTournamentProtocol(carrier_sense_threshold(SINRChannel(_POSITIONS)))
+
+
+#: Mixed node lists no factory builds, and carrier sense's node list.
+_OTHER_LISTS = {
+    "beb_mixed_max_window": lambda: BinaryExponentialBackoffProtocol().build(N - 1)
+    + [BinaryExponentialBackoffNode(N - 1, 2, 1 << 10)],
+    "carrier_sense": lambda: _carrier_sense().build(N),
+    "mixed_types": lambda: FixedProbabilityProtocol().build(N - 1)
+    + DecayProtocol().build(N)[-1:],
+    "mixed_parameters": lambda: FixedProbabilityProtocol(p=0.1).build(N - 1)
+    + [FixedProbabilityNode(N - 1, p=0.2)],
+    "mixed_knockout_rules": lambda: DecayProtocol().build(N - 1)
+    + DecayProtocol(deactivate_on_receive=True).build(N)[-1:],
+}
+
+#: Factories whose runs build their nodes and take the per-node step.
+_PER_NODE_FACTORIES = {
+    "carrier_sense": _carrier_sense,
+    # A window cap past the vector step's int64 range.
+    "beb_huge_cap": lambda: BinaryExponentialBackoffProtocol(max_window=1 << 62),
+}
+
+
 class TestFactoryRuns:
     @pytest.mark.parametrize("protocol", sorted(FACTORIES))
     def test_runner_trial_builds_at_most_one_node(self, monkeypatch, protocol):
@@ -371,6 +351,21 @@ class TestFactoryRuns:
         stats = run_trials(lambda rng: channel(), FACTORIES[protocol], 3, seed=4, workers=1)
         assert stats.trials == 3 and stats.total_rounds_executed > 0
         assert len(built) <= 3  # one template per trial
+
+    @pytest.mark.parametrize("protocol", sorted(FACTORIES) + sorted(_PER_NODE_FACTORIES))
+    def test_a_second_run_starts_afresh(self, protocol):
+        if protocol in FACTORIES:
+            factory, channel = FACTORIES[protocol], CHANNELS[_factory_channel(protocol)]()
+        else:
+            factory, channel = _PER_NODE_FACTORIES[protocol](), CHANNELS["sinr"]()
+        rng = generator_from(5)
+        start = rng.bit_generator.state
+        simulation = Simulation(channel, factory, rng=rng, max_rounds=3_000)
+        first = simulation.run()
+        rng.bit_generator.state = start
+        second = simulation.run()
+        assert first.solved and first.records[0].active_before == tuple(range(N))
+        assert (second.solved_round, second.records) == (first.solved_round, first.records)
 
     def test_factory_that_rejects_the_size_raises(self):
         with pytest.raises(ValueError, match="size_bound"):
@@ -402,12 +397,6 @@ class TestWhichStepRuns:
         Simulation(channel, nodes, rng=generator_from(1), max_rounds=200).run()
 
     @pytest.mark.parametrize("protocol", sorted(FACTORIES))
-    def test_opted_in_protocols_take_the_vector_step(self, steps, protocol):
-        channel = CHANNELS["radio_cd"]() if protocol == "cd_tournament" else None
-        self._execute(FACTORIES[protocol].build(N), channel)
-        assert steps["vector"] > 0 and steps["per_node"] == 0
-
-    @pytest.mark.parametrize("protocol", sorted(FACTORIES))
     def test_opted_in_factories_take_the_vector_step(self, steps, protocol):
         self._execute(FACTORIES[protocol], CHANNELS[_factory_channel(protocol)]())
         assert steps["vector"] > 0 and steps["per_node"] == 0
@@ -428,39 +417,14 @@ class TestWhichStepRuns:
         ]
         assert steps["per_node"] > 0 and steps["vector"] == 0
 
-    @pytest.mark.parametrize(
-        "nodes",
-        [
-            pytest.param(
-                lambda: BinaryExponentialBackoffProtocol().build(N - 1)
-                + [BinaryExponentialBackoffNode(N - 1, 2, 1 << 10)],
-                id="beb_mixed_max_window",
-            ),
-            pytest.param(
-                lambda: CarrierSenseTournamentProtocol(
-                    carrier_sense_threshold(SINRChannel(_POSITIONS))
-                ).build(N),
-                id="carrier_sense",
-            ),
-            pytest.param(
-                lambda: FixedProbabilityProtocol().build(N - 1)
-                + DecayProtocol().build(N)[-1:],
-                id="mixed_types",
-            ),
-            pytest.param(
-                lambda: FixedProbabilityProtocol(p=0.1).build(N - 1)
-                + [FixedProbabilityNode(N - 1, p=0.2)],
-                id="mixed_parameters",
-            ),
-            pytest.param(
-                lambda: DecayProtocol().build(N - 1)
-                + DecayProtocol(deactivate_on_receive=True).build(N)[-1:],
-                id="mixed_knockout_rules",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("nodes", sorted(FACTORIES) + sorted(_OTHER_LISTS))
     def test_other_node_lists_take_the_per_node_step(self, steps, nodes):
-        nodes = nodes()
-        assert vector_step(nodes) is None
-        self._execute(nodes)
+        """Every node list, a vector-step factory's own included, runs node by node."""
+        if nodes in FACTORIES:
+            channel = CHANNELS[_factory_channel(nodes)]()
+            nodes = FACTORIES[nodes].build(N)
+        else:
+            channel = None
+            nodes = _OTHER_LISTS[nodes]()
+        self._execute(nodes, channel)
         assert steps["per_node"] > 0 and steps["vector"] == 0

@@ -57,12 +57,12 @@ class TestChannelWithJammer:
     def test_weak_jammer_does_not_block(self):
         channel = self._channel(jam_power=0.001)
         report = channel.resolve([0])
-        assert report.heard_by(1) == 0
+        assert report.received_from.get(1) == 0
 
     def test_strong_jammer_blocks_reception(self):
         channel = self._channel(jam_power=1e9)
         report = channel.resolve([0])
-        assert report.heard_by(1) is None
+        assert report.received_from.get(1) is None
 
     def test_jammer_energy_sensed_without_transmitters(self):
         channel = self._channel(jam_power=100.0)
@@ -85,7 +85,7 @@ class TestChannelWithJammer:
     def test_intermittent_jammer_sometimes_blocks(self, rng):
         # Jam power sized so reception fails iff the jammer is on the air.
         channel = self._channel(jam_power=1e9, duty=0.5)
-        outcomes = {channel.resolve([0], rng=rng).heard_by(1) for _ in range(100)}
+        outcomes = {channel.resolve([0], rng=rng).received_from.get(1) for _ in range(100)}
         assert outcomes == {None, 0}
 
     def test_clean_channel_unaffected_by_empty_sources(self):

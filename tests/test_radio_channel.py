@@ -18,7 +18,7 @@ class TestSoloDelivery:
     def test_solo_heard_by_all_listeners(self):
         channel = RadioChannel(4)
         report = channel.resolve([2])
-        assert report.is_solo
+        assert report.tx_ids.size == 1
         assert report.received_from == {0: 2, 1: 2, 3: 2}
 
     def test_solo_observations_are_message(self):
@@ -62,7 +62,7 @@ class TestSilence:
     def test_empty_round_is_silent(self):
         channel = RadioChannel(3)
         report = channel.resolve([])
-        assert not report.is_solo
+        assert report.tx_ids.size != 1
         assert all(
             obs is ChannelObservation.SILENCE for obs in report.observations.values()
         )
@@ -89,7 +89,7 @@ class TestListeners:
         channel = RadioChannel(4)
         report = channel.resolve([1, 1])
         assert report.transmitters == (1,)
-        assert report.is_solo
+        assert report.tx_ids.size == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):

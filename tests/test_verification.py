@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.protocols.schedules import vector_step
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.seeding import generator_from
@@ -63,11 +62,11 @@ class TestVectorStepTraces:
     def test_real_execution_passes_all_rules(self, protocol, channel):
         for seed in SEEDS:
             ch = CHANNELS[channel]()
-            nodes = FACTORIES[protocol].build(N)
-            assert vector_step(nodes) is not None
-            trace = Simulation(
-                ch, nodes, rng=generator_from(seed), max_rounds=3_000
-            ).run()
+            simulation = Simulation(
+                ch, FACTORIES[protocol], rng=generator_from(seed), max_rounds=3_000
+            )
+            trace = simulation.run()
+            assert simulation.nodes is None  # the vector step ran
             assert verify_trace(trace, ch) == []
 
 
