@@ -6,10 +6,8 @@ substrate itself so regressions in the vectorised kernels are caught:
 * gain-matrix construction (the one O(n^2) setup cost);
 * a single channel ``resolve`` (the per-round cost);
 * a full execution of the paper's algorithm;
-* a link-class partition (the per-round analysis cost in tracked runs).
+* a link-class partition from positions.
 """
-
-import numpy as np
 
 from repro.analysis.linkclasses import link_class_partition
 from repro.deploy.topologies import uniform_disk
@@ -17,7 +15,6 @@ from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
-from repro.sinr.geometry import pairwise_distances
 
 N = 512
 
@@ -59,8 +56,7 @@ def test_full_execution_simple_protocol(benchmark):
 
 
 def test_link_class_partition_cost(benchmark):
-    distances = pairwise_distances(_positions())
-    active = np.ones(N, dtype=bool)
+    positions = _positions()
 
-    partition = benchmark(link_class_partition, distances, active)
+    partition = benchmark(link_class_partition, positions)
     assert len(partition.class_of) == N

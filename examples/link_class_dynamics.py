@@ -4,8 +4,8 @@ The round-complexity proof tracks the execution through *class bound
 vectors* ``q_t``: upper bounds on every link class's size that decay
 geometrically, with larger classes lagging smaller ones by ``l`` steps.
 This example runs the paper's algorithm on a deployment with several
-occupied link classes, snapshots the class sizes after every round, and
-renders both the measured trajectories and the schedule step achieved.
+occupied link classes, replays its trace to get the class sizes after
+every round, and renders both the measured trajectories and the schedule step achieved.
 
 Run: ``python examples/link_class_dynamics.py``
 """
@@ -13,7 +13,6 @@ Run: ``python examples/link_class_dynamics.py``
 import numpy as np
 
 import repro
-from repro.sinr.geometry import pairwise_distances
 
 
 def _bar(value: int, scale: float) -> str:
@@ -27,17 +26,16 @@ def main() -> None:
     stats = repro.deployment_stats(positions)
     print(f"deployment: {stats}\n")
 
-    distances = pairwise_distances(positions)
-    tracker = repro.LinkClassTracker(distances)
-
     channel = repro.SINRChannel(positions)
     protocol = repro.FixedProbabilityProtocol(p=0.25)
     rng = repro.generator_from(7)
     trace = repro.Simulation(
-        channel, protocol, rng=rng, max_rounds=10_000, observers=[tracker.observe]
+        channel, protocol, rng=rng, max_rounds=10_000, keep_records=True
     ).run()
 
-    matrix, occupied = tracker.size_matrix()
+    # Classes are binned in units of the deployment's shortest link, also
+    # after the pair realising it is knocked out.
+    matrix, occupied = repro.link_class_history(positions, trace, stats.shortest_link)
     schedule = repro.ClassBoundSchedule(
         n=stats.n, num_classes=max(occupied) + 1, gamma_slow=0.9, rho=0.25
     )

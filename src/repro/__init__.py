@@ -40,12 +40,12 @@ from repro.analysis import (
     ComparisonResult,
     FitResult,
     LinkClassPartition,
-    LinkClassTracker,
     cliffs_delta,
     compare_round_counts,
     fit_models,
     fit_scaling_law,
     good_nodes,
+    link_class_history,
     link_class_partition,
     mann_whitney_u,
     well_separated_subset,
@@ -139,7 +139,6 @@ __all__ = [
     "FixedTargetReferee",
     "JurdzinskiStachowiakProtocol",
     "LinkClassPartition",
-    "LinkClassTracker",
     "MetricsRegistry",
     "NodeProtocol",
     "ProtocolFactory",
@@ -175,6 +174,7 @@ __all__ = [
     "grid",
     "high_probability_budget",
     "line",
+    "link_class_history",
     "link_class_partition",
     "link_ratio",
     "mann_whitney_u",

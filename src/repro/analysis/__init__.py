@@ -6,8 +6,8 @@ the proof's *mechanism*, not just its endpoint:
 
 ``linkclasses``
     The Section 3.1 partition of active nodes into classes ``d_i`` by
-    nearest-active-neighbor distance, plus per-round tracking of class
-    sizes along an execution.
+    nearest-active-neighbor distance, plus the round-by-round class sizes
+    of an execution, replayed from its trace.
 ``goodness``
     Definition 1's good-node test (annulus population budgets with the
     paper's constant 96 and ``epsilon = alpha/2 - 1``) and the
@@ -45,7 +45,7 @@ from repro.analysis.interference import (
 )
 from repro.analysis.linkclasses import (
     LinkClassPartition,
-    LinkClassTracker,
+    link_class_history,
     link_class_partition,
 )
 from repro.analysis.stats import bootstrap_ci, bootstrap_mean_ci
@@ -58,7 +58,6 @@ __all__ = [
     "mann_whitney_u",
     "FitResult",
     "LinkClassPartition",
-    "LinkClassTracker",
     "bootstrap_ci",
     "bootstrap_mean_ci",
     "claim1_bound",
@@ -70,6 +69,7 @@ __all__ = [
     "lemma4_bound",
     "lemma4_constant",
     "lemma4_separation",
+    "link_class_history",
     "link_class_partition",
     "well_separated_subset",
 ]

@@ -19,7 +19,7 @@ greedy construction.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,29 @@ def _max_annulus_index(distances: np.ndarray, class_index: int, unit: float) -> 
     return max(0, math.ceil(math.log2(diameter / unit)) - class_index)
 
 
+def _annulus_test(
+    class_index: int,
+    distances: np.ndarray,
+    active: np.ndarray,
+    alpha: float,
+    unit: float,
+    constant: float,
+) -> Callable[[int], bool]:
+    """Definition 1's test as a predicate on nodes of class ``i``.
+
+    The diameter, the annulus range and the budgets are the same for every
+    node of the class, so they are computed once here.
+    """
+    max_t = _max_annulus_index(distances, class_index, unit)
+    budgets = np.array([annulus_budget(t, alpha, constant) for t in range(max_t + 1)])
+
+    def good(node: int) -> bool:
+        counts = annulus_counts(distances, node, class_index, max_t, active, unit)
+        return not np.any(counts > budgets)
+
+    return good
+
+
 def is_good(
     node: int,
     class_index: int,
@@ -76,13 +99,7 @@ def is_good(
     ``unit`` is the normalised shortest link (annuli are measured in
     multiples of ``2^i * unit``).
     """
-    max_t = _max_annulus_index(distances, class_index, unit)
-    scaled = distances / unit
-    counts = annulus_counts(scaled, node, class_index, max_t, active=active)
-    for t, count in enumerate(counts):
-        if count > annulus_budget(t, alpha, constant):
-            return False
-    return True
+    return _annulus_test(class_index, distances, active, alpha, unit, constant)(node)
 
 
 def good_nodes(
@@ -95,19 +112,10 @@ def good_nodes(
 ) -> List[int]:
     """All good nodes of class ``d_i`` under the current activity mask."""
     members = partition.members.get(class_index, ())
-    return [
-        node
-        for node in members
-        if is_good(
-            node,
-            class_index,
-            distances,
-            active,
-            alpha,
-            unit=partition.unit,
-            constant=constant,
-        )
-    ]
+    if not members:
+        return []
+    good = _annulus_test(class_index, distances, active, alpha, partition.unit, constant)
+    return [node for node in members if good(node)]
 
 
 def good_fraction(

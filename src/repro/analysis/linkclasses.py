@@ -12,7 +12,10 @@ class.
 Distances here are taken relative to the deployment's shortest link, which
 the paper normalises to 1 (Section 2). :func:`link_class_partition` accepts
 an explicit ``unit`` so callers can pin the normalisation to the *initial*
-shortest link even after the pair realising it is knocked out.
+shortest link even after the pair realising it is knocked out;
+:func:`link_class_history` replays an execution's knockouts with such a
+pinned unit. Both take nearest distances from positions
+(:mod:`repro.analysis.nearest_active`), in O(n) memory.
 """
 
 from __future__ import annotations
@@ -22,25 +25,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sinr.geometry import nearest_neighbor_distances
+from repro.analysis.nearest_active import NearestActiveNeighbours, nearest_in_pool
+from repro.sinr.geometry import as_positions
 
 __all__ = [
     "LinkClassPartition",
+    "link_class_history",
     "link_class_indices",
     "link_class_partition",
     "link_class_round_sizes",
-    "LinkClassTracker",
 ]
 
 
 def link_class_indices(nearest: np.ndarray, unit: float) -> np.ndarray:
     """Class index ``floor(log2(d / unit))`` of each finite distance ``d``.
 
-    The one binning expression of the package: the partition, the probes'
-    per-round class sizes and the nearest-active-neighbour tracker all
-    bin through it. It agrees with ``math.floor(math.log2(d / unit))``
-    (pinned by the test suite, including the neighbours of every power
-    of two from 2^-40 to 2^40).
+    The one binning expression of the package: the partition, its replay
+    along a trace, the probes' per-round class sizes and the deployment
+    statistics all bin through it. It agrees with
+    ``math.floor(math.log2(d / unit))`` (pinned by the test suite,
+    including the neighbours of every power of two from 2^-40 to 2^40).
     """
     return np.floor(np.log2(nearest / unit)).astype(np.int64)
 
@@ -50,8 +54,9 @@ def link_class_round_sizes(
 ) -> Tuple[Tuple[int, int, int], ...]:
     """Per-class ``(index, size, knocked)`` triples from nearest distances.
 
-    ``nearest`` holds each node's nearest active neighbour distance, with
-    ``inf`` for nodes in no class (inactive, or the last one standing).
+    ``nearest`` holds each node's nearest active neighbour distance
+    (:attr:`NearestActiveNeighbours.distance`), with ``inf`` for nodes in
+    no class (inactive, or the last one standing).
     Classes use the default unit, the shortest finite distance, so the
     smallest class is 0. ``knocked_ids`` outside every class are ignored.
     Triples come sorted by class index, empty classes left out.
@@ -101,20 +106,10 @@ class LinkClassPartition:
             len(ids) for index, ids in self.members.items() if index < class_index
         )
 
-    def size_at_least(self, class_index: int) -> int:
-        """``n_{>=i}`` — total active nodes in class ``i`` and larger."""
-        return sum(
-            len(ids) for index, ids in self.members.items() if index >= class_index
-        )
-
     @property
     def occupied(self) -> Tuple[int, ...]:
         """Sorted indices of the non-empty classes."""
         return tuple(sorted(self.members))
-
-    @property
-    def smallest_occupied(self) -> Optional[int]:
-        return min(self.members) if self.members else None
 
     @property
     def largest_occupied(self) -> Optional[int]:
@@ -126,7 +121,7 @@ class LinkClassPartition:
 
 
 def link_class_partition(
-    distances: np.ndarray,
+    positions: np.ndarray,
     active: Optional[np.ndarray] = None,
     unit: Optional[float] = None,
 ) -> LinkClassPartition:
@@ -134,8 +129,8 @@ def link_class_partition(
 
     Parameters
     ----------
-    distances:
-        Full ``(n, n)`` distance matrix of the deployment.
+    positions:
+        ``(n, 2)`` node coordinates of the deployment.
     active:
         Boolean activity mask (default: everyone active).
     unit:
@@ -144,10 +139,9 @@ def link_class_partition(
         the *initial* shortest link explicitly when tracking an execution
         so class indices stay comparable across rounds.
     """
-    n = distances.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    nearest = nearest_neighbor_distances(distances, active)
+    positions = as_positions(positions)
+    ids = np.arange(positions.shape[0]) if active is None else np.flatnonzero(active)
+    nearest, _ = nearest_in_pool(positions, ids, ids)
     finite = np.isfinite(nearest)
     if not finite.any():
         return LinkClassPartition(class_of={}, members={}, unit=unit or 1.0)
@@ -156,8 +150,8 @@ def link_class_partition(
     if unit <= 0.0:
         raise ValueError(f"unit must be positive (got {unit})")
 
-    ids = np.flatnonzero(finite)
-    classes = link_class_indices(nearest[ids], unit)
+    ids = ids[finite]
+    classes = link_class_indices(nearest[finite], unit)
     class_of = dict(zip(ids.tolist(), classes.tolist()))
     # A stable sort keeps each class's members in ascending id order.
     occupied, sizes = np.unique(classes, return_counts=True)
@@ -168,40 +162,29 @@ def link_class_partition(
     return LinkClassPartition(class_of=class_of, members=members, unit=unit)
 
 
-class LinkClassTracker:
-    """Round-by-round link-class sizes along an execution.
+def link_class_history(
+    positions: np.ndarray, trace, unit: float
+) -> Tuple[np.ndarray, List[int]]:
+    """Round-by-round link-class sizes of an execution, replayed from its records.
 
-    Register :meth:`observe` with the simulation engine's ``observers``
-    hook; after the run, :attr:`history` holds one
-    :class:`LinkClassPartition` per round (taken *after* that round's
-    knockouts), and :meth:`size_matrix` lays the ``n_i`` trajectories out
-    as an array for the E6 comparison against the ``q_t`` schedule.
+    Starts from every node active and drops each round's ``knocked_out``,
+    so ``trace`` must keep its records (``keep_records=True``) of a run
+    in which every node is active from round 0. Returns the
+    ``(rounds x classes)`` size array, row ``t`` taken after round
+    ``t``'s knockouts, and the sorted class indices of its columns:
+    those non-empty in some round. Pass the initial partition's ``unit``
+    so class indices stay comparable across rounds.
     """
-
-    def __init__(self, distances: np.ndarray, unit: Optional[float] = None) -> None:
-        self.distances = distances
-        if unit is None:
-            nearest = nearest_neighbor_distances(distances)
-            finite = nearest[np.isfinite(nearest)]
-            unit = float(finite.min()) if finite.size else 1.0
-        self.unit = unit
-        self.history: List[LinkClassPartition] = []
-
-    def observe(self, record, active_mask: np.ndarray) -> None:
-        """Engine observer: snapshot the partition after a round."""
-        partition = link_class_partition(
-            self.distances, active=active_mask, unit=self.unit
-        )
-        self.history.append(partition)
-
-    def size_matrix(self) -> Tuple[np.ndarray, List[int]]:
-        """``(rounds x classes)`` size array and the class index legend.
-
-        Classes that are empty in every recorded round are omitted.
-        """
-        occupied = sorted({index for part in self.history for index in part.members})
-        matrix = np.zeros((len(self.history), len(occupied)), dtype=np.int64)
-        for row, part in enumerate(self.history):
-            for col, index in enumerate(occupied):
-                matrix[row, col] = part.size(index)
-        return matrix, occupied
+    if len(trace.records) != trace.rounds_executed:
+        raise ValueError("link_class_history needs a trace run with keep_records=True")
+    nearest = NearestActiveNeighbours(positions)
+    rounds = []
+    for record in trace.records:
+        nearest.remove(record.knocked_out)
+        distance = nearest.distance[np.isfinite(nearest.distance)]
+        rounds.append(link_class_indices(distance, unit))
+    occupied = np.unique(np.concatenate(rounds)) if rounds else np.empty(0, np.int64)
+    matrix = np.zeros((len(rounds), occupied.size), dtype=np.int64)
+    for t, classes in enumerate(rounds):
+        matrix[t] = np.bincount(np.searchsorted(occupied, classes), minlength=occupied.size)
+    return matrix, occupied.tolist()

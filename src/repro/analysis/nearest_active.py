@@ -1,8 +1,10 @@
 """Nearest active neighbour of every active node, kept up to date from positions.
 
 The link classes of Section 3.1 bin each active node by the distance to
-its nearest *active* neighbour, and the probes record that partition
-every round. Recomputing it from the ``(n, n)`` distance matrix costs
+its nearest *active* neighbour. Every nearest distance of the package
+comes from this module: the partition and its replay along a trace
+(:mod:`repro.analysis.linkclasses`), the deployment statistics and the
+probes' per-round class sizes. Recomputing it from the ``(n, n)`` distance matrix costs
 ``|active|^2`` per round and needs the matrix; but a round changes only
 a few nearest neighbours. :class:`NearestActiveNeighbours` therefore
 keeps each active node's nearest distance and neighbour id, and after a
@@ -28,7 +30,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.linkclasses import link_class_round_sizes
 from repro.sinr.geometry import as_positions, cross_distances
 
 __all__ = ["NearestActiveNeighbours", "nearest_in_pool"]
@@ -298,11 +299,3 @@ class NearestActiveNeighbours:
         """Follow the activity mask ``active``: drop the departed, add the newcomers."""
         self.remove(np.flatnonzero(self.active & ~active))
         self.add(np.flatnonzero(active & ~self.active))
-
-    def class_stats(self, knocked_ids: Sequence[int] = ()) -> Tuple[Tuple[int, int, int], ...]:
-        """The current active set's ``(class_index, size, knocked)`` triples.
-
-        The same triples :func:`repro.obs.probe.link_class_round_stats`
-        computes from the distance matrix and this activity mask.
-        """
-        return link_class_round_sizes(self.distance, knocked_ids)

@@ -23,7 +23,6 @@ from repro.deploy.metrics import (
     deployment_stats,
     link_ratio,
     log_link_ratio,
-    occupied_link_classes,
 )
 from repro.deploy.topologies import (
     clustered,
@@ -46,7 +45,6 @@ __all__ = [
     "line",
     "link_ratio",
     "log_link_ratio",
-    "occupied_link_classes",
     "power_law_disk",
     "ring",
     "two_cluster",

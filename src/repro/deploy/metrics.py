@@ -14,17 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sinr.geometry import (
-    as_positions,
-    link_length_extremes,
-    nearest_neighbor_distances,
-    pairwise_distances,
-)
+from repro.analysis.linkclasses import link_class_indices
+from repro.analysis.nearest_active import nearest_in_pool
+from repro.sinr.geometry import as_positions, diameter_of
 
 __all__ = [
     "link_ratio",
     "log_link_ratio",
-    "occupied_link_classes",
     "DeploymentStats",
     "deployment_stats",
 ]
@@ -32,35 +28,12 @@ __all__ = [
 
 def link_ratio(positions: np.ndarray) -> float:
     """``R`` — longest link length divided by shortest link length."""
-    positions = as_positions(positions)
-    if positions.shape[0] < 2:
-        return 1.0
-    shortest, longest = link_length_extremes(pairwise_distances(positions))
-    return longest / shortest
+    return deployment_stats(positions).link_ratio
 
 
 def log_link_ratio(positions: np.ndarray) -> float:
     """``log2 R``; zero for degenerate (single-node) deployments."""
     return math.log2(link_ratio(positions))
-
-
-def occupied_link_classes(positions: np.ndarray) -> int:
-    """Number of occupied link classes under the paper's Section 3.1 partition.
-
-    A node in class ``d_i`` has its nearest neighbor at distance in
-    ``[2^i, 2^{i+1})`` *after normalising the shortest link to 1*. The count
-    of distinct occupied classes is the ``l`` of footnote 3 (the lower bound
-    applies to networks with ``l = O(log n)``).
-    """
-    positions = as_positions(positions)
-    n = positions.shape[0]
-    if n < 2:
-        return 0
-    distances = pairwise_distances(positions)
-    nearest = nearest_neighbor_distances(distances)
-    normalised = nearest / nearest.min()
-    classes = np.floor(np.log2(normalised)).astype(np.int64)
-    return int(np.unique(classes).size)
 
 
 @dataclass(frozen=True)
@@ -97,7 +70,7 @@ class DeploymentStats:
 
 
 def deployment_stats(positions: np.ndarray) -> DeploymentStats:
-    """Compute all link statistics of a deployment in one pass."""
+    """Compute all link statistics of a deployment from its positions, in O(n) memory."""
     positions = as_positions(positions)
     n = positions.shape[0]
     if n < 2:
@@ -109,17 +82,18 @@ def deployment_stats(positions: np.ndarray) -> DeploymentStats:
             log_link_ratio=0.0,
             occupied_classes=0,
         )
-    distances = pairwise_distances(positions)
-    shortest, longest = link_length_extremes(distances)
+    # The shortest link is the shortest nearest-neighbour distance and the
+    # longest the diameter, both with the (n, n) matrix's bits.
+    everyone = np.arange(n)
+    nearest, _ = nearest_in_pool(positions, everyone, everyone)
+    shortest = float(nearest.min())
+    longest = diameter_of(positions)
     ratio = longest / shortest
-    nearest = nearest_neighbor_distances(distances)
-    normalised = nearest / nearest.min()
-    classes = np.floor(np.log2(normalised)).astype(np.int64)
     return DeploymentStats(
         n=n,
         shortest_link=shortest,
         longest_link=longest,
         link_ratio=ratio,
         log_link_ratio=math.log2(ratio),
-        occupied_classes=int(np.unique(classes).size),
+        occupied_classes=int(np.unique(link_class_indices(nearest, shortest)).size),
     )

@@ -112,7 +112,7 @@ def run(config: Config) -> ExperimentResult:
             for label, positions in _deployments(n, rng):
                 distances = pairwise_distances(positions)
                 active = np.ones(positions.shape[0], dtype=bool)
-                partition = link_class_partition(distances, active)
+                partition = link_class_partition(positions, active)
                 channel = SINRChannel(positions, params=params)
                 effective = channel.params  # power auto-sized
                 gains = channel.base_gains

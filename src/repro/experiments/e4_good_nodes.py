@@ -94,7 +94,7 @@ def run(config: Config) -> ExperimentResult:
             for label, positions in _deployments(config, n, rng):
                 distances = pairwise_distances(positions)
                 active = np.ones(positions.shape[0], dtype=bool)
-                partition = link_class_partition(distances, active)
+                partition = link_class_partition(positions, active)
                 for class_index in partition.occupied:
                     n_i = partition.size(class_index)
                     n_below = partition.size_below(class_index)

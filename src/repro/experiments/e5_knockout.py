@@ -60,11 +60,7 @@ class Config:
 
 def _single_round_knockout(positions, params, p, rng) -> float:
     """Run exactly one round; return the dominant class's knockout fraction."""
-    from repro.sinr.geometry import pairwise_distances
-
-    distances = pairwise_distances(positions)
-    active = np.ones(positions.shape[0], dtype=bool)
-    partition = link_class_partition(distances, active)
+    partition = link_class_partition(positions)
     dominant = max(partition.occupied, key=partition.size)
     members = set(partition.members[dominant])
 

@@ -7,10 +7,11 @@ schedule at a constant number of rounds per step, despite nodes migrating
 to larger classes as their neighbors are knocked out.
 
 Workload: executions of the paper's algorithm on multi-class deployments
-(exponential chains and clustered fields) with a
-:class:`~repro.analysis.linkclasses.LinkClassTracker` attached. After each
-round we compute the largest schedule step the measured class sizes
-satisfy (:meth:`ClassBoundSchedule.achieved_step`).
+(exponential chains and clustered fields), whose class sizes after each
+round are replayed from the trace's records
+(:func:`~repro.analysis.linkclasses.link_class_history`). At the end we
+compute the largest schedule step the measured class sizes satisfy
+(:meth:`ClassBoundSchedule.achieved_step`).
 
 Claims under test: (1) the execution reaches the schedule's zero step
 (all classes empty) within a constant factor of ``T = Theta(log n + log R)``
@@ -26,14 +27,13 @@ from typing import List
 import numpy as np
 
 from repro.analysis.class_bounds import ClassBoundSchedule
-from repro.analysis.linkclasses import LinkClassTracker, link_class_partition
+from repro.analysis.linkclasses import link_class_history, link_class_partition
 from repro.deploy.topologies import clustered, exponential_chain
 from repro.experiments.common import ExperimentResult
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.seeding import spawn_generators
 from repro.sinr.channel import SINRChannel
-from repro.sinr.geometry import pairwise_distances
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "link-class trajectories vs the q_t schedule (Section 3.3)"
@@ -93,8 +93,7 @@ def run(config: Config) -> ExperimentResult:
         run_rng = generators[2 * trial + 1]
         for label, positions in _workloads(deploy_rng):
             n = positions.shape[0]
-            distances = pairwise_distances(positions)
-            initial = link_class_partition(distances)
+            initial = link_class_partition(positions)
             num_classes = (initial.largest_occupied or 0) + 1
             schedule = ClassBoundSchedule(
                 n=n,
@@ -102,20 +101,17 @@ def run(config: Config) -> ExperimentResult:
                 gamma_slow=config.gamma_slow,
                 rho=config.rho,
             )
-            tracker = LinkClassTracker(distances, unit=initial.unit)
-
             channel = SINRChannel(positions, params=params)
             simulation = Simulation(
                 channel,
                 protocol,
                 rng=run_rng,
                 max_rounds=config.max_rounds,
-                keep_records=False,
-                observers=[tracker.observe],
+                keep_records=True,
             )
-            simulation.run()
+            trace = simulation.run()
 
-            matrix, occupied = tracker.size_matrix()
+            matrix, occupied = link_class_history(positions, trace, initial.unit)
             # Map the tracked occupied classes back onto schedule positions.
             sizes_by_round = np.zeros((matrix.shape[0], num_classes))
             for col, class_index in enumerate(occupied):

@@ -1,7 +1,7 @@
 """Unified telemetry for the reproduction: metrics, events, manifests.
 
-The simulation substrate answers *what happened* through traces and
-observers; this package answers *what it cost* — where wall time went, how
+The simulation substrate answers *what happened* through execution
+traces and their round records; this package answers *what it cost* — where wall time went, how
 much channel work each round performed, how an experiment's trials
 progressed — and makes every run reconstructible after the fact.
 
@@ -41,9 +41,10 @@ Three layers, each usable on its own:
     ``--profile`` support: cProfile condensed into per-phase timing and
     hot-function reports recorded in ``manifest.json``.
 
-The engine's *observers* remain the right hook for per-round analysis
-code (link classes, knockout accounting); telemetry is the orthogonal,
-always-available layer for cost and progress. See docs/observability.md.
+Per-round analysis code (link classes, knockout accounting) replays an
+execution's round records (``keep_records=True``); telemetry is the
+orthogonal, always-available layer for cost and progress. See
+docs/observability.md.
 """
 
 from repro.obs.events import (
@@ -70,7 +71,6 @@ from repro.obs.probe import (
     RoundProbe,
     SINRProbe,
     get_probe_bus,
-    link_class_round_stats,
     load_probes,
     set_probe_bus,
 )
@@ -118,7 +118,6 @@ __all__ = [
     "get_probe_bus",
     "get_registry",
     "get_sink",
-    "link_class_round_stats",
     "load_probes",
     "log_spaced_buckets",
     "read_events",

@@ -124,7 +124,6 @@ def core_benchmarks(
     from repro.sim.fast import fast_fixed_probability_run
     from repro.sim.seeding import generator_from
     from repro.sinr.channel import SINRChannel
-    from repro.sinr.geometry import pairwise_distances
 
     positions, channel = _setup(n)
     _, fast_channel = _setup(fast_n)
@@ -132,7 +131,6 @@ def core_benchmarks(
     transmitters = sorted(
         resolve_rng.choice(n, size=max(1, n // 10), replace=False).tolist()
     )
-    distances = pairwise_distances(positions)
 
     def gain_matrix_construction() -> Dict[str, float]:
         SINRChannel(positions).base_gains
@@ -224,10 +222,8 @@ def core_benchmarks(
         return entry
 
     def link_class_partition_cost() -> Dict[str, float]:
-        import numpy as np
-
-        partition = link_class_partition(distances, np.ones(n, dtype=bool))
-        return {"classes": len(set(partition.class_of))}
+        partition = link_class_partition(positions)
+        return {"classes": len(partition.members)}
 
     import os
 

@@ -36,10 +36,10 @@ recorder snapshots back for order-preserving merging, so a sharded run's
 fast path take each round's link classes from a
 :class:`~repro.analysis.nearest_active.NearestActiveNeighbours` tracker
 built from the channel's positions, which re-queries only the nodes
-whose nearest neighbour left; probing never builds the channel's
-``(n, n)`` matrices. :func:`link_class_round_stats` is the same
-computation over a full distance matrix, kept as the reference. Both
-SINR publishers fill a :class:`SINRProbeColumns` as they decode.
+whose nearest neighbour left, and bin them with
+:func:`~repro.analysis.linkclasses.link_class_round_sizes`; probing
+never builds the channel's ``(n, n)`` matrices. Both SINR publishers
+fill a :class:`SINRProbeColumns` as they decode.
 
 Zero cost when disabled — the same contract as the metrics registry: the
 process-global bus defaults to ``enabled = False`` and every hot path
@@ -67,7 +67,6 @@ __all__ = [
     "SINRProbe",
     "SINRProbeColumns",
     "get_probe_bus",
-    "link_class_round_stats",
     "load_probes",
     "set_probe_bus",
 ]
@@ -136,29 +135,6 @@ class ExecutionProbe:
     n: int
     rounds_executed: int
     solved_round: Optional[int]
-
-
-def link_class_round_stats(
-    distances: np.ndarray,
-    active_mask: np.ndarray,
-    knocked_ids: Sequence[int],
-) -> Tuple[Tuple[int, int, int], ...]:
-    """Per-class ``(index, size_before, knocked)`` for one round.
-
-    The partition is computed on the pre-round active set with the default
-    unit (shortest nearest-neighbour link among the currently active
-    nodes) — exactly the partition E5 measures, so the offline analyzer
-    reproduces the experiment's own knockout-fraction numbers. This is
-    the reference form over a full ``(n, n)`` matrix; the simulation
-    paths publish the same triples from
-    :class:`~repro.analysis.nearest_active.NearestActiveNeighbours`.
-    """
-    from repro.analysis.linkclasses import link_class_round_sizes
-    from repro.sinr.geometry import nearest_neighbor_distances
-
-    return link_class_round_sizes(
-        nearest_neighbor_distances(distances, active_mask), knocked_ids
-    )
 
 
 class ProbeBus:

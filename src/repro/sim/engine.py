@@ -64,7 +64,7 @@ exactly this.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -76,10 +76,6 @@ from repro.radio.channel import RadioChannel
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
 __all__ = ["Simulation"]
-
-#: Observer signature: called after each round with the fresh record and the
-#: post-round active mask (numpy bool array indexed by node id).
-RoundObserver = Callable[[RoundRecord, np.ndarray], None]
 
 #: Everything a transmitter learns; frozen, so one instance serves all.
 _TRANSMITTED = Feedback(transmitted=True)
@@ -107,11 +103,9 @@ class Simulation:
         within it.
     keep_records:
         Retain per-round :class:`RoundRecord` objects on the trace. Disable
-        for large sweeps where only the solving round matters.
-    observers:
-        Callables invoked after every round — the hook the link-class
-        analyses use to watch an execution without entangling the engine
-        with analysis code.
+        for large sweeps where only the solving round matters. The
+        link-class analyses replay an execution from its records
+        (:func:`~repro.analysis.linkclasses.link_class_history`).
     activation_schedule:
         Optional per-node activation rounds (length ``n``). Node ``i``
         participates from round ``activation_schedule[i]`` onward and its
@@ -126,7 +120,6 @@ class Simulation:
         rng: np.random.Generator,
         max_rounds: int = 100_000,
         keep_records: bool = True,
-        observers: Optional[List[RoundObserver]] = None,
         protocol_name: Optional[str] = None,
         activation_schedule: Optional[List[int]] = None,
     ) -> None:
@@ -162,7 +155,6 @@ class Simulation:
         self.rng = rng
         self.max_rounds = max_rounds
         self.keep_records = keep_records
-        self.observers = list(observers) if observers else []
         self.protocol_name = protocol_name or type(self._template).__name__
         self.activation = activation
 
@@ -189,8 +181,7 @@ class Simulation:
     def run(self) -> ExecutionTrace:
         """Execute rounds until solved or the budget is exhausted.
 
-        Telemetry (distinct from *observers*, which are per-execution
-        analysis hooks): when the global metrics registry is enabled the
+        Telemetry: when the global metrics registry is enabled the
         engine records per-round transmitter/reception/knockout counts
         and the active population under ``sim.*`` — see
         docs/observability.md for the metric schema. When the global
@@ -202,6 +193,7 @@ class Simulation:
         bus = get_probe_bus()
         probing = bus.enabled
         if probing:
+            from repro.analysis.linkclasses import link_class_round_sizes
             from repro.analysis.nearest_active import NearestActiveNeighbours
 
             bus.begin_execution(n=self.channel.n)
@@ -227,7 +219,6 @@ class Simulation:
         step, active = self._start()
         everyone_awake_from_start = bool(np.all(self.activation == 0))
         staggered = not everyone_awake_from_start
-        recorded = self.keep_records or bool(self.observers)
 
         for round_index in range(self.max_rounds):
             awake = self.activation <= round_index
@@ -268,22 +259,22 @@ class Simulation:
                     knocked_ids=knocked_out,
                     pending=int(np.count_nonzero(self.activation > round_index)),
                     class_stats=(
-                        () if nearest is None else nearest.class_stats(knocked_out)
+                        ()
+                        if nearest is None
+                        else link_class_round_sizes(nearest.distance, knocked_out)
                     ),
                 )
 
-            if recorded:
-                record = RoundRecord(
-                    index=round_index,
-                    transmitters=tuple(tx_ids.tolist()),
-                    receptions=report.received_from,
-                    active_before=tuple(active_ids.tolist()),
-                    knocked_out=tuple(knocked_out.tolist()),
+            if self.keep_records:
+                trace.records.append(
+                    RoundRecord(
+                        index=round_index,
+                        transmitters=tuple(tx_ids.tolist()),
+                        receptions=report.received_from,
+                        active_before=tuple(active_ids.tolist()),
+                        knocked_out=tuple(knocked_out.tolist()),
+                    )
                 )
-                if self.keep_records:
-                    trace.records.append(record)
-                for observer in self.observers:
-                    observer(record, active)
             if recording:
                 c_rounds.inc()
                 c_tx.inc(tx_ids.size)

@@ -19,7 +19,7 @@ and a constant probability, so a whole execution collapses into numpy:
 ``FixedProbabilityProtocol`` through :class:`repro.sim.engine.Simulation`
 (the test suite checks distributional agreement), just 1–2 orders of
 magnitude faster for large ``n``. Use it for scaling studies on the SINR
-channel. Use the generic engine when you need traces, observers, mixed
+channel. Use the generic engine when you need round-by-round traces, mixed
 protocols, activation schedules, stochastic gains, or another protocol.
 The engine also flips a round's coins in one numpy call for the paper's
 algorithm and the other oblivious-schedule protocols, on any channel; what
@@ -42,11 +42,10 @@ __all__ = ["FastRunResult", "FastRoundTelemetry", "fast_fixed_probability_run"]
 
 #: Per-round telemetry callback:
 #: ``(round_index, active_count, transmitter_count, knockouts)``. The
-#: engine's observer mechanism cannot reach the fast path (there are no
-#: RoundRecords to hand out); this callback is its lightweight stand-in,
-#: invoked once per executed round — including the solving round, whose
-#: knockout count is reported as 0 because the fast path stops before
-#: resolving it.
+#: fast path keeps no RoundRecords; this callback is its lightweight
+#: per-round view, invoked once per executed round — including the
+#: solving round, whose knockout count is reported as 0 because the fast
+#: path stops before resolving it.
 FastRoundTelemetry = Callable[[int, int, int, int], None]
 
 _EMPTY_IDS = np.empty(0, dtype=np.intp)
@@ -124,6 +123,7 @@ def fast_fixed_probability_run(
     bus = get_probe_bus()
     probing = bus.enabled
     if probing:
+        from repro.analysis.linkclasses import link_class_round_sizes
         from repro.analysis.nearest_active import NearestActiveNeighbours
 
         bus.begin_execution(n=n)
@@ -167,7 +167,7 @@ def fast_fixed_probability_run(
                     active_before=num_active,
                     tx_count=1,
                     knockouts=0,
-                    class_stats=nearest.class_stats(),
+                    class_stats=link_class_round_sizes(nearest.distance),
                 )
                 bus.end_execution(round_index + 1, round_index)
             return FastRunResult(
@@ -197,7 +197,7 @@ def fast_fixed_probability_run(
                 tx_count=int(tx.size),
                 knockouts=knockouts,
                 knocked_ids=knocked_nodes,
-                class_stats=nearest.class_stats(knocked_nodes),
+                class_stats=link_class_round_sizes(nearest.distance, knocked_nodes),
             )
             nearest.remove(knocked_nodes)
 

@@ -18,8 +18,8 @@ Modules
     :class:`SINRParameters` — validated model constants and derived
     quantities (communication range, single-hop power sizing).
 ``geometry``
-    Vectorised planar geometry: pairwise distances, exponential
-    annuli, greedy circle packings.
+    Vectorised planar geometry: pairwise distances, the diameter,
+    exponential-annulus populations, greedy circle packings.
 ``channel``
     :class:`SINRChannel` — the deterministic path-loss channel: per-round
     reception resolution over the gains each round touches, and a gain
@@ -34,8 +34,6 @@ from repro.sinr.fading import DeterministicGain, GainModel, RayleighFading
 from repro.sinr.jamming import ExternalSource, external_gain_matrix
 from repro.sinr.geometry import (
     annulus_counts,
-    exponential_annulus,
-    nearest_neighbor_distances,
     pairwise_distances,
 )
 from repro.sinr.parameters import SINRParameters, single_hop_power
@@ -49,9 +47,7 @@ __all__ = [
     "SINRChannel",
     "SINRParameters",
     "annulus_counts",
-    "exponential_annulus",
     "external_gain_matrix",
-    "nearest_neighbor_distances",
     "pairwise_distances",
     "single_hop_power",
 ]

@@ -4,8 +4,12 @@ The paper's arguments are geometric: link classes are defined by
 nearest-neighbor distances, good nodes by the population of *exponential
 annuli* ``A^i_t(u) = B(u, 2^{t+1} * 2^i) \\ B(u, 2^t * 2^i)`` (Section 3.2),
 and the well-separated subsets ``S_i`` by greedy circle packing (Lemma 2).
-This module provides those primitives as numpy operations over an
-``(n, 2)`` position array.
+This module holds the distance primitives every path shares: the
+elementwise expression that fixes each distance's bits
+(:func:`cross_distances`), the ``(n, n)`` matrix built from it and the
+deployment's diameter; and the annulus and packing primitives over that
+matrix. Nearest (active) neighbour distances come from positions, in
+:mod:`repro.analysis.nearest_active`.
 
 All functions treat positions as immutable float64 arrays; none of them
 mutate their inputs.
@@ -22,11 +26,8 @@ __all__ = [
     "cross_distances",
     "has_colocated_pair",
     "diameter_of",
-    "nearest_neighbor_distances",
-    "exponential_annulus",
     "annulus_counts",
     "greedy_separated_subset",
-    "link_length_extremes",
     "as_positions",
 ]
 
@@ -166,74 +167,20 @@ def diameter_of(positions: np.ndarray) -> float:
     return longest
 
 
-def nearest_neighbor_distances(
-    distances: np.ndarray, active: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Distance from each active node to its nearest *other* active node.
-
-    Parameters
-    ----------
-    distances:
-        Precomputed ``(n, n)`` distance matrix.
-    active:
-        Optional boolean mask of length ``n``. Inactive nodes receive
-        ``inf`` and are ignored as potential neighbors — this matches the
-        paper's link classes, which are defined over *active* nodes only
-        (Section 3.1).
-
-    Returns
-    -------
-    numpy.ndarray
-        Length-``n`` array; entry ``i`` is ``inf`` when node ``i`` is
-        inactive or has no other active node (the "last node standing" is
-        in no link class).
-    """
-    n = distances.shape[0]
-    ids = np.arange(n) if active is None else np.flatnonzero(active)
-    result = np.full(n, np.inf)
-    if ids.size:
-        # Only the active block: (|active|, |active|) rather than (n, n).
-        within = np.take(distances[ids], ids, axis=1)
-        np.fill_diagonal(within, np.inf)
-        result[ids] = within.min(axis=1)
-    return result
-
-
-def exponential_annulus(
-    distances: np.ndarray,
-    center: int,
-    class_index: int,
-    t: int,
-    active: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The paper's exponential annulus ``A^i_t(u)`` as node indices.
-
-    ``A^i_t(u) = B(u, 2^{t+1} * 2^i) \\ B(u, 2^t * 2^i)``: active nodes at
-    distance ``d`` with ``2^t * 2^i <= d < 2^{t+1} * 2^i`` from ``u``.
-    """
-    n = distances.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    inner = float(2.0 ** (t + class_index))
-    outer = float(2.0 ** (t + 1 + class_index))
-    row = distances[center]
-    within = (row >= inner) & (row < outer) & active
-    within[center] = False
-    return np.flatnonzero(within)
-
-
 def annulus_counts(
     distances: np.ndarray,
     center: int,
     class_index: int,
     max_t: int,
     active: Optional[np.ndarray] = None,
+    unit: float = 1.0,
 ) -> np.ndarray:
     """Population of every annulus ``A^i_t(u)`` for ``t = 0 .. max_t``.
 
     Vectorised over ``t``: bins the distance row once instead of issuing
     ``max_t`` ball queries. Used by the Definition 1 good-node test, which
-    inspects every annulus up to ``t = log R``.
+    inspects every annulus up to ``t = log R``. Distances are divided by
+    ``unit`` (the normalised shortest link) before binning.
     """
     n = distances.shape[0]
     if active is None:
@@ -243,7 +190,7 @@ def annulus_counts(
     row = distances[center]
     mask = active.copy()
     mask[center] = False
-    relevant = row[mask]
+    relevant = row[mask] / unit
     # Annulus t covers [2^(t+i), 2^(t+1+i)); a distance d lands in
     # t = floor(log2(d)) - i when that value is within [0, max_t].
     edges = 2.0 ** (class_index + np.arange(max_t + 2, dtype=np.float64))
@@ -273,16 +220,3 @@ def greedy_separated_subset(
         if all(row[other] > separation for other in kept):
             kept.append(int(candidate))
     return kept
-
-
-def link_length_extremes(distances: np.ndarray) -> tuple:
-    """``(shortest, longest)`` link lengths over all node pairs.
-
-    The paper normalises the shortest link to 1 and calls the longest
-    ``R``; :func:`repro.deploy.metrics.link_ratio` builds on this.
-    """
-    n = distances.shape[0]
-    if n < 2:
-        return (0.0, 0.0)
-    upper = distances[np.triu_indices(n, k=1)]
-    return (float(upper.min()), float(upper.max()))

@@ -134,44 +134,6 @@ class TestRecords:
             dead.update(record.knocked_out)
 
 
-class TestObservers:
-    def test_observer_called_every_round(self):
-        channel = RadioChannel(2)
-        nodes = [_ScheduledNode(0, {0, 1, 2}), _ScheduledNode(1, {0, 1})]
-        calls = []
-
-        def observer(record, active_mask):
-            calls.append((record.index, active_mask.copy()))
-
-        trace = Simulation(
-            channel,
-            nodes,
-            rng=generator_from(0),
-            max_rounds=10,
-            observers=[observer],
-        ).run()
-        assert len(calls) == trace.rounds_executed
-        assert [index for index, _ in calls] == list(range(trace.rounds_executed))
-
-    def test_observer_sees_post_round_activity(self, small_channel):
-        nodes = FixedProbabilityProtocol(p=0.3).build(small_channel.n)
-        snapshots = []
-
-        def observer(record, active_mask):
-            snapshots.append((record, active_mask.copy()))
-
-        Simulation(
-            small_channel,
-            nodes,
-            rng=generator_from(9),
-            max_rounds=1_000,
-            observers=[observer],
-        ).run()
-        for record, mask in snapshots:
-            for node_id in record.knocked_out:
-                assert not mask[node_id]
-
-
 class TestFeedbackContract:
     def test_transmitters_learn_nothing(self):
         received = []

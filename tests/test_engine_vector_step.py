@@ -8,9 +8,8 @@ transmitters' new countdowns with one ``rng.integers(0, windows)``. Such
 a run builds no nodes. The reference is the per-node step, which every
 node list takes: each case runs the factory's node list and the factory
 itself from one seed, and everything must agree exactly: round records,
-observer views, the generator's state after the run, registry counters
-and probe arrays. The list's nodes end in the active state the last
-observer view shows.
+the generator's state after the run, registry counters and probe arrays.
+The list's nodes end in the active state the records replay to.
 """
 
 import numpy as np
@@ -98,7 +97,7 @@ CASES = [
 _NODE_FIELDS = ("final_active", "final_state")
 
 
-def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwargs):
+def _run(protocol, channel, seed, source, keep_records=True, **kwargs):
     """One execution; returns everything the steps must agree on.
 
     ``source`` is what the run is given: ``"list"``, the factory's node
@@ -107,18 +106,9 @@ def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwa
     given = FACTORIES[protocol]
     if source == "list":
         given = given.build(N)
-    seen = []
     rng = generator_from(seed)
     simulation = Simulation(
-        channel,
-        given,
-        rng=rng,
-        max_rounds=3_000,
-        keep_records=keep_records,
-        observers=[lambda record, active: seen.append((record, active.copy()))]
-        if observe
-        else None,
-        **kwargs,
+        channel, given, rng=rng, max_rounds=3_000, keep_records=keep_records, **kwargs
     )
     trace = simulation.run()
     result = {
@@ -126,7 +116,6 @@ def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwa
         "rounds_executed": trace.rounds_executed,
         "protocol_name": trace.protocol_name,
         "records": trace.records,
-        "seen": [(record, active.tolist()) for record, active in seen],
         "rng_state": rng.bit_generator.state,
     }
     if source == "factory":
@@ -134,8 +123,10 @@ def _run(protocol, channel, seed, source, keep_records=True, observe=True, **kwa
     else:
         result["final_active"] = [node.active for node in given]
         result["final_state"] = [vars(node) for node in given]
-        if seen:
-            assert result["final_active"] == result["seen"][-1][1]
+        if trace.records:
+            # Every node starts active; the records name everyone knocked out.
+            knocked = {i for record in trace.records for i in record.knocked_out}
+            assert result["final_active"] == [i not in knocked for i in range(N)]
     return result
 
 
@@ -163,10 +154,8 @@ class TestParity:
 
     @pytest.mark.parametrize("protocol,channel", CASES)
     def test_without_records_or_observers(self, protocol, channel):
-        listed = _parity(
-            protocol, CHANNELS[channel](), 7, keep_records=False, observe=False
-        )
-        assert listed["records"] == [] and listed["seen"] == []
+        listed = _parity(protocol, CHANNELS[channel](), 7, keep_records=False)
+        assert listed["records"] == []
 
     @pytest.mark.parametrize(
         "channel,protocol",
@@ -183,7 +172,7 @@ class TestParity:
             listed = _parity(
                 protocol, CHANNELS[channel](), seed, activation_schedule=schedule
             )
-            assert len(listed["seen"]) == listed["rounds_executed"]
+            assert len(listed["records"]) == listed["rounds_executed"]
 
     @pytest.mark.parametrize("channel", ["sinr", "radio", "radio_cd"])
     def test_collision_rule_needs_collision_detection(self, channel):
@@ -227,7 +216,7 @@ def _instrumented(protocol, channel, seed, source):
     previous_registry = set_registry(registry)
     previous_bus = set_probe_bus(bus)
     try:
-        outcome = _run(protocol, channel, seed, source, keep_records=False, observe=False)
+        outcome = _run(protocol, channel, seed, source, keep_records=False)
     finally:
         set_probe_bus(previous_bus)
         set_registry(previous_registry)

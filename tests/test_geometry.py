@@ -1,18 +1,22 @@
-"""Unit tests for :mod:`repro.sinr.geometry`."""
+"""Unit tests for :mod:`repro.sinr.geometry` and the nearest distances from positions."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.analysis.nearest_active import NearestActiveNeighbours
+from repro.deploy.metrics import deployment_stats
 from repro.sinr.geometry import (
     annulus_counts,
     as_positions,
-    exponential_annulus,
     greedy_separated_subset,
+    pairwise_distances,
+)
+from tests.dense_geometry import (
+    exponential_annulus,
     link_length_extremes,
     nearest_neighbor_distances,
-    pairwise_distances,
 )
 
 
@@ -71,52 +75,51 @@ class TestPairwiseDistances:
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+def _nearest(positions, active=None):
+    """Nearest active neighbour distances, taken from positions."""
+    return NearestActiveNeighbours(as_positions(positions), active).distance
+
+
 class TestNearestNeighbor:
     def test_line_of_three(self):
-        distances = pairwise_distances([(0, 0), (1, 0), (10, 0)])
-        nearest = nearest_neighbor_distances(distances)
-        assert nearest[0] == pytest.approx(1.0)
-        assert nearest[1] == pytest.approx(1.0)
-        assert nearest[2] == pytest.approx(9.0)
+        nearest = _nearest([(0, 0), (1, 0), (10, 0)])
+        assert nearest.tolist() == [1.0, 1.0, 9.0]
 
     def test_inactive_nodes_excluded_as_neighbors(self):
-        distances = pairwise_distances([(0, 0), (1, 0), (10, 0)])
         active = np.array([True, False, True])
-        nearest = nearest_neighbor_distances(distances, active)
+        nearest = _nearest([(0, 0), (1, 0), (10, 0)], active)
         assert nearest[0] == pytest.approx(10.0)
         assert math.isinf(nearest[1])  # inactive node gets inf
         assert nearest[2] == pytest.approx(10.0)
 
     def test_single_active_node_has_no_neighbor(self):
-        distances = pairwise_distances([(0, 0), (1, 0)])
-        active = np.array([True, False])
-        nearest = nearest_neighbor_distances(distances, active)
+        nearest = _nearest([(0, 0), (1, 0)], np.array([True, False]))
         assert math.isinf(nearest[0])
 
     def test_all_inactive(self):
-        distances = pairwise_distances([(0, 0), (1, 0)])
-        nearest = nearest_neighbor_distances(distances, np.array([False, False]))
+        nearest = _nearest([(0, 0), (1, 0)], np.array([False, False]))
         assert np.all(np.isinf(nearest))
 
     def test_does_not_mutate_input(self):
-        distances = pairwise_distances([(0, 0), (1, 0), (2, 0)])
-        copy = distances.copy()
-        nearest_neighbor_distances(distances)
-        assert np.array_equal(distances, copy)
+        positions = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        copy = positions.copy()
+        _nearest(positions)
+        assert np.array_equal(positions, copy)
 
-    def test_grid_nearest_is_spacing(self, grid_distances):
-        nearest = nearest_neighbor_distances(grid_distances)
-        assert np.allclose(nearest, 1.0)
+    def test_grid_nearest_is_spacing(self, grid_positions):
+        assert np.all(_nearest(grid_positions) == 1.0)
 
     def test_equals_the_masked_full_matrix_minimum(self):
         rng = np.random.default_rng(4)
-        distances = pairwise_distances(rng.uniform(-10.0, 10.0, size=(120, 2)))
+        positions = rng.uniform(-10.0, 10.0, size=(120, 2))
+        distances = pairwise_distances(positions)
         for fraction in (1.0, 0.5, 0.05, 0.0):
             active = rng.random(120) < fraction
             masked = np.where(active[None, :], distances, np.inf)
             np.fill_diagonal(masked, np.inf)
             expected = np.where(active, masked.min(axis=1), np.inf)
             assert np.array_equal(nearest_neighbor_distances(distances, active), expected)
+            assert np.array_equal(_nearest(positions, active), expected)
 
 
 class TestBallsAndAnnuli:
@@ -200,10 +203,12 @@ class TestGreedySeparatedSubset:
 
 class TestExtremes:
     def test_link_extremes(self):
-        distances = pairwise_distances([(0, 0), (1, 0), (10, 0)])
-        shortest, longest = link_length_extremes(distances)
-        assert shortest == pytest.approx(1.0)
-        assert longest == pytest.approx(10.0)
+        positions = [(0, 0), (1, 0), (10, 0)]
+        stats = deployment_stats(positions)
+        assert link_length_extremes(pairwise_distances(positions)) == (1.0, 10.0)
+        assert (stats.shortest_link, stats.longest_link) == (1.0, 10.0)
 
     def test_link_extremes_single_node(self):
         assert link_length_extremes(pairwise_distances([(0, 0)])) == (0.0, 0.0)
+        stats = deployment_stats([(0, 0)])
+        assert (stats.shortest_link, stats.longest_link) == (0.0, 0.0)

@@ -84,23 +84,23 @@ class TestIsGood:
 
 
 class TestGoodNodesOfPartition:
-    def test_grid_class_zero_all_good(self, grid_distances):
+    def test_grid_class_zero_all_good(self, grid_positions, grid_distances):
         active = np.ones(25, dtype=bool)
-        partition = link_class_partition(grid_distances, active)
+        partition = link_class_partition(grid_positions, active)
         assert len(good_nodes(partition, 0, grid_distances, active, alpha=3.0)) == 25
 
     def test_good_fraction_bounds(self, rng):
         positions = uniform_disk(60, rng)
         distances = pairwise_distances(positions)
         active = np.ones(60, dtype=bool)
-        partition = link_class_partition(distances, active)
+        partition = link_class_partition(positions, active)
         for index in partition.occupied:
             fraction = good_fraction(partition, index, distances, active, alpha=3.0)
             assert 0.0 <= fraction <= 1.0
 
-    def test_good_fraction_empty_class_nan(self, grid_distances):
+    def test_good_fraction_empty_class_nan(self, grid_positions, grid_distances):
         active = np.ones(25, dtype=bool)
-        partition = link_class_partition(grid_distances, active)
+        partition = link_class_partition(grid_positions, active)
         assert np.isnan(
             good_fraction(partition, 99, grid_distances, active, alpha=3.0)
         )

@@ -8,7 +8,7 @@ bugs the module tests cannot.
 import numpy as np
 import pytest
 
-from repro.analysis.linkclasses import LinkClassTracker, link_class_partition
+from repro.analysis.linkclasses import link_class_history, link_class_partition
 from repro.deploy.topologies import (
     exponential_chain,
     grid,
@@ -24,7 +24,6 @@ from repro.sim.runner import run_trials
 from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
-from repro.sinr.geometry import pairwise_distances
 from repro.sinr.parameters import SINRParameters
 
 
@@ -121,19 +120,14 @@ class TestSpatialReuseIsTheMechanism:
 class TestLinkClassDynamics:
     def test_classes_empty_from_tracked_execution(self):
         positions = exponential_chain(4, nodes_per_class=4)
-        distances = pairwise_distances(positions)
-        tracker = LinkClassTracker(distances)
         channel = SINRChannel(positions)
         nodes = FixedProbabilityProtocol(p=0.1).build(channel.n)
         trace = Simulation(
-            channel,
-            nodes,
-            rng=generator_from(15),
-            max_rounds=10_000,
-            observers=[tracker.observe],
+            channel, nodes, rng=generator_from(15), max_rounds=10_000
         ).run()
         assert trace.solved
-        matrix, _ = tracker.size_matrix()
+        unit = link_class_partition(positions).unit
+        matrix, _ = link_class_history(positions, trace, unit)
         # Total classified nodes shrinks over the execution.
         assert matrix[-1].sum() < matrix[0].sum()
 
@@ -142,14 +136,13 @@ class TestLinkClassDynamics:
         # relative to the initial partition.
         rng = generator_from(23)
         positions = uniform_disk(40, rng)
-        distances = pairwise_distances(positions)
-        initial = link_class_partition(distances, unit=1.0)
+        initial = link_class_partition(positions, unit=1.0)
         channel = SINRChannel(positions)
         nodes = FixedProbabilityProtocol(p=0.1).build(channel.n)
         trace = Simulation(channel, nodes, rng=rng, max_rounds=5_000).run()
         final_active = np.array([node.active for node in nodes])
         if final_active.sum() >= 2:
-            final = link_class_partition(distances, final_active, unit=1.0)
+            final = link_class_partition(positions, final_active, unit=1.0)
             for node, index in final.class_of.items():
                 assert index >= initial.class_of[node]
 

@@ -2,8 +2,8 @@
 
 :class:`~repro.analysis.nearest_active.NearestActiveNeighbours` is how
 the fast path and the engine publish each round's link classes without
-the ``(n, n)`` matrix. Its contract is equality, bit for bit, with
-:func:`repro.obs.probe.link_class_round_stats` over
+the ``(n, n)`` matrix. Its contract is equality, bit for bit, with the
+dense references in :mod:`tests.dense_geometry` over
 ``pairwise_distances(positions)``, after every round of any execution:
 knockouts, wake-ups, ties, exponential chains and near-empty sets alike.
 """
@@ -14,16 +14,17 @@ import numpy as np
 import pytest
 
 from repro.analysis import nearest_active
-from repro.analysis.linkclasses import link_class_indices
+from repro.analysis.linkclasses import link_class_indices, link_class_round_sizes
 from repro.analysis.nearest_active import NearestActiveNeighbours, nearest_in_pool
 from repro.deploy import topologies
-from repro.obs.probe import ProbeBus, link_class_round_stats, set_probe_bus
+from repro.obs.probe import ProbeBus, set_probe_bus
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
-from repro.sinr.geometry import nearest_neighbor_distances, pairwise_distances
+from repro.sinr.geometry import pairwise_distances
+from tests.dense_geometry import link_class_round_stats, nearest_neighbor_distances
 
 
 def _deployments():
@@ -47,12 +48,16 @@ def _deployments():
 DEPLOYMENTS = _deployments()
 
 
+def _class_stats(tracker, knocked=()):
+    return link_class_round_sizes(tracker.distance, knocked)
+
+
 def _assert_tracks(tracker, distances, mask, knocked=()):
     assert np.array_equal(tracker.active, mask)
     assert np.array_equal(tracker.distance, nearest_neighbor_distances(distances, mask))
     linked = np.flatnonzero(tracker.neighbour >= 0)
     assert np.array_equal(distances[linked, tracker.neighbour[linked]], tracker.distance[linked])
-    assert tracker.class_stats(knocked) == link_class_round_stats(distances, mask, knocked)
+    assert _class_stats(tracker, knocked) == link_class_round_stats(distances, mask, knocked)
 
 
 class TestBinning:
@@ -184,19 +189,19 @@ class TestEdgeCases:
     def test_single_node(self):
         tracker = NearestActiveNeighbours(np.zeros((1, 2)))
         assert tracker.distance.tolist() == [np.inf]
-        assert tracker.class_stats() == ()
+        assert _class_stats(tracker) == ()
         tracker.remove([0])
-        assert tracker.class_stats() == ()
+        assert _class_stats(tracker) == ()
 
     def test_two_nodes(self):
         positions = np.array([[0.0, 0.0], [3.0, 4.0]])
         tracker = NearestActiveNeighbours(positions)
         assert tracker.distance.tolist() == [5.0, 5.0]
         assert tracker.neighbour.tolist() == [1, 0]
-        assert tracker.class_stats([1]) == ((0, 2, 1),)
+        assert _class_stats(tracker, [1]) == ((0, 2, 1),)
         tracker.remove([1])
         assert tracker.distance.tolist() == [np.inf, np.inf]
-        assert tracker.class_stats() == ()
+        assert _class_stats(tracker) == ()
 
     def test_one_survivor_left(self):
         positions = DEPLOYMENTS["grid"]

@@ -1,5 +1,5 @@
 """Fast-path telemetry parity: the vectorised run must report the same
-per-round story the generic engine's observers see on a shared seed.
+per-round story the generic engine's round records tell on a shared seed.
 
 Both paths draw the same RNG stream (``n_active`` uniform doubles per
 round, ascending node order), so on a deterministic channel the two
@@ -27,26 +27,17 @@ def _channel(n, seed=7):
 
 
 def _engine_rows(channel, p, seed):
-    rows = []
-
-    def observer(record, active):
-        rows.append(
-            (
-                record.index,
-                record.num_active_before,
-                len(record.transmitters),
-                len(record.knocked_out),
-            )
-        )
-
     nodes = FixedProbabilityProtocol(p=p).build(channel.n)
-    trace = Simulation(
-        channel,
-        nodes,
-        rng=generator_from(seed),
-        observers=[observer],
-        keep_records=False,
-    ).run()
+    trace = Simulation(channel, nodes, rng=generator_from(seed), keep_records=True).run()
+    rows = [
+        (
+            record.index,
+            record.num_active_before,
+            len(record.transmitters),
+            len(record.knocked_out),
+        )
+        for record in trace.records
+    ]
     return trace, rows
 
 

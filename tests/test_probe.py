@@ -16,7 +16,6 @@ from repro.obs.probe import (
     ProbeBus,
     ProbeRecorder,
     get_probe_bus,
-    link_class_round_stats,
     load_probes,
     set_probe_bus,
 )
@@ -25,6 +24,7 @@ from repro.sim.engine import Simulation
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
+from tests.dense_geometry import link_class_round_stats
 
 N = 24
 MAX_ROUNDS = 4_000
@@ -223,7 +223,7 @@ class TestLinkClassRoundStats:
         distances = pairwise_distances(positions)
         mask = np.ones(N, dtype=bool)
         stats = link_class_round_stats(distances, mask, knocked_ids=(0, 1))
-        partition = link_class_partition(distances, active=mask)
+        partition = link_class_partition(positions, active=mask)
         assert {index: size for index, size, _ in stats} == {
             index: len(members) for index, members in partition.members.items()
         }

@@ -26,6 +26,7 @@ from repro.hitting.game import AdaptiveReferee
 from repro.sinr.channel import SINRChannel
 from repro.sinr.geometry import pairwise_distances
 from repro.sinr.parameters import SINRParameters
+from tests.dense_geometry import nearest_neighbor_distances
 
 
 # -- strategies --------------------------------------------------------------
@@ -123,7 +124,6 @@ class TestPartitionProperties:
     @given(deployments(min_nodes=3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_partition_is_a_partition(self, positions, data):
-        distances = pairwise_distances(positions)
         n = positions.shape[0]
         mask = np.asarray(
             data.draw(
@@ -131,7 +131,7 @@ class TestPartitionProperties:
             )
         )
         assume(mask.sum() >= 2)
-        partition = link_class_partition(distances, mask, unit=1.0)
+        partition = link_class_partition(positions, mask, unit=1.0)
         # Every active node appears in exactly one class.
         seen = [node for ids in partition.members.values() for node in ids]
         assert sorted(seen) == sorted(np.flatnonzero(mask).tolist())
@@ -140,7 +140,6 @@ class TestPartitionProperties:
     @given(deployments(min_nodes=3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_deactivation_never_shrinks_class_index(self, positions, data):
-        distances = pairwise_distances(positions)
         n = positions.shape[0]
         before_mask = np.ones(n, dtype=bool)
         removed = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 2))
@@ -148,19 +147,16 @@ class TestPartitionProperties:
         for node in removed:
             after_mask[node] = False
         assume(after_mask.sum() >= 2)
-        before = link_class_partition(distances, before_mask, unit=1.0)
-        after = link_class_partition(distances, after_mask, unit=1.0)
+        before = link_class_partition(positions, before_mask, unit=1.0)
+        after = link_class_partition(positions, after_mask, unit=1.0)
         for node, index in after.class_of.items():
             assert index >= before.class_of[node]
 
     @given(deployments(min_nodes=2))
     @settings(max_examples=40, deadline=None)
     def test_class_index_matches_nearest_distance(self, positions):
-        distances = pairwise_distances(positions)
-        partition = link_class_partition(distances, unit=1.0)
-        from repro.sinr.geometry import nearest_neighbor_distances
-
-        nearest = nearest_neighbor_distances(distances)
+        partition = link_class_partition(positions, unit=1.0)
+        nearest = nearest_neighbor_distances(pairwise_distances(positions))
         for node, index in partition.class_of.items():
             assert 2.0**index <= nearest[node] < 2.0 ** (index + 1)
 

@@ -109,8 +109,7 @@ class TestExponentialChain:
         from repro.analysis.linkclasses import link_class_partition
 
         positions = exponential_chain(4, nodes_per_class=2)
-        distances = pairwise_distances(positions)
-        partition = link_class_partition(distances)
+        partition = link_class_partition(positions)
         # Cluster i's pair gap is 2^i, so classes 0..3 are all occupied.
         assert set(partition.occupied) == {0, 1, 2, 3}
 
@@ -122,11 +121,10 @@ class TestExponentialChain:
         assert large > small + 4.0
 
     def test_nearest_neighbor_is_cluster_partner(self):
-        from repro.sinr.geometry import nearest_neighbor_distances
+        from repro.analysis.nearest_active import NearestActiveNeighbours
 
         positions = exponential_chain(3, nodes_per_class=4)
-        distances = pairwise_distances(positions)
-        nearest = nearest_neighbor_distances(distances)
+        nearest = NearestActiveNeighbours(positions).distance
         # Pair gaps are 2^i for cluster i; every node's nearest neighbor
         # must be its vertical partner.
         expected = np.repeat([2.0**i for i in range(3)], 4)
@@ -152,9 +150,9 @@ class TestRing:
         assert np.allclose(radii, radii[0])
 
     def test_single_class(self):
-        from repro.deploy.metrics import occupied_link_classes
+        from repro.deploy.metrics import deployment_stats
 
-        assert occupied_link_classes(ring(16)) == 1
+        assert deployment_stats(ring(16)).occupied_classes == 1
 
     def test_small_cases(self):
         assert ring(1).shape == (1, 2)
@@ -192,12 +190,12 @@ class TestPowerLawDisk:
         assert (radii < split).sum() > (radii >= split).sum()
 
     def test_produces_many_link_classes(self, rng):
-        from repro.deploy.metrics import occupied_link_classes
+        from repro.deploy.metrics import deployment_stats
 
         positions = power_law_disk(
             100, rng, exponent=2.5, inner_radius=2.0, outer_radius=2_000.0
         )
-        assert occupied_link_classes(positions) >= 3
+        assert deployment_stats(positions).occupied_classes >= 3
 
     def test_exponent_two_log_uniform_path(self, rng):
         positions = power_law_disk(20, rng, exponent=2.0)
@@ -225,8 +223,7 @@ class TestClustered:
         from repro.analysis.linkclasses import link_class_partition
 
         positions = clustered(3, 12, rng, cluster_radius=4.0)
-        distances = pairwise_distances(positions)
-        partition = link_class_partition(distances)
+        partition = link_class_partition(positions)
         # Within-cluster nearest neighbors dominate: the smallest class
         # holds the bulk of the nodes.
         dominant = max(partition.occupied, key=partition.size)
