@@ -57,9 +57,7 @@ from repro.deploy import (
     grid,
     line,
     link_ratio,
-    two_cluster,
     uniform_disk,
-    uniform_square,
 )
 from repro.obs import MetricsRegistry, TelemetrySession, get_registry
 from repro.reporting import ascii_histogram, ascii_plot
@@ -110,7 +108,6 @@ from repro.sim import (
     spawn_seed_sequences,
 )
 from repro.sinr import (
-    DeterministicGain,
     RayleighFading,
     SINRChannel,
     SINRParameters,
@@ -129,7 +126,6 @@ __all__ = [
     "ComparisonResult",
     "ContentionResolutionPlayer",
     "DecayProtocol",
-    "DeterministicGain",
     "ExecutionTrace",
     "ExternalSource",
     "FastRunResult",
@@ -185,9 +181,7 @@ __all__ = [
     "set_default_workers",
     "spawn_generators",
     "spawn_seed_sequences",
-    "two_cluster",
     "two_player_trials",
     "uniform_disk",
-    "uniform_square",
     "well_separated_subset",
 ]

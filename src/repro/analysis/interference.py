@@ -21,7 +21,7 @@ the closest thing a simulation offers to "re-running" a proof.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,28 +114,31 @@ def lemma4_bound(
 
 
 def interference_at(
-    gains: np.ndarray, node: int, transmitters: Iterable[int]
+    gains: np.ndarray, node: int, transmitters: Sequence[int]
 ) -> float:
     """Sum of arriving signal powers at ``node`` from ``transmitters``.
 
     ``gains`` is the channel's base gain matrix (``gains[i, j]`` = power at
     ``j`` when ``i`` transmits); the node itself is excluded automatically
-    because the diagonal is zero.
+    because the diagonal is zero. ``transmitters`` may be an id array,
+    which is then used without a copy per call.
     """
-    indices = [int(t) for t in transmitters if int(t) != node]
-    if not indices:
+    indices = np.asarray(transmitters, dtype=np.intp)
+    indices = indices[indices != node]
+    if not indices.size:
         return 0.0
     return float(gains[indices, node].sum())
 
 
 def total_interference_on_set(
-    gains: np.ndarray, members: Sequence[int], sources: Iterable[int]
+    gains: np.ndarray, members: Sequence[int], sources: Sequence[int]
 ) -> float:
     """Collective interference on ``members`` from ``sources`` (Claim 1's LHS).
 
     Sources that are themselves members contribute to the *other* members
     only (a node does not interfere with itself).
     """
+    sources = np.asarray(sources, dtype=np.intp)
     return sum(interference_at(gains, m, sources) for m in members)
 
 
@@ -143,7 +146,8 @@ def interference_generated_by(
     gains: np.ndarray, source: int, members: Sequence[int]
 ) -> float:
     """Claim 2's ``int(u)``: total power ``source`` lands on ``members``."""
-    targets = [int(m) for m in members if int(m) != source]
-    if not targets:
+    targets = np.asarray(members, dtype=np.intp)
+    targets = targets[targets != source]
+    if not targets.size:
         return 0.0
     return float(gains[source, targets].sum())

@@ -115,10 +115,6 @@ class LinkClassPartition:
     def largest_occupied(self) -> Optional[int]:
         return max(self.members) if self.members else None
 
-    def sizes(self) -> Dict[int, int]:
-        """``class index -> n_i`` for the occupied classes."""
-        return {index: len(ids) for index, ids in self.members.items()}
-
 
 def link_class_partition(
     positions: np.ndarray,

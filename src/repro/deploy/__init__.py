@@ -5,14 +5,13 @@ paper's bound ``O(log n + log R)`` has two knobs — the node count ``n`` and
 the link-length ratio ``R`` — and the generators here let each be swept
 independently:
 
-* :func:`uniform_disk` / :func:`uniform_square` — the "most feasible
-  deployments" regime where ``R`` is polynomial in ``n`` (footnote 1).
+* :func:`uniform_disk` — the "most feasible deployments" regime where
+  ``R`` is polynomial in ``n`` (footnote 1).
 * :func:`exponential_chain` — a deployment engineered so ``log R`` is an
   explicit parameter while ``n`` stays fixed (drives experiment E2).
 * :func:`grid` — the minimum-``R`` regime (one or few link classes).
 * :func:`clustered` — many nodes per link class, several classes
   (stress-tests the class-migration machinery of Section 3.3).
-* :func:`two_cluster` — the two-player geometry used by the lower bound.
 
 All generators return an ``(n, 2)`` float64 array and guarantee pairwise
 distinct positions with a configurable minimum separation.
@@ -29,11 +28,8 @@ from repro.deploy.topologies import (
     exponential_chain,
     grid,
     line,
-    power_law_disk,
     ring,
-    two_cluster,
     uniform_disk,
-    uniform_square,
 )
 
 __all__ = [
@@ -45,9 +41,6 @@ __all__ = [
     "line",
     "link_ratio",
     "log_link_ratio",
-    "power_law_disk",
     "ring",
-    "two_cluster",
     "uniform_disk",
-    "uniform_square",
 ]

@@ -28,14 +28,11 @@ import numpy as np
 
 __all__ = [
     "uniform_disk",
-    "uniform_square",
     "grid",
     "line",
     "ring",
     "exponential_chain",
-    "power_law_disk",
     "clustered",
-    "two_cluster",
 ]
 
 _MAX_REJECTION_ROUNDS = 10_000
@@ -227,24 +224,6 @@ def uniform_disk(
     return _rejection_sample(n, rng, _disk_draw(rng, radius), min_separation)
 
 
-def uniform_square(
-    n: int,
-    rng: np.random.Generator,
-    side: Optional[float] = None,
-    min_separation: float = 1.0,
-) -> np.ndarray:
-    """``n`` points uniform in an axis-aligned square."""
-    if n < 1:
-        raise ValueError(f"n must be positive (got {n})")
-    if side is None:
-        side = 6.0 * math.sqrt(max(n, 1)) * min_separation
-
-    def draw(k: int) -> np.ndarray:
-        return side * rng.random((k, 2))
-
-    return _rejection_sample(n, rng, draw, min_separation)
-
-
 def grid(n: int, spacing: float = 1.0) -> np.ndarray:
     """The first ``n`` points of a square lattice with the given spacing.
 
@@ -293,53 +272,6 @@ def ring(n: int, spacing: float = 1.0) -> np.ndarray:
     radius = spacing / (2.0 * math.sin(math.pi / n))
     angles = 2.0 * math.pi * np.arange(n) / n
     return radius * np.column_stack((np.cos(angles), np.sin(angles)))
-
-
-def power_law_disk(
-    n: int,
-    rng: np.random.Generator,
-    exponent: float = 2.0,
-    inner_radius: float = 2.0,
-    outer_radius: Optional[float] = None,
-    min_separation: float = 1.0,
-) -> np.ndarray:
-    """Radially thinning deployment: density falls as ``r^-exponent``.
-
-    Points are denser near the center and sparser outward, so
-    nearest-neighbor distances span many scales *naturally* — unlike the
-    engineered :func:`exponential_chain`, the link classes here emerge
-    from a realistic density gradient (think a city core fading into
-    suburbs). Useful for stressing the multi-class analysis on organic
-    geometry.
-
-    The radial coordinate is drawn with density ``∝ r^{1-exponent}`` on
-    ``[inner_radius, outer_radius]`` via inverse-transform sampling.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive (got {n})")
-    if exponent <= 1.0:
-        raise ValueError(f"exponent must exceed 1 (got {exponent})")
-    if inner_radius <= 0.0:
-        raise ValueError(f"inner_radius must be positive (got {inner_radius})")
-    if outer_radius is None:
-        outer_radius = inner_radius * 16.0 * math.sqrt(max(n, 1))
-    if outer_radius <= inner_radius:
-        raise ValueError("outer_radius must exceed inner_radius")
-
-    power = 2.0 - exponent  # exponent of the radial CDF's argument
-
-    def draw(k: int) -> np.ndarray:
-        u = rng.random(k)
-        if abs(power) < 1e-12:
-            # exponent == 2: log-uniform radii.
-            r = inner_radius * (outer_radius / inner_radius) ** u
-        else:
-            a = inner_radius**power
-            b = outer_radius**power
-            r = (a + u * (b - a)) ** (1.0 / power)
-        return _polar(r, 2.0 * math.pi * rng.random(k))
-
-    return _rejection_sample(n, rng, draw, min_separation)
 
 
 def exponential_chain(
@@ -420,30 +352,4 @@ def clustered(
         cluster_points = _rejection_sample(nodes_per_cluster, rng, draw, min_separation)
         points[filled : filled + nodes_per_cluster] = cluster_points
         filled += nodes_per_cluster
-    return points
-
-
-def two_cluster(
-    cluster_size: int,
-    rng: np.random.Generator,
-    gap: float = 64.0,
-    cluster_radius: float = 2.0,
-    min_separation: float = 1.0,
-) -> np.ndarray:
-    """Two dense clusters separated by ``gap`` — the lower-bound geometry.
-
-    The Section 4 reduction embeds a two-player symmetry-breaking instance
-    in a large network; this deployment realises the geometry in which two
-    tight groups must break symmetry across a wide gap.
-    """
-    if cluster_size < 1:
-        raise ValueError(f"cluster_size must be positive (got {cluster_size})")
-    if gap <= 4.0 * cluster_radius:
-        raise ValueError("gap must exceed four cluster radii to keep clusters distinct")
-    centers = np.asarray([[0.0, 0.0], [gap, 0.0]])
-    points = np.empty((2 * cluster_size, 2), dtype=np.float64)
-    for idx, center in enumerate(centers):
-        draw = _disk_draw(rng, cluster_radius, center)
-        block = _rejection_sample(cluster_size, rng, draw, min_separation)
-        points[idx * cluster_size : (idx + 1) * cluster_size] = block
     return points

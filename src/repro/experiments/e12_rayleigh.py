@@ -7,6 +7,11 @@ The paper's algorithm uses no channel-state information at all, so it runs
 unmodified — the question is whether its ``O(log n)`` behaviour survives
 the gain randomness.
 
+Both channels run on the vectorised fast path (``repro.sim.fast``), which
+draws a faded round's multipliers inside the channel's one decode, in
+the order the generic engine would; the deterministic rows are the
+engine's to the bit.
+
 Expected shape: solve times remain logarithmic in ``n`` and within a small
 constant factor of the deterministic channel. (Intuition: fading hurts some
 receptions and helps others; the knockout dynamic only needs *many*
@@ -22,8 +27,8 @@ from typing import Dict, List
 from repro.analysis.fits import fit_models
 from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.protocols.simple import FixedProbabilityProtocol
-from repro.sim.runner import high_probability_budget, run_trials
+from repro.sim.parallel import run_fast_trials
+from repro.sim.runner import high_probability_budget
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
 from repro.sinr.parameters import SINRParameters
@@ -52,7 +57,6 @@ class Config:
 
 def run(config: Config) -> ExperimentResult:
     params = SINRParameters(alpha=config.alpha)
-    protocol = FixedProbabilityProtocol(p=config.p)
     result = ExperimentResult(
         experiment_id="E12",
         title=TITLE,
@@ -66,11 +70,11 @@ def run(config: Config) -> ExperimentResult:
             ("deterministic", None),
             ("rayleigh", RayleighFading()),
         ):
-            stats = run_trials(
+            stats = run_fast_trials(
                 channel_factory=lambda rng, n=n, gm=gain_model: SINRChannel(
                     uniform_disk(n, rng), params=params, gain_model=gm
                 ),
-                protocol=protocol,
+                p=config.p,
                 trials=config.trials,
                 seed=(config.seed, n, label == "rayleigh"),
                 max_rounds=budget,

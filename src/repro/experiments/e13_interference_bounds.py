@@ -117,6 +117,7 @@ def run(config: Config) -> ExperimentResult:
                 effective = channel.params  # power auto-sized
                 gains = channel.base_gains
                 unit = partition.unit
+                everyone = np.arange(positions.shape[0])
 
                 for class_index in partition.occupied:
                     good = good_nodes(
@@ -132,7 +133,7 @@ def run(config: Config) -> ExperimentResult:
                         partner_of(u, distances, active) for u in s_i
                     ]
                     s_and_t = sorted(set(s_i) | {p for p in partners if p is not None})
-                    everyone = list(range(positions.shape[0]))
+                    members = np.asarray(s_i, dtype=np.intp)
 
                     # Claim 1: worst-case collective interference on S_i.
                     measured_total = total_interference_on_set(gains, s_i, everyone)
@@ -143,11 +144,13 @@ def run(config: Config) -> ExperimentResult:
                     claim1_ok &= measured_total <= bound_total
 
                     # Claim 2: the worst single outside generator.
-                    outsiders = [u for u in everyone if u not in set(s_and_t)]
+                    outside = np.ones(positions.shape[0], dtype=bool)
+                    outside[s_and_t] = False
+                    outsiders = everyone[outside]
                     ratio2 = 0.0
-                    if outsiders:
+                    if outsiders.size:
                         worst = max(
-                            interference_generated_by(gains, u, s_i)
+                            interference_generated_by(gains, u, members)
                             for u in outsiders
                         )
                         bound_single = claim1_bound(

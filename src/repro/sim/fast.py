@@ -10,17 +10,20 @@ and a constant probability, so a whole execution collapses into numpy:
   (:meth:`~repro.sinr.channel.SINRChannel.decode`), which walks the
   round's listeners in fixed-size blocks of ``(transmitter, listener)``
   gains: computed from positions, or gathered when the channel's
-  ``(n, n)`` matrix has been built. A fresh deployment therefore never
-  needs that matrix, and a trial's memory is O(n) whatever the round's
+  ``(n, n)`` matrix has been built, and multiplied by fresh Rayleigh
+  draws on a fading channel. A fresh deployment therefore never needs
+  that matrix, and a trial's memory is O(n) whatever the round's
   ``|T| x |L|``;
 * knockout: a boolean mask update.
 
-``fast_fixed_probability_run`` is behaviourally equivalent to running
-``FixedProbabilityProtocol`` through :class:`repro.sim.engine.Simulation`
-(the test suite checks distributional agreement), just 1–2 orders of
-magnitude faster for large ``n``. Use it for scaling studies on the SINR
-channel. Use the generic engine when you need round-by-round traces, mixed
-protocols, activation schedules, stochastic gains, or another protocol.
+``fast_fixed_probability_run`` draws the coins and the fading multipliers
+in the order :class:`repro.sim.engine.Simulation` running
+``FixedProbabilityProtocol`` does, so on the same generator both give the
+same execution (the test suite checks it per trial, with and without
+fading), just 1–2 orders of magnitude faster for large ``n``. Use it for
+scaling studies on the SINR channel. Use the generic engine when you need
+round-by-round traces, mixed protocols, activation schedules, jammers with
+``duty_cycle < 1``, or another protocol.
 The engine also flips a round's coins in one numpy call for the paper's
 algorithm and the other oblivious-schedule protocols, on any channel; what
 it keeps over this path is the per-round bookkeeping and
@@ -85,9 +88,10 @@ def fast_fixed_probability_run(
 ) -> FastRunResult:
     """Run the paper's algorithm to the first solo round, vectorised.
 
-    Restrictions (by design): deterministic gain model, no external
-    sources with ``duty_cycle < 1`` (continuous jammers are folded into a
-    static interference vector), simultaneous activation.
+    Restrictions (by design): no external sources with ``duty_cycle < 1``
+    (continuous jammers are folded into a static interference vector),
+    simultaneous activation. Under Rayleigh fading ``rng`` also draws
+    each round's multipliers, after its coins.
 
     ``telemetry`` receives ``(round_index, active_count, tx_count,
     knockouts)`` per executed round; when the global metrics registry is
@@ -98,11 +102,6 @@ def fast_fixed_probability_run(
         raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive (got {max_rounds})")
-    if not channel.gain_model.is_deterministic:
-        raise ValueError(
-            "the fast path supports the deterministic gain model only; "
-            "use the generic engine for fading channels"
-        )
     if any(not s.is_continuous for s in channel.external_sources):
         raise ValueError(
             "the fast path supports continuous external sources only"
@@ -181,9 +180,12 @@ def fast_fixed_probability_run(
         if tx.size > 0:
             listeners = active_ids[~coins]
             if listeners.size > 0:
-                # Publishes the round's SINR probe when probing; no RNG
-                # draws, so probes never perturb the run.
-                _, _, decoded = channel.decode(tx, listeners, static_external[listeners])
+                # Draws the fading multipliers, if any, as the engine's
+                # resolve does; the SINR probe it publishes when probing
+                # draws nothing, so probes never perturb the run.
+                _, _, decoded = channel.decode(
+                    tx, listeners, static_external[listeners], rng
+                )
                 knockouts = int(np.count_nonzero(decoded))
                 knocked_nodes = listeners[decoded]
                 active[knocked_nodes] = False

@@ -21,16 +21,16 @@ Modules
     Vectorised planar geometry: pairwise distances, the diameter,
     exponential-annulus populations, greedy circle packings.
 ``channel``
-    :class:`SINRChannel` — the deterministic path-loss channel: per-round
-    reception resolution over the gains each round touches, and a gain
-    matrix built on demand.
+    :class:`SINRChannel` — the path-loss channel: per-round reception
+    resolution over the gains each round touches (one decode, faded or
+    not), and a gain matrix built on demand.
 ``fading``
-    :class:`RayleighFading` and :class:`DeterministicGain` — per-round
-    stochastic gain models layered on top of the path-loss channel.
+    :class:`RayleighFading` — the optional fading model; the channel's
+    decode draws its per-round multipliers.
 """
 
 from repro.sinr.channel import ReceptionReport, SINRChannel
-from repro.sinr.fading import DeterministicGain, GainModel, RayleighFading
+from repro.sinr.fading import RayleighFading
 from repro.sinr.jamming import ExternalSource, external_gain_matrix
 from repro.sinr.geometry import (
     annulus_counts,
@@ -39,9 +39,7 @@ from repro.sinr.geometry import (
 from repro.sinr.parameters import SINRParameters, single_hop_power
 
 __all__ = [
-    "DeterministicGain",
     "ExternalSource",
-    "GainModel",
     "RayleighFading",
     "ReceptionReport",
     "SINRChannel",

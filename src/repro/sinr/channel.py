@@ -17,7 +17,9 @@ reductions per listener:
 The decode takes the listeners in fixed-size blocks, so no round holds
 its ``|T| x |L|`` gains at once: a round's memory is O(n) whatever its
 size. :meth:`SINRChannel.gain_rows` returns the whole array for callers
-that want it.
+that want it. Under Rayleigh fading each block's gains are multiplied by
+fresh exponential draws before the reductions, so faded and deterministic
+rounds share the one decode.
 
 Because the SINR of a candidate transmitter is monotone increasing in its
 arriving signal (each transmitter's own power is excluded from its
@@ -39,7 +41,7 @@ import numpy as np
 from repro.obs.probe import SINRProbeColumns, get_probe_bus
 from repro.obs.registry import get_registry
 from repro.radio.channel import round_ids
-from repro.sinr.fading import DeterministicGain, GainModel
+from repro.sinr.fading import RayleighFading
 from repro.sinr.geometry import (
     as_positions,
     cross_distances,
@@ -171,7 +173,9 @@ class SINRChannel:
         transmission power is raised, if necessary, to satisfy the paper's
         single-hop assumption for this deployment's diameter.
     gain_model:
-        Optional stochastic fading layer (default: deterministic path loss).
+        ``None`` for the deterministic path loss (default), or a
+        :class:`~repro.sinr.fading.RayleighFading` whose multipliers
+        :meth:`decode` draws every round.
     auto_power:
         Size the power to the deployment per Section 2. Disable to study
         deliberately under-powered (multi-hop) deployments.
@@ -192,7 +196,7 @@ class SINRChannel:
         self,
         positions,
         params: SINRParameters = SINRParameters(),
-        gain_model: Optional[GainModel] = None,
+        gain_model: Optional[RayleighFading] = None,
         auto_power: bool = True,
         external_sources: Optional[Sequence[ExternalSource]] = None,
     ) -> None:
@@ -209,7 +213,7 @@ class SINRChannel:
             if auto_power and not params.satisfies_single_hop(max(self.diameter, 1e-300)):
                 params = params.sized_for(self.diameter)
         self.params = params
-        self.gain_model = gain_model if gain_model is not None else DeterministicGain()
+        self.gain_model = gain_model
         self.external_sources = tuple(external_sources or ())
         self._external_gains = external_gain_matrix(
             self.external_sources, self.positions, params.alpha
@@ -312,12 +316,18 @@ class SINRChannel:
         return compute
 
     def decode(
-        self, tx: np.ndarray, listeners: np.ndarray, external: np.ndarray
+        self,
+        tx: np.ndarray,
+        listeners: np.ndarray,
+        external: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode one round of the deterministic gains from ``tx`` to ``listeners``.
+        """Decode one round from ``tx`` to ``listeners``.
 
         ``tx`` and ``listeners`` are sorted, disjoint and non-empty;
-        ``external`` is the external power landing on each listener.
+        ``external`` is the external power landing on each listener;
+        ``rng`` draws the fading multipliers and is required under
+        :class:`~repro.sinr.fading.RayleighFading` only.
         Returns, per listener, ``(totals, best, decoded)``: the total
         arriving power, external included; the index in ``tx`` of its
         strongest transmitter, its decode candidate; and whether that
@@ -332,7 +342,16 @@ class SINRChannel:
         :meth:`gain_rows`' ``sum(axis=0)`` uses, so totals and decisions
         have the same bits as a decode over the whole ``|tx| x
         |listeners|`` array. A round that fits one block is one pass.
+
+        Under fading, each block's gains are multiplied by ``scale *
+        rng.standard_exponential`` drawn into the block's second buffer,
+        one listener row after another. Consecutive draws give the values
+        of one ``(|listeners|, |tx|)`` draw, so the faded gains, and every
+        result, do not depend on the block size either.
         """
+        fading = self.gain_model
+        if fading is not None and rng is None:
+            raise ValueError("a stochastic gain model requires an rng")
         num_tx, num_listeners = tx.size, listeners.size
         block = max(1, min(num_listeners, _DECODE_BLOCK_CELLS // num_tx))
         gains = np.empty((block, num_tx))
@@ -348,7 +367,12 @@ class SINRChannel:
         blocks = []
         for start in range(0, num_listeners, block):
             rows = gains[: num_listeners - start]
-            fill(listeners[start : start + block], rows, work[: rows.shape[0]])
+            scratch = work[: rows.shape[0]]
+            fill(listeners[start : start + block], rows, scratch)
+            if fading is not None:
+                rng.standard_exponential(out=scratch)
+                scratch *= fading.scale
+                rows *= scratch
             picked = rows.argmax(axis=1)
             strongest = rows[cols[: rows.shape[0]], picked]
             blocks.append((rows.sum(axis=1), picked, strongest))
@@ -399,7 +423,8 @@ class SINRChannel:
         transmitters:
             Indices of nodes transmitting this round (duplicates ignored).
         rng:
-            Required when the gain model is stochastic.
+            Required under fading and for external sources with
+            ``duty_cycle < 1``.
         listeners:
             Indices allowed to receive; defaults to every non-transmitter.
             Passing an explicit subset models deactivated nodes that have
@@ -459,34 +484,10 @@ class SINRChannel:
                 self._external_interference(listener_ids, rng),
             )
 
-        if self.gain_model.is_deterministic:
-            external = self._external_interference(listener_ids, rng)
-            totals, best, decoded = self.decode(tx, listener_ids, external)
-            return ReceptionReport(
-                tx, listener_ids, np.where(decoded, tx[best], -1), totals
-            )
-
-        # (|T|, |L|) faded power arriving at each listener.
-        if rng is None:
-            raise ValueError("a stochastic gain model requires an rng")
-        gains = self.gain_model.round_gains(self._gain_matrix, rng)
-        rows = gains[tx][:, listener_ids]
+        # Duty-cycle coins first, then the fading multipliers (in decode).
         external = self._external_interference(listener_ids, rng)
-        totals = rows.sum(axis=0) + external
-
-        # The argmax is exhaustive here too (see decode).
-        best_rows = rows.argmax(axis=0)
-        best = rows[best_rows, np.arange(rows.shape[1])]
-        interference = totals - best
-        ok = best >= self.params.beta * (self.params.noise + interference)
-
-        bus = get_probe_bus()
-        if bus.enabled:
-            probe = SINRProbeColumns(tx, listener_ids, external, self.params.noise)
-            probe.fill(0, rows.T, best_rows, best)
-            probe.publish(bus, ok, self.params.beta)
-
-        return ReceptionReport(tx, listener_ids, np.where(ok, tx[best_rows], -1), totals)
+        totals, best, decoded = self.decode(tx, listener_ids, external, rng)
+        return ReceptionReport(tx, listener_ids, np.where(decoded, tx[best], -1), totals)
 
     def _external_interference(
         self, listener_ids: np.ndarray, rng: Optional[np.random.Generator]

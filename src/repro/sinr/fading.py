@@ -1,60 +1,28 @@
-"""Per-round stochastic gain models layered on the path-loss channel.
+"""Rayleigh fading layered on the path-loss channel.
 
 The paper analyses the deterministic path-loss model (``gain = P / d^alpha``)
 but its title — a *fading* channel — refers to the whole SINR family. As an
 extension experiment (E12 in DESIGN.md) we also support Rayleigh fading, the
 standard stochastic model in which every link's power gain is multiplied each
-round by an independent exponential random variable with unit mean. The
-paper's algorithm needs no modification to run under Rayleigh fading; E12
-measures how its round complexity responds.
+round by an independent exponential random variable. The paper's algorithm
+needs no modification to run under Rayleigh fading; E12 measures how its
+round complexity responds.
 
-A gain model transforms the deterministic ``(n, n)`` gain matrix into the
-matrix actually used in one round. :class:`DeterministicGain` is the identity
-and allocates nothing.
+:class:`RayleighFading` only names the model and its mean;
+:meth:`repro.sinr.channel.SINRChannel.decode` draws the multipliers for the
+``(transmitter, listener)`` pairs a round touches.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["GainModel", "DeterministicGain", "RayleighFading"]
+__all__ = ["RayleighFading"]
 
 
-class GainModel(ABC):
-    """Strategy interface: produce one round's effective gain matrix."""
-
-    @abstractmethod
-    def round_gains(self, base_gains: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return the effective gain matrix for a single round.
-
-        Implementations must not mutate ``base_gains``. The returned matrix
-        may alias ``base_gains`` when no randomness is applied.
-        """
-
-    @property
-    @abstractmethod
-    def is_deterministic(self) -> bool:
-        """True when every round reuses the base gains unchanged."""
-
-
-class DeterministicGain(GainModel):
-    """The paper's model: gains are exactly ``P / d^alpha`` every round."""
-
-    @property
-    def is_deterministic(self) -> bool:
-        return True
-
-    def round_gains(self, base_gains: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return base_gains
-
-    def __repr__(self) -> str:
-        return "DeterministicGain()"
-
-
-class RayleighFading(GainModel):
-    """Rayleigh block fading: i.i.d. unit-mean exponential power gains.
+@dataclass(frozen=True)
+class RayleighFading:
+    """Rayleigh block fading: i.i.d. exponential power gains with mean ``scale``.
 
     Under Rayleigh fading the amplitude of each link is Rayleigh
     distributed, so the *power* gain is exponentially distributed. ``scale``
@@ -63,18 +31,8 @@ class RayleighFading(GainModel):
     apples-to-apples robustness comparison.
     """
 
-    def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0.0:
-            raise ValueError(f"scale must be positive (got {scale})")
-        self.scale = scale
+    scale: float = 1.0
 
-    @property
-    def is_deterministic(self) -> bool:
-        return False
-
-    def round_gains(self, base_gains: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        multipliers = rng.exponential(scale=self.scale, size=base_gains.shape)
-        return base_gains * multipliers
-
-    def __repr__(self) -> str:
-        return f"RayleighFading(scale={self.scale!r})"
+    def __post_init__(self) -> None:
+        if self.scale <= 0.0:
+            raise ValueError(f"scale must be positive (got {self.scale})")

@@ -1,14 +1,15 @@
 """The blocked decode against a frozen copy of the dense decode it replaced.
 
-:meth:`SINRChannel.decode` walks a deterministic round's listeners in
-blocks of about ``_DECODE_BLOCK_CELLS`` gains, and both
-:meth:`SINRChannel.resolve` and the fast path decode through it. The
-oracle below is the decode that held the round's whole ``|T| x |L|``
-gain array, kept unchanged: the old ``gain_rows``, a column sum, the
-argmax, the decision and the SINR probe on full rows. On random rounds,
-at block budgets of 1, 7 and 1000 cells and the default, totals, energy,
+:meth:`SINRChannel.decode` walks a round's listeners in blocks of about
+``_DECODE_BLOCK_CELLS`` gains, and both :meth:`SINRChannel.resolve` and
+the fast path decode through it. The oracle below is the decode that
+held the round's whole ``|T| x |L|`` gain array, kept unchanged: the old
+``gain_rows``, a column sum, the argmax, the decision and the SINR probe
+on full rows. A faded round's oracle multiplies those rows by one
+listener-major ``(|L|, |T|)`` exponential draw. On random rounds, at
+block budgets of 1, 7 and 1000 cells and the default, totals, energy,
 decoded senders and every SINR-probe array must have the oracle's bits.
-Two tracemalloc checks bound what one large round may allocate.
+Three tracemalloc checks bound what one large round may allocate.
 """
 
 import tracemalloc
@@ -77,9 +78,16 @@ def dense_sinr_probe(tx, listeners, rows, best_rows, external, delivered, noise)
     }
 
 
-def dense_decode(channel, tx, listeners, external):
-    """``(totals, best_rows, decoded, probe arrays)`` as the dense decode gave them."""
+def dense_decode(channel, tx, listeners, external, rng=None):
+    """``(totals, best_rows, decoded, probe arrays)`` as the dense decode gave them.
+
+    On a fading channel the gains are first multiplied by one
+    listener-major ``(|L|, |T|)`` exponential draw from ``rng``.
+    """
     rows = dense_gain_rows(channel, tx, listeners)
+    if channel.gain_model is not None:
+        multipliers = rng.exponential(channel.gain_model.scale, (listeners.size, tx.size))
+        rows = (rows.T * multipliers).T
     totals = rows.sum(axis=0) + external
     best_rows = rows.argmax(axis=0)
     best = rows[best_rows, np.arange(rows.shape[1])]
@@ -203,12 +211,12 @@ class TestDecodeEqualsTheDenseDecode:
 
 
 def dense_resolve(channel, tx, listeners, rng):
-    """The deterministic branch of ``resolve`` before blocking: decoded senders, energy, probe."""
+    """``resolve`` on the whole round at once: decoded senders, energy, probe."""
     listen_mask = np.zeros(channel.n, dtype=bool)
     listen_mask[listeners] = True
-    # Deterministic gains draw nothing, so the external draw comes first.
+    # The duty-cycle coins come first, then any fading draw.
     external = mask_external_interference(channel, listen_mask, rng)
-    totals, best_rows, decoded, probe = dense_decode(channel, tx, listeners, external)
+    totals, best_rows, decoded, probe = dense_decode(channel, tx, listeners, external, rng)
     return np.where(decoded, tx[best_rows], -1), totals, probe
 
 
@@ -236,32 +244,29 @@ class TestResolveEqualsTheDenseResolve:
             assert_probe_equals(probes[0], probe, channel.params.beta)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    @pytest.mark.parametrize("block_cells", [1, 7])
-    def test_fading_rounds_do_not_decode_through_the_blocks(self, monkeypatch, block_cells):
+    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+    @pytest.mark.parametrize("built", [False, True], ids=["computed", "gathered"])
+    @pytest.mark.parametrize("kind", ["rayleigh", "duty_cycled_jammer"])
+    def test_fading_rounds_equal_the_dense_oracle(self, monkeypatch, kind, built, block_cells):
         monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", block_cells)
-
-        def refuse(*args):
-            raise AssertionError("a fading round reached the deterministic decode")
-
-        monkeypatch.setattr(SINRChannel, "decode", refuse)
-        channel = SINRChannel(DEPLOYMENTS["grid"], gain_model=RayleighFading())
-        params = channel.params
+        positions = DEPLOYMENTS["grid"]
+        fading = RayleighFading(scale=1.5)
+        if kind == "rayleigh":
+            channel = SINRChannel(positions, gain_model=fading)
+        else:
+            channel = _jammed(positions, 0.5, gain_model=fading)
+        if built:
+            channel.base_gains
         for index, (tx, listeners) in enumerate(random_rounds(channel.n, seed=4)):
             rng, oracle_rng = generator_from(index), generator_from(index)
             with probing() as probes:
                 report = channel.resolve(tx, rng=rng, listeners=listeners)
-            # The fading branch as it was: faded rows, column sums, probe.
-            rows = channel.gain_model.round_gains(channel.base_gains, oracle_rng)[tx][:, listeners]
-            totals = rows.sum(axis=0) + np.zeros(listeners.size)
-            best_rows = rows.argmax(axis=0)
-            best = rows[best_rows, np.arange(listeners.size)]
-            ok = best >= params.beta * (params.noise + (totals - best))
-            expected = dense_sinr_probe(
-                tx, listeners, rows, best_rows, np.zeros(listeners.size), ok, params.noise
-            )
-            assert_same_bits(report.decoded, np.where(ok, tx[best_rows], -1))
-            assert_same_bits(report.listener_energy, totals)
-            assert_probe_equals(probes[0], expected, params.beta)
+            senders, energy, probe = dense_resolve(channel, tx, listeners, oracle_rng)
+            assert_same_bits(report.decoded, senders)
+            assert_same_bits(report.listener_energy, energy)
+            assert_probe_equals(probes[0], probe, channel.params.beta)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert ("_gain_matrix" in vars(channel)) == built
 
     def test_radio_rounds_do_not_decode_through_the_blocks(self, monkeypatch):
         monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", 1)
@@ -293,10 +298,14 @@ def _fast_run(channel, seed):
 
 class TestFastPathDoesNotDependOnTheBlock:
     @pytest.mark.parametrize("built", [False, True], ids=["computed", "gathered"])
-    @pytest.mark.parametrize("name", ["uniform_disk", "exponential_chain", "jammed"])
+    @pytest.mark.parametrize(
+        "name", ["uniform_disk", "exponential_chain", "jammed", "rayleigh"]
+    )
     def test_results_and_probes_equal_the_default_block(self, monkeypatch, name, built):
         if name == "jammed":
             channel = _jammed(DEPLOYMENTS["uniform_square"], 1.0)
+        elif name == "rayleigh":
+            channel = SINRChannel(DEPLOYMENTS["clustered"], gain_model=RayleighFading())
         else:
             channel = SINRChannel(DEPLOYMENTS[name])
         if built:
@@ -339,6 +348,14 @@ class TestRoundMemory:
 
     def test_fast_path_trial_on_a_fresh_channel(self, disk_8192):
         channel = SINRChannel(disk_8192)
+        peak = peak_traced_bytes(
+            lambda: fast_fixed_probability_run(channel, 0.1, generator_from(1))
+        )
+        assert peak < _ROUND_MEMORY_BOUND
+        assert "_gain_matrix" not in vars(channel)
+
+    def test_faded_fast_path_trial_on_a_fresh_channel(self, disk_8192):
+        channel = SINRChannel(disk_8192, gain_model=RayleighFading())
         peak = peak_traced_bytes(
             lambda: fast_fixed_probability_run(channel, 0.1, generator_from(1))
         )

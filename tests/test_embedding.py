@@ -6,18 +6,45 @@ nodes, and "with only two nodes there is no opportunity for spatial reuse",
 so the fading channel gives the pair nothing beyond what the collision
 channel would. The helpers below execute that embedding on an SINR
 deployment; the tests check the embedded winning time matches the pure
-two-player collision game's.
+two-player collision game's. :func:`two_cluster` builds the geometry the
+reduction pictures: two tight groups across a wide gap.
 """
 
 import numpy as np
 import pytest
 
-from repro.deploy.topologies import uniform_disk
+from repro.deploy.topologies import _disk_draw, _rejection_sample, uniform_disk
 from repro.hitting.two_player import two_player_trials
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.seeding import generator_from, spawn_generators
 from repro.sinr.channel import SINRChannel
+
+
+def two_cluster(
+    cluster_size: int,
+    rng: np.random.Generator,
+    gap: float = 64.0,
+    cluster_radius: float = 2.0,
+    min_separation: float = 1.0,
+) -> np.ndarray:
+    """Two dense clusters separated by ``gap`` — the lower-bound geometry.
+
+    The Section 4 reduction embeds a two-player symmetry-breaking instance
+    in a large network; this deployment realises the geometry in which two
+    tight groups must break symmetry across a wide gap.
+    """
+    if cluster_size < 1:
+        raise ValueError(f"cluster_size must be positive (got {cluster_size})")
+    if gap <= 4.0 * cluster_radius:
+        raise ValueError("gap must exceed four cluster radii to keep clusters distinct")
+    centers = np.asarray([[0.0, 0.0], [gap, 0.0]])
+    points = np.empty((2 * cluster_size, 2), dtype=np.float64)
+    for idx, center in enumerate(centers):
+        draw = _disk_draw(rng, cluster_radius, center)
+        block = _rejection_sample(cluster_size, rng, draw, min_separation)
+        points[idx * cluster_size : (idx + 1) * cluster_size] = block
+    return points
 
 
 def embedded_two_player_trial(protocol, channel, pair, rng, max_rounds=10_000):
@@ -126,6 +153,18 @@ class TestFadingIrrelevance:
         )
         assert trace.solved
         assert trace.records[-1].transmitters in ((0,), (1,))
+
+    def test_pair_across_the_gap_matches_the_pure_game(self):
+        # One player in each cluster of the Theorem 2 geometry: the
+        # embedded game is still geometric with success probability 1/2.
+        channel = SINRChannel(two_cluster(20, generator_from(5), cluster_radius=4.0))
+        rounds = [
+            embedded_two_player_trial(
+                FixedProbabilityProtocol(p=0.5), channel, (t % 20, 20 + 7 * t % 20), rng
+            ).rounds_to_solve
+            for t, rng in enumerate(spawn_generators(34, 400))
+        ]
+        assert np.mean(rounds) == pytest.approx(2.0, rel=0.15)
 
     def test_lower_bound_floor_transfers_to_embedded_setting(self, big_channel):
         # Combined with Lemma 14 (tested in test_reduction.py), the

@@ -14,11 +14,6 @@ from repro.sinr.jamming import ExternalSource
 
 
 class TestRestrictions:
-    def test_rejects_fading_channel(self, rng):
-        channel = SINRChannel(uniform_disk(8, rng), gain_model=RayleighFading())
-        with pytest.raises(ValueError, match="deterministic"):
-            fast_fixed_probability_run(channel, p=0.1, rng=rng)
-
     def test_rejects_intermittent_jammer(self, rng):
         jammer = ExternalSource((0.5, 50.0), power=10.0, duty_cycle=0.5)
         channel = SINRChannel(
@@ -78,12 +73,13 @@ class TestEngineExactParity:
     """E1's fast-path conversion contract: bit-identical, not just equal in
     distribution.
 
-    For the paper's fixed-``p`` algorithm on a deterministic SINR channel,
+    For the paper's fixed-``p`` algorithm on an SINR channel,
     ``run_fast_trials`` consumes the identical ``(seed, trial)`` generator
-    tree and the identical coin-flip stream as ``FixedProbabilityProtocol``
-    through the generic engine, and computes the identical decode — so the
-    per-trial round counts match exactly. E1 relies on this to switch
-    runners without changing a single recorded number."""
+    tree and the identical coin-flip (and, under fading, multiplier)
+    stream as ``FixedProbabilityProtocol`` through the generic engine, and
+    computes the identical decode — so the per-trial round counts match
+    exactly. E1 and E12 rely on this to switch runners without changing a
+    single deterministic number."""
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_run_trials_matches_run_fast_trials_exactly(self, n):
@@ -111,6 +107,30 @@ class TestEngineExactParity:
         assert engine.rounds == fast.rounds
         assert engine.failures == fast.failures
         assert engine.total_rounds_executed == fast.total_rounds_executed
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_fading_trials_match_the_engine(self, n):
+        """Under Rayleigh fading both draw a round's coins, then its
+        multipliers, from the trial's generator: same seed, same trial."""
+        p = 0.1
+        for seed in range(8):
+            positions = uniform_disk(n, generator_from((n, seed)))
+            fast_channel = SINRChannel(positions, gain_model=RayleighFading())
+            engine_channel = SINRChannel(positions, gain_model=RayleighFading())
+            fast = fast_fixed_probability_run(
+                fast_channel, p, generator_from(seed), max_rounds=5_000
+            )
+            trace = Simulation(
+                engine_channel,
+                FixedProbabilityProtocol(p),
+                rng=generator_from(seed),
+                max_rounds=5_000,
+            ).run()
+            assert fast.rounds_to_solve == trace.rounds_to_solve
+            assert fast.rounds_executed == trace.rounds_executed
+            # Neither path builds the (n, n) matrix for a faded round.
+            assert "_gain_matrix" not in vars(fast_channel)
+            assert "_gain_matrix" not in vars(engine_channel)
 
 
 class TestEquivalenceWithGenericEngine:

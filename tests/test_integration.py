@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.linkclasses import link_class_history, link_class_partition
-from repro.deploy.topologies import (
-    exponential_chain,
-    grid,
-    two_cluster,
-    uniform_disk,
-)
+from repro.deploy.topologies import exponential_chain, grid, uniform_disk
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.js16 import JurdzinskiStachowiakProtocol
 from repro.protocols.simple import FixedProbabilityProtocol
@@ -25,6 +20,7 @@ from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
 from repro.sinr.parameters import SINRParameters
+from tests.test_embedding import two_cluster
 
 
 class TestPaperAlgorithmOnSINR:

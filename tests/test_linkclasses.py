@@ -79,7 +79,8 @@ class TestAggregates:
     def test_sizes_dict(self):
         positions = exponential_chain(2, nodes_per_class=2)
         partition = link_class_partition(positions)
-        assert partition.sizes() == {0: 2, 1: 2}
+        sizes = {index: partition.size(index) for index in partition.occupied}
+        assert sizes == {0: 2, 1: 2}
 
     def test_smallest_largest_occupied(self):
         positions = exponential_chain(3, nodes_per_class=2)
@@ -136,7 +137,8 @@ def _dense_history(positions, trace, unit):
     rows = []
     for record in trace.records:
         active[list(record.knocked_out)] = False
-        rows.append(dense_geometry.link_class_partition(distances, active, unit).sizes())
+        partition = dense_geometry.link_class_partition(distances, active, unit)
+        rows.append({index: partition.size(index) for index in partition.occupied})
     return rows
 
 

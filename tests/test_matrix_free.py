@@ -7,6 +7,7 @@ dense computation it replaced, so every seed keeps its outcome.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.sinr import geometry
 from repro.sinr.channel import SINRChannel
 from repro.sinr.geometry import diameter_of, has_colocated_pair, pairwise_distances
 from repro.sinr.parameters import SINRParameters
+from tests.test_embedding import two_cluster
 
 
 def dense_rejection_sample(n, rng, draw, min_separation):
@@ -49,18 +51,38 @@ def dense_rejection_sample(n, rng, draw, min_separation):
     return accepted
 
 
+def square_points(n, rng, min_separation=1.0):
+    """``n`` points uniform in a square of side ``6 sqrt(n) min_separation``."""
+    side = 6.0 * math.sqrt(n) * min_separation
+    return topologies._rejection_sample(
+        n, rng, lambda k: side * rng.random((k, 2)), min_separation
+    )
+
+
+def power_law_points(n, rng, inner_radius=2.0, min_separation=1.0):
+    """``n`` points with log-uniform radii in ``[r, 16 sqrt(n) r]`` (density
+    falling as ``d^-2``): nearest distances span many link classes."""
+    outer_radius = inner_radius * 16.0 * math.sqrt(n)
+
+    def draw(k):
+        radii = inner_radius * (outer_radius / inner_radius) ** rng.random(k)
+        return topologies._polar(radii, 2.0 * math.pi * rng.random(k))
+
+    return topologies._rejection_sample(n, rng, draw, min_separation)
+
+
 def _generators(s):
     """``name -> f(rng)`` for every sampled generator at separation ``s``."""
     return {
         "uniform_disk": lambda rng: topologies.uniform_disk(150, rng, min_separation=s),
-        "uniform_square": lambda rng: topologies.uniform_square(150, rng, min_separation=s),
-        "power_law_disk": lambda rng: topologies.power_law_disk(
+        "uniform_square": lambda rng: square_points(150, rng, min_separation=s),
+        "power_law_disk": lambda rng: power_law_points(
             120, rng, inner_radius=2.0 * s, min_separation=s
         ),
         "clustered": lambda rng: topologies.clustered(
             3, 10, rng, cluster_radius=4.0 * s, min_separation=s
         ),
-        "two_cluster": lambda rng: topologies.two_cluster(
+        "two_cluster": lambda rng: two_cluster(
             8, rng, gap=64.0 * s, cluster_radius=2.5 * s, min_separation=s
         ),
     }
@@ -143,7 +165,7 @@ class TestSampler:
             # Near the packing limit: every batch is dense, so most of its
             # survivors clash with earlier candidates of the same batch
             # (small batches, one distance block; large ones, grid cells).
-            lambda rng: topologies.two_cluster(12, rng, cluster_radius=2.0),
+            lambda rng: two_cluster(12, rng, cluster_radius=2.0),
             lambda rng: topologies.uniform_disk(120, rng, radius=8.0),
         ],
         ids=["two_cluster", "uniform_disk"],
@@ -227,10 +249,10 @@ def _deployments():
     rng = generator_from(7)
     return {
         "uniform_disk": topologies.uniform_disk(300, rng),
-        "uniform_square": topologies.uniform_square(300, rng),
-        "power_law_disk": topologies.power_law_disk(200, rng),
+        "uniform_square": square_points(300, rng),
+        "power_law_disk": power_law_points(200, rng),
         "clustered": topologies.clustered(4, 12, rng),
-        "two_cluster": topologies.two_cluster(6, rng),
+        "two_cluster": two_cluster(6, rng),
         "grid": topologies.grid(200),
         "line": topologies.line(150),
         "ring": topologies.ring(180),

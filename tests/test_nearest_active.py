@@ -25,6 +25,7 @@ from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
 from repro.sinr.geometry import pairwise_distances
 from tests.dense_geometry import link_class_round_stats, nearest_neighbor_distances
+from tests.test_embedding import two_cluster
 
 
 def _deployments():
@@ -33,7 +34,7 @@ def _deployments():
         "uniform_disk": topologies.uniform_disk(400, rng),
         "grid": topologies.grid(324),
         "clustered": topologies.clustered(6, 20, rng),
-        "two_cluster": topologies.two_cluster(40, rng, cluster_radius=6.0),
+        "two_cluster": two_cluster(40, rng, cluster_radius=6.0),
         # Clusters 2^0 .. 2^43 apart: R > 2^40, so the far clusters' queries
         # miss the grid's proof and go to brute force.
         "exponential_chain": topologies.exponential_chain(44, 4),

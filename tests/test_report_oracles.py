@@ -7,7 +7,9 @@ and build ``received_from``, ``energy`` and ``observations`` only when
 asked. The oracles below are the resolvers that built those mappings
 directly, one entry per listener, kept here unchanged, with the
 channel's old external-power sum over a listener mask's columns
-(:func:`mask_external_interference`). On random rounds
+(:func:`mask_external_interference`). Only their fading draw follows the
+channel's: one listener-major ``(|L|, |T|)`` draw after the duty-cycle
+coins, where it was one ``(n, n)`` draw before them. On random rounds
 the reports' ``transmitters`` and mappings must equal the oracles', the
 generator must end in the same state, and bad ids must raise the same
 ``IndexError``.
@@ -77,14 +79,14 @@ def sinr_oracle(
         return (), {}, energy
 
     listener_ids = np.flatnonzero(listen_mask)
-    if channel.gain_model.is_deterministic:
-        rows = channel.gain_rows(tx, listener_ids)
-    else:
+    external = mask_external_interference(channel, listen_mask, rng)
+    rows = channel.gain_rows(tx, listener_ids)
+    if channel.gain_model is not None:
         if rng is None:
             raise ValueError("a stochastic gain model requires an rng")
-        gains = channel.gain_model.round_gains(channel._gain_matrix, rng)
-        rows = gains[tx][:, listen_mask]
-    external = mask_external_interference(channel, listen_mask, rng)
+        # One listener-major (|L|, |T|) draw, after the duty-cycle coins.
+        multipliers = rng.exponential(channel.gain_model.scale, (listener_ids.size, tx.size))
+        rows = (rows.T * multipliers).T
     totals = rows.sum(axis=0) + external
     received: Dict[int, int] = {}
     best_rows = rows.argmax(axis=0)
@@ -138,7 +140,7 @@ def radio_oracle(
     return tuple(tx), received, observations
 
 
-def _jammed(positions, duty_cycle):
+def _jammed(positions, duty_cycle, gain_model=None):
     base = SINRChannel(positions)
     centre = positions.mean(axis=0) + 0.1 * (positions.max(axis=0) - positions.min(axis=0))
     jammer = ExternalSource(
@@ -146,7 +148,7 @@ def _jammed(positions, duty_cycle):
         power=0.05 * base.params.power,
         duty_cycle=duty_cycle,
     )
-    return SINRChannel(positions, external_sources=[jammer])
+    return SINRChannel(positions, gain_model=gain_model, external_sources=[jammer])
 
 
 SINR_CHANNELS = {

@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.deploy.topologies`."""
+"""Unit tests for :mod:`repro.deploy.topologies` and the test-side :func:`two_cluster`."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ from repro.deploy.topologies import (
     exponential_chain,
     grid,
     line,
-    power_law_disk,
     ring,
-    two_cluster,
     uniform_disk,
-    uniform_square,
 )
 from repro.sinr.geometry import pairwise_distances
+from tests.test_embedding import two_cluster
 
 
 def _min_pairwise(positions):
@@ -52,17 +50,6 @@ class TestUniformDisk:
         a = uniform_disk(20, np.random.default_rng(7))
         b = uniform_disk(20, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-
-class TestUniformSquare:
-    def test_count_and_bounds(self, rng):
-        positions = uniform_square(25, rng, side=30.0)
-        assert positions.shape == (25, 2)
-        assert np.all(positions >= 0.0)
-        assert np.all(positions <= 30.0)
-
-    def test_separation(self, rng):
-        assert _min_pairwise(uniform_square(30, rng)) >= 1.0
 
 
 class TestGrid:
@@ -164,50 +151,6 @@ class TestRing:
             ring(0)
         with pytest.raises(ValueError):
             ring(4, spacing=0.0)
-
-
-class TestPowerLawDisk:
-    def test_count_and_separation(self, rng):
-        positions = power_law_disk(40, rng)
-        assert positions.shape == (40, 2)
-        assert _min_pairwise(positions) >= 1.0
-
-    def test_radii_within_bounds(self, rng):
-        positions = power_law_disk(
-            30, rng, inner_radius=2.0, outer_radius=200.0
-        )
-        radii = np.linalg.norm(positions, axis=1)
-        assert radii.min() >= 2.0 - 1e-9
-        assert radii.max() <= 200.0 + 1e-9
-
-    def test_denser_near_center(self, rng):
-        positions = power_law_disk(
-            120, rng, exponent=2.5, inner_radius=2.0, outer_radius=400.0
-        )
-        radii = np.linalg.norm(positions, axis=1)
-        # Far more points inside the geometric-mean radius than outside.
-        split = np.sqrt(2.0 * 400.0)
-        assert (radii < split).sum() > (radii >= split).sum()
-
-    def test_produces_many_link_classes(self, rng):
-        from repro.deploy.metrics import deployment_stats
-
-        positions = power_law_disk(
-            100, rng, exponent=2.5, inner_radius=2.0, outer_radius=2_000.0
-        )
-        assert deployment_stats(positions).occupied_classes >= 3
-
-    def test_exponent_two_log_uniform_path(self, rng):
-        positions = power_law_disk(20, rng, exponent=2.0)
-        assert positions.shape == (20, 2)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError, match="exponent"):
-            power_law_disk(10, rng, exponent=1.0)
-        with pytest.raises(ValueError, match="inner_radius"):
-            power_law_disk(10, rng, inner_radius=0.0)
-        with pytest.raises(ValueError, match="outer_radius"):
-            power_law_disk(10, rng, inner_radius=5.0, outer_radius=5.0)
 
 
 class TestClustered:

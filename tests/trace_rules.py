@@ -63,7 +63,7 @@ def verify_trace(
 
     replayable = (
         channel is not None
-        and getattr(getattr(channel, "gain_model", None), "is_deterministic", True)
+        and getattr(channel, "gain_model", None) is None
         and all(
             s.is_continuous for s in getattr(channel, "external_sources", ())
         )
