@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.linkclasses import LinkClassPartition
-from repro.sinr.geometry import annulus_counts, greedy_separated_subset
+from repro.sinr.geometry import annulus_count_rows, greedy_separated_subset
 
 __all__ = [
     "GOOD_NODE_CONSTANT",
@@ -69,18 +69,19 @@ def _annulus_test(
     alpha: float,
     unit: float,
     constant: float,
-) -> Callable[[int], bool]:
-    """Definition 1's test as a predicate on nodes of class ``i``.
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """Definition 1's test as a predicate on nodes of class ``i``, many at once.
 
     The diameter, the annulus range and the budgets are the same for every
-    node of the class, so they are computed once here.
+    node of the class, so they are computed once here, and the nodes'
+    annuli are counted together.
     """
     max_t = _max_annulus_index(distances, class_index, unit)
     budgets = np.array([annulus_budget(t, alpha, constant) for t in range(max_t + 1)])
 
-    def good(node: int) -> bool:
-        counts = annulus_counts(distances, node, class_index, max_t, active, unit)
-        return not np.any(counts > budgets)
+    def good(nodes: Sequence[int]) -> np.ndarray:
+        counts = annulus_count_rows(distances, nodes, class_index, max_t, active, unit)
+        return ~np.any(counts > budgets, axis=1)
 
     return good
 
@@ -99,7 +100,7 @@ def is_good(
     ``unit`` is the normalised shortest link (annuli are measured in
     multiples of ``2^i * unit``).
     """
-    return _annulus_test(class_index, distances, active, alpha, unit, constant)(node)
+    return bool(_annulus_test(class_index, distances, active, alpha, unit, constant)([node])[0])
 
 
 def good_nodes(
@@ -115,7 +116,7 @@ def good_nodes(
     if not members:
         return []
     good = _annulus_test(class_index, distances, active, alpha, partition.unit, constant)
-    return [node for node in members if good(node)]
+    return [node for node, ok in zip(members, good(members).tolist()) if ok]
 
 
 def good_fraction(

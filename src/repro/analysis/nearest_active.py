@@ -22,10 +22,20 @@ isolated from the rest, exponential chains, clusters far apart,
 near-empty sets) is answered by brute force over the active set, in
 blocks of bounded size. Small queries skip the grid altogether. Memory
 stays O(n).
+
+The grid pass that starts a tracker with every node active also keeps,
+for each node, its candidate list: the nodes of its 3 x 3 block closer
+than one cell side, the radius inside which a grid answer is proven.
+That proof holds for every subset of the nodes, so an orphan is
+re-answered by the nearest still-active node of its list, and only an
+orphan whose list has run dry is queried again. A channel keeps that
+start state (:meth:`~repro.sinr.channel.SINRChannel.nearest_active`), so
+runs on one deployment start from an O(n) copy of it.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,12 +58,19 @@ _QUERY_BLOCK = 256
 #: Mean number of pool points per grid cell.
 _POINTS_PER_CELL = 3.0
 
+#: Longest candidate list. A node with more candidates than this (a dense
+#: cluster inside one cell) keeps none and is queried instead.
+_MAX_CANDIDATES = 32
+
 #: Cell offsets of a cell and its eight neighbours; the cell itself is
 #: at index _CENTRE.
 _OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 _CENTRE = 4
 
 Answer = Tuple[np.ndarray, np.ndarray]
+
+#: A block's query pairs: ``(rows, per_query, first, slot, pair)``.
+Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _brute_force(positions: np.ndarray, query_ids: np.ndarray, pool_ids: np.ndarray) -> Answer:
@@ -111,36 +128,83 @@ class _Grid:
         self.slot_of[self.ids] = np.arange(pool_ids.size)
         self.around = _OFFSETS @ (self.columns, 1)
 
-    def discard(self, ids: np.ndarray) -> None:
-        """Drop ``ids`` from the pool: they move to infinity, out of every answer."""
-        if self.side > 0.0:
-            slots = self.slot_of[ids]
-            slots = slots[slots >= 0]
-            self.x[slots] = np.inf
-            self.y[slots] = np.inf
-
     def query(
-        self, positions: np.ndarray, query_ids: np.ndarray
+        self, positions: np.ndarray, query_ids: np.ndarray, live: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(distance, neighbour, proven)`` for each query, skipping itself.
 
-        ``proven`` marks the answers that are the nearest pool node for
-        certain; the others carry ``inf`` or a distance that may not be
-        the minimum.
+        ``live``, a mask over all node ids, leaves the pool nodes outside
+        it out of every answer; the grid itself is never changed.
+        ``proven`` marks the answers that are the nearest live pool node
+        for certain; the others carry ``inf`` or a distance that may not
+        be the minimum.
         """
         distance = np.full(query_ids.size, np.inf)
         neighbour = np.full(query_ids.size, -1, dtype=np.intp)
         if self.side > 0.0:
+            x, y = self.x, self.y
+            if live is not None:
+                # Dead pool nodes move to infinity.
+                kept = live[self.ids]
+                x = np.where(kept, x, np.inf)
+                y = np.where(kept, y, np.inf)
             # Blocks of queries keep the per-pair arrays small enough to
             # reuse heap memory instead of faulting in fresh pages.
             for start in range(0, query_ids.size, _QUERY_BLOCK):
                 block = slice(start, start + _QUERY_BLOCK)
-                distance[block], neighbour[block] = self._nearest(positions, query_ids[block])
+                distance[block], neighbour[block] = self._nearest(
+                    positions, query_ids[block], x, y
+                )
         return distance, neighbour, distance < self.limit
 
-    def _nearest(self, positions: np.ndarray, query_ids: np.ndarray) -> Answer:
-        distance = np.full(query_ids.size, np.inf)
-        neighbour = np.full(query_ids.size, -1, dtype=np.intp)
+    def candidates(self, positions: np.ndarray, query_ids: np.ndarray) -> Optional[Answer]:
+        """Each pool node's candidates, as ``(distance, id)`` rows indexed by node id.
+
+        A row lists, in block order, the pool nodes of the node's 3 x 3
+        block closer than :attr:`limit`; ``query_ids``, the pool's ids in
+        ascending order, name the rows to fill. Padding is ``inf`` at id
+        0, and a node with more than ``_MAX_CANDIDATES`` candidates keeps
+        padding only. ``None`` when no row lists one.
+        """
+        if not self.side > 0.0:
+            return None
+        owner, ids, distance = [], [], []
+        for start in range(0, query_ids.size, _QUERY_BLOCK):
+            block = query_ids[start : start + _QUERY_BLOCK]
+            rows, per_query, _, slot, pair = self._pairs(positions, block, self.x, self.y)
+            near = np.flatnonzero(pair < self.limit)
+            owner.append(np.repeat(block[rows], per_query)[near])
+            ids.append(self.ids[slot[near]])
+            distance.append(pair[near])
+        owner, ids, distance = np.concatenate(owner), np.concatenate(ids), np.concatenate(distance)
+        n = self.slot_of.size
+        counts = np.bincount(owner, minlength=n)
+        if counts.max() > _MAX_CANDIDATES:
+            kept = np.flatnonzero(counts[owner] <= _MAX_CANDIDATES)
+            owner, ids, distance = owner[kept], ids[kept], distance[kept]
+            counts[counts > _MAX_CANDIDATES] = 0
+        if owner.size == 0:
+            return None
+        width = int(counts.max())
+        # Queries come in ascending order, so each pair's cell is its
+        # owner's row at its rank among the owner's pairs.
+        shift = np.arange(0, n * width, width) - (np.cumsum(counts) - counts)
+        cell = np.arange(owner.size) + shift[owner]
+        rows_distance = np.full(n * width, np.inf)
+        rows_distance[cell] = distance
+        rows_id = np.zeros(n * width, dtype=np.intp)
+        rows_id[cell] = ids
+        return rows_distance.reshape(n, width), rows_id.reshape(n, width)
+
+    def _pairs(
+        self, positions: np.ndarray, query_ids: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> Pairs:
+        """Distances from each query to the pool points of its 3 x 3 block.
+
+        ``pair`` holds them query after query, the ``per_query`` pairs of
+        query ``rows[k]`` from ``first[k]``, with pool slots ``slot``; a
+        query in the pool gets ``inf`` for itself.
+        """
         queries = positions[query_ids]
         cells = np.floor((queries - self.low) / self.side)
         rows = np.flatnonzero(np.all((cells >= 0) & (cells <= self.last), axis=1))
@@ -157,8 +221,8 @@ class _Grid:
         # cross_distances' expression, pair by pair.
         dx = np.repeat(queries[rows, 0], per_query)
         dy = np.repeat(queries[rows, 1], per_query)
-        dx -= self.x[slot]
-        dy -= self.y[slot]
+        dx -= x[slot]
+        dy -= y[slot]
         dx *= dx
         dy *= dy
         dx += dy
@@ -173,7 +237,14 @@ class _Grid:
             + own[member]
             - starts[member, _CENTRE]
         ] = np.inf
+        return rows, per_query, first, slot, pair
 
+    def _nearest(
+        self, positions: np.ndarray, query_ids: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> Answer:
+        distance = np.full(query_ids.size, np.inf)
+        neighbour = np.full(query_ids.size, -1, dtype=np.intp)
+        rows, per_query, first, slot, pair = self._pairs(positions, query_ids, x, y)
         found = np.flatnonzero(per_query)
         if found.size:
             distance[rows[found]] = np.minimum.reduceat(pair, first[found])
@@ -192,11 +263,12 @@ def _answer(
     query_ids: np.ndarray,
     pool_ids: np.ndarray,
     grid: Optional[_Grid],
+    live: Optional[np.ndarray] = None,
 ) -> Answer:
     """Grid answers where proven, brute force over ``pool_ids`` for the rest."""
     if grid is None:
         return _brute_force(positions, query_ids, pool_ids)
-    distance, neighbour, proven = grid.query(positions, query_ids)
+    distance, neighbour, proven = grid.query(positions, query_ids, live)
     rest = np.flatnonzero(~proven)
     if rest.size:
         distance[rest], neighbour[rest] = _brute_force(positions, query_ids[rest], pool_ids)
@@ -231,9 +303,13 @@ class NearestActiveNeighbours:
     that distance. Both are ``inf`` / ``-1`` for inactive nodes and for a
     sole active node.
 
-    The grid over the active set is kept across removals, which move the
-    removed nodes out of it, and rebuilt once the active set has halved
-    or nodes have been added.
+    Nodes added to an empty tracker through the grid are answered from
+    their candidate lists, which then answer later removals' orphans;
+    adding nodes to a non-empty tracker drops the lists. The grid over
+    the active set is kept across removals, whose nodes its queries
+    skip, and rebuilt once the active set has halved or nodes have been
+    added. :meth:`copy` is O(n): copies share the grid and the lists,
+    which never change once built.
 
     Parameters
     ----------
@@ -251,7 +327,16 @@ class NearestActiveNeighbours:
         self.distance = np.full(n, np.inf)
         self.neighbour = np.full(n, -1, dtype=np.intp)
         self._grid: Optional[_Grid] = None
+        self._candidates: Optional[Answer] = None
         self.add(np.arange(n) if active is None else np.flatnonzero(active))
+
+    def copy(self) -> "NearestActiveNeighbours":
+        """An independent tracker in this one's state."""
+        other = copy.copy(self)
+        other.active = self.active.copy()
+        other.distance = self.distance.copy()
+        other.neighbour = self.neighbour.copy()
+        return other
 
     def _query(self, query_ids: np.ndarray) -> None:
         """Answer ``query_ids`` against the whole active set."""
@@ -262,8 +347,30 @@ class NearestActiveNeighbours:
                 self._grid = _Grid(self.positions, pool)
             grid = self._grid
         self.distance[query_ids], self.neighbour[query_ids] = _answer(
-            self.positions, query_ids, pool, grid
+            self.positions, query_ids, pool, grid, self.active
         )
+
+    def _reanswer(self, orphans: np.ndarray) -> np.ndarray:
+        """Answer ``orphans`` from their candidate lists; return those left unanswered.
+
+        Every node missing from a list is at least the proven radius
+        away, farther than every listed one, so the nearest active listed
+        node is the nearest active node.
+        """
+        rows_distance, rows_id = self._candidates
+        ids = rows_id[orphans]
+        distance = np.where(self.active[ids], rows_distance[orphans], np.inf)
+        return self._nearest_listed(orphans, distance, ids)
+
+    def _nearest_listed(
+        self, query_ids: np.ndarray, distance: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Take each query's nearest of its ``(distance, ids)`` row; return those with none."""
+        best = distance.argmin(axis=1)
+        rows = np.arange(query_ids.size)
+        self.distance[query_ids] = distance = distance[rows, best]
+        self.neighbour[query_ids] = ids[rows, best]
+        return query_ids[np.isinf(distance)]
 
     def add(self, ids: Sequence[int]) -> None:
         """Activate ``ids`` (all currently inactive)."""
@@ -273,6 +380,18 @@ class NearestActiveNeighbours:
         others = np.flatnonzero(self.active)
         self.active[ids] = True
         self._grid = None
+        self._candidates = None
+        if others.size == 0 and not _small(ids, ids):
+            # The newcomers are the whole active set: one grid pass lists
+            # everyone's candidates, and the lists answer most of them.
+            ids = np.sort(ids)
+            self._grid = _Grid(self.positions, ids)
+            self._candidates = self._grid.candidates(self.positions, ids)
+            if self._candidates is not None:
+                ids = self._nearest_listed(ids, *(rows[ids] for rows in self._candidates))
+            if ids.size:
+                self._query(ids)
+            return
         self._query(ids)
         # The others keep their neighbour unless a newcomer is nearer.
         closer, via = nearest_in_pool(self.positions, others, ids)
@@ -281,17 +400,23 @@ class NearestActiveNeighbours:
         self.neighbour[others[nearer]] = via[nearer]
 
     def remove(self, ids: Sequence[int]) -> None:
-        """Deactivate ``ids`` (all currently active); re-query their orphans."""
+        """Deactivate ``ids`` (all currently active); re-answer their orphans."""
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size == 0:
             return
         self.active[ids] = False
         self.distance[ids] = np.inf
         self.neighbour[ids] = -1
-        if self._grid is not None:
-            self._grid.discard(ids)
         orphans = np.flatnonzero(self.neighbour >= 0)
         orphans = orphans[~self.active[self.neighbour[orphans]]]
+        # A removal small enough for brute force goes straight to it, which
+        # is then cheaper than the lists followed by queries for those
+        # whose list ran dry.
+        if (
+            self._candidates is not None
+            and orphans.size * np.count_nonzero(self.active) > _BRUTE_FORCE_CELLS
+        ):
+            orphans = self._reanswer(orphans)
         if orphans.size:
             self._query(orphans)
 

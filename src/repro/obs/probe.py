@@ -35,8 +35,9 @@ recorder snapshots back for order-preserving merging, so a sharded run's
 ``probes.npz`` is bit-identical to a serial run's. The engine and the
 fast path take each round's link classes from a
 :class:`~repro.analysis.nearest_active.NearestActiveNeighbours` tracker
-built from the channel's positions, which re-queries only the nodes
-whose nearest neighbour left, and bin them with
+built from the channel's positions (the fast path copies the channel's
+start state), which re-answers only the nodes whose nearest neighbour
+left, and bin them with
 :func:`~repro.analysis.linkclasses.link_class_round_sizes`; probing
 never builds the channel's ``(n, n)`` matrices. Both SINR publishers
 fill a :class:`SINRProbeColumns` as they decode.

@@ -123,12 +123,12 @@ def fast_fixed_probability_run(
     probing = bus.enabled
     if probing:
         from repro.analysis.linkclasses import link_class_round_sizes
-        from repro.analysis.nearest_active import NearestActiveNeighbours
 
         bus.begin_execution(n=n)
         # The link-class partition of the active set, kept from positions:
-        # probing never builds the channel's (n, n) matrices.
-        nearest = NearestActiveNeighbours(channel.positions)
+        # probing never builds the channel's (n, n) matrices. Trials on
+        # one channel share its start state.
+        nearest = channel.nearest_active()
 
     active = np.ones(n, dtype=bool)
     active_counts: List[int] = []

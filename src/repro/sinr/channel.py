@@ -254,6 +254,23 @@ class SINRChannel:
         view.flags.writeable = False
         return view
 
+    @cached_property
+    def _nearest_start(self):
+        from repro.analysis.nearest_active import NearestActiveNeighbours
+
+        return NearestActiveNeighbours(self.positions)
+
+    def nearest_active(self):
+        """A tracker of each node's nearest active neighbour, every node active.
+
+        A :class:`~repro.analysis.nearest_active.NearestActiveNeighbours`
+        copied, in O(n), from a start state built on the first call and
+        kept for the channel's lifetime; the start state itself is never
+        handed out, so runs on one channel never see each other's
+        removals.
+        """
+        return self._nearest_start.copy()
+
     def gain_rows(self, tx: np.ndarray, listeners: np.ndarray) -> np.ndarray:
         """Deterministic gains ``G[tx][:, listeners]`` as a ``(|tx|, |listeners|)`` array.
 

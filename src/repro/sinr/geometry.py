@@ -27,6 +27,7 @@ __all__ = [
     "has_colocated_pair",
     "diameter_of",
     "annulus_counts",
+    "annulus_count_rows",
     "greedy_separated_subset",
     "as_positions",
 ]
@@ -135,6 +136,9 @@ def has_colocated_pair(positions: np.ndarray) -> bool:
 #: Most distances :func:`diameter_of` holds at once (32 MiB of float64).
 _DIAMETER_BLOCK_CELLS = 1 << 22
 
+#: Most distances :func:`annulus_count_rows` bins at once (8 MiB of float64).
+_ANNULUS_BLOCK_CELLS = 1 << 20
+
 
 def diameter_of(positions: np.ndarray) -> float:
     """Longest pairwise distance, equal to ``pairwise_distances(positions).max()``.
@@ -182,20 +186,44 @@ def annulus_counts(
     inspects every annulus up to ``t = log R``. Distances are divided by
     ``unit`` (the normalised shortest link) before binning.
     """
+    return annulus_count_rows(distances, [center], class_index, max_t, active, unit)[0]
+
+
+def annulus_count_rows(
+    distances: np.ndarray,
+    centers: Sequence[int],
+    class_index: int,
+    max_t: int,
+    active: Optional[np.ndarray] = None,
+    unit: float = 1.0,
+) -> np.ndarray:
+    """:func:`annulus_counts` of each of ``centers``, one row each.
+
+    Bins the centres' distance rows together, in blocks of at most
+    ``_ANNULUS_BLOCK_CELLS`` distances. The bins are ``np.histogram``'s
+    over the annulus edges: half-open, the last one closed.
+    """
+    centers = np.asarray(centers, dtype=np.intp)
     n = distances.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    if max_t < 0:
-        return np.zeros(0, dtype=np.int64)
-    row = distances[center]
-    mask = active.copy()
-    mask[center] = False
-    relevant = row[mask] / unit
+    others = np.arange(n) if active is None else np.flatnonzero(active)
+    counts = np.zeros((centers.size, max(max_t + 1, 0)), dtype=np.int64)
+    if max_t < 0 or others.size == 0:
+        return counts
     # Annulus t covers [2^(t+i), 2^(t+1+i)); a distance d lands in
     # t = floor(log2(d)) - i when that value is within [0, max_t].
     edges = 2.0 ** (class_index + np.arange(max_t + 2, dtype=np.float64))
-    counts, _ = np.histogram(relevant, bins=edges)
-    return counts.astype(np.int64)
+    step = max(1, _ANNULUS_BLOCK_CELLS // others.size)
+    for start in range(0, centers.size, step):
+        block = centers[start : start + step]
+        scaled = distances[np.ix_(block, others)] / unit
+        t = np.searchsorted(edges, scaled, side="right") - 1
+        t[scaled == edges[-1]] = max_t
+        row, column = np.nonzero((t >= 0) & (t <= max_t) & (others != block[:, None]))
+        cell = row * (max_t + 1) + t[row, column]
+        counts[start : start + step] = np.bincount(
+            cell, minlength=block.size * (max_t + 1)
+        ).reshape(block.size, max_t + 1)
+    return counts
 
 
 def greedy_separated_subset(

@@ -186,6 +186,30 @@ class TestBenchDiff:
         assert "report-only" in out
         assert "w2: 1.67x" in out
 
+    def test_probes_tax_is_reported_not_gated(self, bench_diff, tmp_path, capsys):
+        baseline = self._write(
+            tmp_path,
+            "base.json",
+            _tiny_record(fast_path_execution=1.0, fast_path_execution_probes=5.0),
+        )
+        candidate = self._write(
+            tmp_path,
+            "cand.json",
+            _tiny_record(fast_path_execution=1.0, fast_path_execution_probes=1.5),
+        )
+        assert bench_diff.main([baseline, candidate]) == 0
+        out = capsys.readouterr().out
+        assert "probes tax [baseline]: 5.00x" in out
+        assert "probes tax [candidate]: 1.50x" in out
+
+    @pytest.mark.parametrize("unprobed", [float("nan"), 0.0, None])
+    def test_probes_tax_needs_both_entries(self, bench_diff, tmp_path, unprobed):
+        times = {"fast_path_execution_probes": 2.0}
+        if unprobed is not None:
+            times["fast_path_execution"] = unprobed
+        record = load_bench_record(self._write(tmp_path, "r.json", _tiny_record(**times)))
+        assert bench_diff.probes_tax(record) is None
+
     def test_compare_records_reports_rps_delta(self, bench_diff, tmp_path):
         base = {"x": {"wall_time_s": 1.0, "rounds_per_sec": 100.0}}
         cand = {"x": {"wall_time_s": 1.0, "rounds_per_sec": 150.0}}

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.nearest_active import NearestActiveNeighbours
 from repro.deploy.metrics import deployment_stats
 from repro.sinr.geometry import (
+    annulus_count_rows,
     annulus_counts,
     as_positions,
     greedy_separated_subset,
@@ -159,6 +160,28 @@ class TestBallsAndAnnuli:
 
     def test_annulus_counts_negative_max_t(self, grid_distances):
         assert annulus_counts(grid_distances, 0, 0, max_t=-1).size == 0
+
+    def test_last_annulus_closed_like_histogram(self):
+        # Distances 1, 2, 4 and 8 from node 0: with max_t = 2 the bins are
+        # [1, 2), [2, 4), [4, 8], the last one closed as np.histogram's.
+        distances = pairwise_distances([(0, 0), (1, 0), (2, 0), (4, 0), (8, 0), (9, 0)])
+        assert annulus_counts(distances, 0, 0, max_t=2).tolist() == [1, 1, 2]
+
+    @pytest.mark.parametrize("unit", [1.0, 0.75])
+    def test_rows_match_histogram_per_center(self, unit):
+        rng = np.random.default_rng(5)
+        # Integer coordinates put many distances on the annulus edges.
+        positions = np.vstack([rng.integers(0, 9, (40, 2)), rng.uniform(0, 9, (40, 2))])
+        positions = np.unique(positions, axis=0)
+        distances = pairwise_distances(positions)
+        active = rng.random(len(positions)) < 0.8
+        edges = 2.0 ** (-1 + np.arange(7, dtype=np.float64))
+        rows = annulus_count_rows(distances, np.arange(len(positions)), -1, 5, active, unit)
+        for center, row in enumerate(rows):
+            others = active.copy()
+            others[center] = False
+            expected, _ = np.histogram(distances[center][others] / unit, bins=edges)
+            assert row.tolist() == expected.tolist()
 
 
 class TestGreedySeparatedSubset:

@@ -5,7 +5,9 @@ the fast path and the engine publish each round's link classes without
 the ``(n, n)`` matrix. Its contract is equality, bit for bit, with the
 dense references in :mod:`tests.dense_geometry` over
 ``pairwise_distances(positions)``, after every round of any execution:
-knockouts, wake-ups, ties, exponential chains and near-empty sets alike.
+knockouts, wake-ups, ties, exponential chains and near-empty sets alike,
+whether a tracker is built afresh or copied from a channel's start state
+and whether an orphan is answered from its candidate list or queried.
 """
 
 import math
@@ -17,7 +19,7 @@ from repro.analysis import nearest_active
 from repro.analysis.linkclasses import link_class_indices, link_class_round_sizes
 from repro.analysis.nearest_active import NearestActiveNeighbours, nearest_in_pool
 from repro.deploy import topologies
-from repro.obs.probe import ProbeBus, set_probe_bus
+from repro.obs.probe import ProbeBus, ProbeRecorder, set_probe_bus
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.fast import fast_fixed_probability_run
@@ -136,6 +138,85 @@ class TestRandomKnockouts:
         assert (tracker.distance == 1.0).all()
 
 
+def _knockout_waves(n, seed):
+    """Random removal rounds, a sixth of the survivors at a time, until none is left."""
+    rng = np.random.default_rng(seed)
+    mask = np.ones(n, dtype=bool)
+    while mask.any():
+        ids = np.flatnonzero(mask)
+        knocked = rng.choice(ids, size=max(1, ids.size // 6), replace=False)
+        mask[knocked] = False
+        yield knocked, mask.copy()
+
+
+class TestStartState:
+    @pytest.mark.parametrize("name", ["uniform_disk", "grid", "exponential_chain", "clustered"])
+    def test_copies_match_a_fresh_tracker_and_the_matrix(self, name, query_mode):
+        positions = DEPLOYMENTS[name]
+        distances = pairwise_distances(positions)
+        channel = SINRChannel(positions)
+        for seed in range(3):
+            tracker = channel.nearest_active()
+            fresh = NearestActiveNeighbours(positions)
+            _assert_tracks(tracker, distances, np.ones(len(positions), dtype=bool))
+            for knocked, mask in _knockout_waves(len(positions), seed):
+                tracker.remove(knocked)
+                fresh.remove(knocked)
+                assert np.array_equal(tracker.distance, fresh.distance)
+                _assert_tracks(tracker, distances, mask)
+        # The runs above left the channel's start state as it was built.
+        start = channel.nearest_active()
+        assert start.active.all()
+        assert np.array_equal(start.distance, NearestActiveNeighbours(positions).distance)
+
+    def test_grid_start_answers_from_candidate_lists(self, monkeypatch):
+        monkeypatch.setattr(nearest_active, "_BRUTE_FORCE_CELLS", 0)
+        monkeypatch.setattr(NearestActiveNeighbours, "_query", None)
+        # Every node of a lattice has its four neighbours in its list, so
+        # the lists alone answer the start and a removal's orphans.
+        positions = topologies.grid(1024)
+        tracker = NearestActiveNeighbours(positions)
+        assert (tracker.distance == 1.0).all()
+        tracker.remove([0, 33])
+        assert tracker.distance[1] == tracker.distance[32] == 1.0
+
+    def test_exhausted_list_falls_back_to_a_query(self, monkeypatch):
+        monkeypatch.setattr(nearest_active, "_BRUTE_FORCE_CELLS", 0)
+        positions = DEPLOYMENTS["uniform_disk"]
+        distances = pairwise_distances(positions)
+        tracker = NearestActiveNeighbours(positions)
+        node = 0
+        rows_distance, rows_id = tracker._candidates
+        listed = rows_id[node][np.isfinite(rows_distance[node])]
+        assert listed.size
+        queried = []
+        original = NearestActiveNeighbours._query
+
+        def spy(self, query_ids):
+            queried.extend(query_ids.tolist())
+            return original(self, query_ids)
+
+        monkeypatch.setattr(NearestActiveNeighbours, "_query", spy)
+        tracker.remove(listed)
+        mask = np.ones(len(positions), dtype=bool)
+        mask[listed] = False
+        assert node in queried
+        _assert_tracks(tracker, distances, mask)
+
+    def test_overfull_lists_are_left_out(self, monkeypatch):
+        monkeypatch.setattr(nearest_active, "_BRUTE_FORCE_CELLS", 0)
+        monkeypatch.setattr(nearest_active, "_MAX_CANDIDATES", 4)
+        positions = DEPLOYMENTS["uniform_disk"]
+        distances = pairwise_distances(positions)
+        tracker = NearestActiveNeighbours(positions)
+        rows_distance, _ = tracker._candidates
+        listed = np.isfinite(rows_distance).sum(axis=1)
+        assert listed.max() <= 4 and (listed == 0).any()
+        for knocked, mask in _knockout_waves(len(positions), 9):
+            tracker.remove(knocked)
+            _assert_tracks(tracker, distances, mask)
+
+
 class TestActivation:
     def test_nodes_added_in_waves(self, query_mode):
         positions = DEPLOYMENTS["uniform_disk"]
@@ -251,3 +332,38 @@ class TestFastPath:
         assert len(rounds) == result.rounds_executed
         # Probing a fresh deployment never builds the (n, n) matrix.
         assert "distances" not in channel.__dict__
+
+    def test_reused_channel_records_what_fresh_channels_do(self, monkeypatch):
+        positions = topologies.uniform_disk(1024, generator_from(12))
+        answered = []
+        original = NearestActiveNeighbours._reanswer
+
+        def spy(self, orphans):
+            answered.append(orphans.size)
+            return original(self, orphans)
+
+        monkeypatch.setattr(NearestActiveNeighbours, "_reanswer", spy)
+
+        def record(channels):
+            recorder = ProbeRecorder()
+            bus = ProbeBus(enabled=True)
+            bus.subscribe(recorder)
+            previous = set_probe_bus(bus)
+            try:
+                for trial, channel in enumerate(channels):
+                    fast_fixed_probability_run(channel, 0.1, generator_from(40 + trial))
+            finally:
+                set_probe_bus(previous)
+            return recorder.snapshot()
+
+        reused = SINRChannel(positions)
+        shared = record([reused, reused])
+        assert answered, "no orphan was answered from a candidate list"
+        fresh = record([SINRChannel(positions), SINRChannel(positions)])
+        assert shared.keys() == fresh.keys()
+        assert shared["exec_trial"].tolist() == [0, 1]
+        for name, column in fresh.items():
+            assert np.array_equal(shared[name], column), name
+        assert np.array_equal(
+            reused.nearest_active().distance, NearestActiveNeighbours(positions).distance
+        )

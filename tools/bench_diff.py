@@ -17,7 +17,9 @@ The ``parallel_trials_w*`` scaling benchmarks are **report-only**: their
 wall times depend on how many cores the runner happened to have, so the
 tool prints the parallel-speedup ratio (w2/w4 vs w1, with the record's
 ``cpu_count``) instead of gating on them — noisy shared CI runners must
-not flake the regression gate.
+not flake the regression gate. The probes tax, the
+``fast_path_execution_probes`` / ``fast_path_execution`` wall-time ratio,
+is printed for both records the same way: reported, never gated.
 
 This is the CI gate the perf trajectory in ``BENCH_core.json`` exists
 for: regenerate the candidate with ``benchmarks/harness.py`` and diff it
@@ -35,6 +37,9 @@ from typing import Dict, List, Optional
 #: Benchmarks whose wall time is a function of the runner's core count
 #: — compared for visibility, excluded from the regression gate.
 PARALLEL_PREFIX = "parallel_trials_"
+
+#: The probed fast-path execution and the unprobed one it is a ratio of.
+PROBED, UNPROBED = "fast_path_execution_probes", "fast_path_execution"
 
 
 def _is_report_only(name: str) -> bool:
@@ -167,6 +172,27 @@ def _print_speedups(label: str, record: Dict[str, object]) -> None:
         print(f"parallel speedup [{label}]{cores}: {ratios}  (reported, not gated)")
 
 
+def probes_tax(record: Dict[str, object]) -> Optional[float]:
+    """``fast_path_execution_probes`` wall time over ``fast_path_execution``'s.
+
+    ``None`` when either entry is missing or has no positive finite time.
+    """
+    benchmarks = record["benchmarks"]
+    walls = [
+        _finite_rate((benchmarks.get(name) or {}).get("wall_time_s"))
+        for name in (PROBED, UNPROBED)
+    ]
+    if None in walls:
+        return None
+    return walls[0] / walls[1]
+
+
+def _print_probes_tax(label: str, record: Dict[str, object]) -> None:
+    tax = probes_tax(record)
+    if tax is not None:
+        print(f"probes tax [{label}]: {tax:.2f}x ({PROBED} / {UNPROBED}; reported, not gated)")
+
+
 def _print_table(rows: List[List[str]]) -> None:
     header = ["benchmark", "baseline", "candidate", "wall Δ", "rounds/s Δ", "verdict"]
     normalized = [row + [""] * (len(header) - len(row)) for row in rows]
@@ -218,6 +244,8 @@ def main(argv=None) -> int:
         )
     _print_speedups("baseline", baseline)
     _print_speedups("candidate", candidate)
+    _print_probes_tax("baseline", baseline)
+    _print_probes_tax("candidate", candidate)
     if regressions:
         print(
             f"\nFAIL: {len(regressions)} benchmark(s) regressed more than "
