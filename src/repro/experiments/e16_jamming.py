@@ -28,9 +28,7 @@ import numpy as np
 
 from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.protocols.simple import FixedProbabilityProtocol
-from repro.sim.engine import Simulation
-from repro.sim.seeding import spawn_generators
+from repro.sim.parallel import run_fast_trials
 from repro.sinr.channel import SINRChannel
 from repro.sinr.jamming import ExternalSource
 from repro.sinr.parameters import SINRParameters
@@ -66,44 +64,39 @@ class Config:
         return cls(n=128, trials=40, max_rounds=10_000)
 
 
+def _jammed_channel(config: Config, factor: float, duty: float, params):
+    """Channel factory: a fresh uniform disk with a central jammer, if any."""
+
+    def build(rng: np.random.Generator) -> SINRChannel:
+        positions = uniform_disk(config.n, rng)
+        if factor == 0.0:
+            return SINRChannel(positions, params=params)
+        # Base channel first, to learn the auto-sized power the jammer
+        # competes against; offset avoids node co-location.
+        base = SINRChannel(positions, params=params)
+        centroid = positions.mean(axis=0) + np.asarray([0.31, 0.17])
+        jammer = ExternalSource(
+            position=(float(centroid[0]), float(centroid[1])),
+            power=factor * base.params.power,
+            duty_cycle=duty,
+        )
+        return SINRChannel(positions, params=params, external_sources=[jammer])
+
+    return build
+
+
 def _trial_rounds(config: Config, factor: float, duty: float, params) -> tuple:
     """(mean rounds counting failures at budget, solve rate)."""
-    rounds: List[float] = []
-    solved = 0
-    # SeedSequence entropy must be integral; quantise the float knobs.
-    generators = spawn_generators(
-        (config.seed, int(factor * 1000), int(duty * 1000)), 2 * config.trials
+    stats = run_fast_trials(
+        _jammed_channel(config, factor, duty, params),
+        config.p,
+        config.trials,
+        # SeedSequence entropy must be integral; quantise the float knobs.
+        seed=(config.seed, int(factor * 1000), int(duty * 1000)),
+        max_rounds=config.max_rounds,
     )
-    for trial in range(config.trials):
-        deploy_rng = generators[2 * trial]
-        run_rng = generators[2 * trial + 1]
-        positions = uniform_disk(config.n, deploy_rng)
-        if factor > 0.0:
-            # Base channel first, to learn the auto-sized power the jammer
-            # competes against; offset avoids node co-location.
-            base = SINRChannel(positions, params=params)
-            centroid = positions.mean(axis=0) + np.asarray([0.31, 0.17])
-            jammer = ExternalSource(
-                position=(float(centroid[0]), float(centroid[1])),
-                power=factor * base.params.power,
-                duty_cycle=duty,
-            )
-            channel = SINRChannel(positions, params=params, external_sources=[jammer])
-        else:
-            channel = SINRChannel(positions, params=params)
-        trace = Simulation(
-            channel,
-            FixedProbabilityProtocol(p=config.p),
-            rng=run_rng,
-            max_rounds=config.max_rounds,
-            keep_records=False,
-        ).run()
-        if trace.solved:
-            solved += 1
-            rounds.append(trace.rounds_to_solve)
-        else:
-            rounds.append(config.max_rounds)
-    return float(np.mean(rounds)), solved / config.trials
+    total = sum(stats.rounds) + stats.failures * config.max_rounds
+    return total / config.trials, stats.solve_rate
 
 
 def run(config: Config) -> ExperimentResult:

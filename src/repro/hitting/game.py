@@ -3,7 +3,8 @@
 Rules (Section 4, following [20]): the referee fixes a target
 ``T ⊆ {0, ..., k-1}`` with ``|T| = 2``. Rounds proceed: the player proposes
 ``P``; if ``|P ∩ T| = 1`` the player wins; otherwise play continues and the
-player learns nothing beyond "that proposal did not win".
+player learns nothing beyond "that proposal did not win". A proposal is a
+boolean mask of length ``k`` (``mask[i]`` iff ``i ∈ P``).
 
 Two referees are provided:
 
@@ -14,20 +15,20 @@ Two referees are provided:
     The *lazy adversary*: it never commits, and answers "no win" as long as
     **some** target remains consistent with every answer given so far. A
     pair ``{i, j}`` stays consistent while every proposal has contained
-    both or neither of ``i, j``; the referee maintains the partition of
-    ``{0..k-1}`` into groups with identical membership histories and
-    concedes only when a proposal splits every surviving group into
-    singleton parts. Because a proposal can at most double the number of
-    groups, **no player beats the adaptive referee in fewer than
-    ``ceil(log2 k)`` rounds** — the combinatorial core of Lemma 13, here as
-    runnable code (property-tested in the suite).
+    both or neither of ``i, j``; the referee labels each element with its
+    group of identical membership histories and concedes only when a
+    proposal leaves no label shared by two elements. Because a proposal
+    can at most double the number of groups, **no player beats the
+    adaptive referee in fewer than ``ceil(log2 k)`` rounds** — the
+    combinatorial core of Lemma 13, here as runnable code
+    (property-tested in the suite).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -51,72 +52,66 @@ class HittingReferee(ABC):
         self.k = k
 
     @abstractmethod
-    def judge(self, proposal: FrozenSet[int]) -> bool:
-        """Return True iff the proposal wins. May mutate referee state."""
+    def judge(self, proposal: np.ndarray) -> bool:
+        """Return True iff the proposal mask wins. May mutate referee state."""
 
-    def _validate(self, proposal: FrozenSet[int]) -> None:
-        if proposal and (min(proposal) < 0 or max(proposal) >= self.k):
-            raise ValueError(f"proposal contains elements outside 0..{self.k - 1}")
+    def _validate(self, proposal: np.ndarray) -> None:
+        if proposal.dtype != bool or proposal.shape != (self.k,):
+            raise ValueError(f"a proposal is a boolean mask of length {self.k}")
 
 
 class FixedTargetReferee(HittingReferee):
-    """The literal game: a target pair chosen before play begins."""
+    """The literal game: a target pair (ascending) chosen before play begins."""
 
-    def __init__(self, k: int, target: FrozenSet[int]) -> None:
+    def __init__(self, k: int, target: Iterable[int]) -> None:
         super().__init__(k)
-        target = frozenset(int(x) for x in target)
-        if len(target) != 2:
-            raise ValueError(f"target must have exactly 2 elements (got {len(target)})")
-        if min(target) < 0 or max(target) >= k:
+        pair = sorted({int(x) for x in target})
+        if len(pair) != 2:
+            raise ValueError(f"target must have exactly 2 elements (got {len(pair)})")
+        if pair[0] < 0 or pair[1] >= k:
             raise ValueError(f"target elements must lie in 0..{k - 1}")
-        self.target = target
+        self.target = tuple(pair)
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator) -> "FixedTargetReferee":
         """A referee with a uniformly random target pair."""
-        pair = rng.choice(k, size=2, replace=False)
-        return cls(k, frozenset(int(x) for x in pair))
+        return cls(k, rng.choice(k, size=2, replace=False))
 
-    def judge(self, proposal: FrozenSet[int]) -> bool:
+    def judge(self, proposal: np.ndarray) -> bool:
         self._validate(proposal)
-        return len(proposal & self.target) == 1
+        first, second = self.target
+        return bool(proposal[first] != proposal[second])
 
 
 class AdaptiveReferee(HittingReferee):
     """The lazy adversary: concedes only when no consistent target remains.
 
-    State is the partition of ``{0..k-1}`` into groups whose members have
-    identical proposal-membership histories; consistent targets are exactly
-    the pairs lying inside one group.
+    State is one group label per element: two elements share a label iff
+    every proposal so far contained both or neither, so the consistent
+    targets are exactly the pairs that share a label.
     """
 
     def __init__(self, k: int) -> None:
         super().__init__(k)
-        self._groups: List[FrozenSet[int]] = [frozenset(range(k))]
+        self._labels = np.zeros(k, dtype=np.intp)
 
     @property
     def consistent_pairs(self) -> int:
         """Number of targets still consistent with all answers so far."""
-        return sum(len(g) * (len(g) - 1) // 2 for g in self._groups)
+        sizes = np.bincount(self._labels)
+        return int((sizes * (sizes - 1) // 2).sum())
 
-    def judge(self, proposal: FrozenSet[int]) -> bool:
+    def judge(self, proposal: np.ndarray) -> bool:
         self._validate(proposal)
-        new_groups: List[FrozenSet[int]] = []
-        survivor_exists = False
-        for group in self._groups:
-            inside = group & proposal
-            outside = group - proposal
-            for part in (inside, outside):
-                if part:
-                    new_groups.append(part)
-                    if len(part) >= 2:
-                        survivor_exists = True
-        self._groups = new_groups
+        # Each group splits into its proposed and unproposed members.
+        _, self._labels, sizes = np.unique(
+            2 * self._labels + proposal, return_inverse=True, return_counts=True
+        )
         # If some pair survives this proposal, the adversary hides there and
         # answers "no win". Otherwise every formerly-consistent pair was
         # split for the first time by this very proposal, so whichever
         # target the adversary is deemed to have held, this proposal wins.
-        return not survivor_exists
+        return bool(sizes.max() < 2)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Reference players for the restricted k-hitting game.
 
-Three players bracket the problem:
+A proposal is a boolean mask of length ``k``: element ``i`` is proposed
+iff ``mask[i]``. Three players bracket the problem:
 
 :class:`BitSplittingPlayer`
     Deterministic and optimal: round ``b`` proposes every element whose
@@ -25,7 +26,6 @@ Three players bracket the problem:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class HittingPlayer(ABC):
         self.k = k
 
     @abstractmethod
-    def propose(self, round_index: int, rng: np.random.Generator) -> FrozenSet[int]:
-        """The proposal for the given (0-based) round."""
+    def propose(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
+        """The proposal for the given (0-based) round, a boolean mask of length ``k``."""
 
     def on_loss(self, round_index: int) -> None:
         """Notification that the proposal did not win. Default: ignore.
@@ -64,10 +64,11 @@ class BitSplittingPlayer(HittingPlayer):
     def __init__(self, k: int) -> None:
         super().__init__(k)
         self.num_bits = max(1, (k - 1).bit_length())
+        self._ids = np.arange(k)
 
-    def propose(self, round_index: int, rng: np.random.Generator) -> FrozenSet[int]:
+    def propose(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
         bit = round_index % self.num_bits
-        return frozenset(i for i in range(self.k) if (i >> bit) & 1)
+        return (self._ids >> bit) & 1 == 1
 
 
 class UniformSubsetPlayer(HittingPlayer):
@@ -79,13 +80,14 @@ class UniformSubsetPlayer(HittingPlayer):
             raise ValueError(f"inclusion probability must be in (0, 1) (got {p})")
         self.p = p
 
-    def propose(self, round_index: int, rng: np.random.Generator) -> FrozenSet[int]:
-        coins = rng.random(self.k) < self.p
-        return frozenset(int(i) for i in np.flatnonzero(coins))
+    def propose(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(self.k) < self.p
 
 
 class SingletonPlayer(HittingPlayer):
     """Proposes one element at a time, in order."""
 
-    def propose(self, round_index: int, rng: np.random.Generator) -> FrozenSet[int]:
-        return frozenset({round_index % self.k})
+    def propose(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
+        mask = np.zeros(self.k, dtype=bool)
+        mask[round_index % self.k] = True
+        return mask

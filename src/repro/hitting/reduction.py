@@ -13,20 +13,22 @@ an execution in which only ``i`` and ``j`` exist — in any round where the
 simulation would be *inconsistent* (exactly one of the pair broadcast), the
 proposal has already won the game before the inconsistency matters.
 
-:class:`ContentionResolutionPlayer` is that player, generic over any
-:class:`~repro.protocols.base.ProtocolFactory`. Running it against the
-adaptive referee turns Lemma 13's bound into a measured floor: **every**
-protocol in the library needs at least ``ceil(log2 k)`` proposals to win.
+:class:`ContentionResolutionPlayer` is that player. It runs the engine's
+vector step (:func:`~repro.protocols.schedules.template_step`) over all
+``k`` nodes, so a proposal is the step's transmit mask; silence knocks
+out no node of any vector-step protocol, so a lost round only advances
+the simulated clock. Against the adaptive referee, Lemma 13's bound
+becomes a measured floor: **every** such protocol in the library needs at
+least ``ceil(log2 k)`` proposals to win.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
 import numpy as np
 
 from repro.hitting.players import HittingPlayer
-from repro.protocols.base import Action, Feedback, ProtocolFactory
+from repro.protocols.base import ProtocolFactory
+from repro.protocols.schedules import template_step
 
 __all__ = ["ContentionResolutionPlayer"]
 
@@ -37,9 +39,10 @@ class ContentionResolutionPlayer(HittingPlayer):
     Parameters
     ----------
     protocol:
-        Any protocol factory. Collision-detection protocols are rejected:
-        the reduction feeds nodes *silence*, and a CD protocol's behaviour
-        is not defined by reception alone.
+        A protocol factory with a vector step (so not the carrier-sense
+        tournament). Collision-detection protocols are rejected: the
+        reduction feeds nodes *silence*, and a CD protocol's behaviour is
+        not defined by reception alone.
     k:
         The game size; the simulation runs ``k`` nodes.
     """
@@ -51,28 +54,19 @@ class ContentionResolutionPlayer(HittingPlayer):
                 "the Lemma 14 reduction simulates silence only; collision-"
                 "detection protocols cannot be simulated this way"
             )
-        self.protocol = protocol
-        self.nodes = protocol.build(k)
+        self.step = template_step(protocol.template(k), k)
+        if self.step is None:
+            raise ValueError(
+                f"the Lemma 14 reduction runs a factory's vector step; "
+                f"{protocol.name} has none"
+            )
+        self._ids = np.arange(k)
         self._round = 0
-        self._pending: FrozenSet[int] = frozenset()
 
-    def propose(self, round_index: int, rng: np.random.Generator) -> FrozenSet[int]:
-        transmitters = set()
-        for node in self.nodes:
-            if not node.active:
-                continue
-            if node.decide(self._round, rng) is Action.TRANSMIT:
-                transmitters.add(node.node_id)
-        self._pending = frozenset(transmitters)
-        return self._pending
+    def propose(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
+        return self.step.decide(self._ids, np.full(self.k, self._round), rng, False)
 
     def on_loss(self, round_index: int) -> None:
-        # Complete the simulated round: every node receives nothing. (On a
-        # win the game is over and the half-simulated round is discarded,
-        # exactly as in the paper's argument.)
-        for node in self.nodes:
-            if not node.active:
-                continue
-            transmitted = node.node_id in self._pending
-            node.on_feedback(self._round, Feedback(transmitted=transmitted))
+        # Every node receives nothing, which knocks none out. (On a win the
+        # half-simulated round is discarded, as in the paper's argument.)
         self._round += 1

@@ -5,7 +5,8 @@ in :class:`cProfile.Profile` and condenses the raw stats into a small
 JSON-safe report: the top-N hot functions (by exclusive time) plus a
 **per-phase breakdown** that attributes exclusive time to the pipeline
 stages every experiment shares — geometry sampling, gain-matrix
-construction, the round loop, statistics — by classifying each profiled
+construction, the round loop, statistics — plus the lower-bound game
+(``hitting``, E7 and E8), by classifying each profiled
 function's source location. The report lands in the manifest's
 ``profile`` field (and on stdout), so a slow run's provenance includes
 *where* the time went, not just how much there was.
@@ -46,6 +47,7 @@ PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
             "protocols/",
         ),
     ),
+    ("hitting", ("hitting/",)),
     (
         "stats",
         ("sim/runner", "analysis/", "experiments/", "reporting/"),

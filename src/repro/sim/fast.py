@@ -6,8 +6,9 @@ round. The paper's algorithm has no per-node state beyond active/inactive
 and a constant probability, so a whole execution collapses into numpy:
 
 * coin flips: one ``rng.random(n_active)`` per round;
-* reception: the channel's own decode
-  (:meth:`~repro.sinr.channel.SINRChannel.decode`), which walks the
+* reception: the channel's resolve core, the one the engine calls,
+  uninstrumented. It draws the external sources' on-air coins and
+  decodes (:meth:`~repro.sinr.channel.SINRChannel.decode`), walking the
   round's listeners in fixed-size blocks of ``(transmitter, listener)``
   gains: computed from positions, or gathered when the channel's
   ``(n, n)`` matrix has been built, and multiplied by fresh Rayleigh
@@ -16,14 +17,15 @@ and a constant probability, so a whole execution collapses into numpy:
   ``|T| x |L|``;
 * knockout: a boolean mask update.
 
-``fast_fixed_probability_run`` draws the coins and the fading multipliers
-in the order :class:`repro.sim.engine.Simulation` running
-``FixedProbabilityProtocol`` does, so on the same generator both give the
-same execution (the test suite checks it per trial, with and without
-fading), just 1–2 orders of magnitude faster for large ``n``. Use it for
+``fast_fixed_probability_run`` draws the coins, the jammers' duty-cycle
+coins and the fading multipliers in the order
+:class:`repro.sim.engine.Simulation` running ``FixedProbabilityProtocol``
+does, so on the same generator both give the same execution (the test
+suite checks it per trial, with and without fading and duty-cycled
+jammers), just 1–2 orders of magnitude faster for large ``n``. Use it for
 scaling studies on the SINR channel. Use the generic engine when you need
-round-by-round traces, mixed protocols, activation schedules, jammers with
-``duty_cycle < 1``, or another protocol.
+round-by-round traces, mixed protocols, activation schedules, or another
+protocol.
 The engine also flips a round's coins in one numpy call for the paper's
 algorithm and the other oblivious-schedule protocols, on any channel; what
 it keeps over this path is the per-round bookkeeping and
@@ -50,8 +52,6 @@ __all__ = ["FastRunResult", "FastRoundTelemetry", "fast_fixed_probability_run"]
 #: solving round, whose knockout count is reported as 0 because the fast
 #: path stops before resolving it.
 FastRoundTelemetry = Callable[[int, int, int, int], None]
-
-_EMPTY_IDS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ def fast_fixed_probability_run(
 ) -> FastRunResult:
     """Run the paper's algorithm to the first solo round, vectorised.
 
-    Restrictions (by design): no external sources with ``duty_cycle < 1``
-    (continuous jammers are folded into a static interference vector),
-    simultaneous activation. Under Rayleigh fading ``rng`` also draws
-    each round's multipliers, after its coins.
+    Every node wakes in round 0. Each round that is not a solo is
+    resolved by the channel's resolve core: ``rng`` draws, after the
+    round's coins, the external sources' on-air coins (if any has
+    ``duty_cycle < 1``) and then, under Rayleigh fading, the multipliers.
 
     ``telemetry`` receives ``(round_index, active_count, tx_count,
     knockouts)`` per executed round; when the global metrics registry is
@@ -102,16 +102,8 @@ def fast_fixed_probability_run(
         raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive (got {max_rounds})")
-    if any(not s.is_continuous for s in channel.external_sources):
-        raise ValueError(
-            "the fast path supports continuous external sources only"
-        )
 
     n = channel.n
-    if channel.external_sources:
-        static_external = channel.external_gains.sum(axis=0)
-    else:
-        static_external = np.zeros(n)
 
     obs = get_registry()
     recording = obs.enabled
@@ -175,20 +167,13 @@ def fast_fixed_probability_run(
                 rounds_executed=round_index + 1,
                 active_counts=active_counts,
             )
-        knockouts = 0
-        knocked_nodes: np.ndarray = _EMPTY_IDS
-        if tx.size > 0:
-            listeners = active_ids[~coins]
-            if listeners.size > 0:
-                # Draws the fading multipliers, if any, as the engine's
-                # resolve does; the SINR probe it publishes when probing
-                # draws nothing, so probes never perturb the run.
-                _, _, decoded = channel.decode(
-                    tx, listeners, static_external[listeners], rng
-                )
-                knockouts = int(np.count_nonzero(decoded))
-                knocked_nodes = listeners[decoded]
-                active[knocked_nodes] = False
+        # Draws the duty-cycle coins and fading multipliers, if any, as the
+        # engine's resolve does; the SINR probe it publishes when probing
+        # draws nothing, so probes never perturb the run.
+        report = channel._resolve_ids(tx, active_ids[~coins], rng)
+        knocked_nodes = report.listener_ids[report.decoded >= 0]
+        knockouts = int(knocked_nodes.size)
+        active[knocked_nodes] = False
         if telemetry is not None:
             telemetry(round_index, num_active, int(tx.size), knockouts)
         if recording and knockouts:

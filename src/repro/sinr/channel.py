@@ -415,18 +415,6 @@ class SINRChannel:
             probe.publish(bus, decoded, params.beta)
         return totals, best, decoded
 
-    @property
-    def external_gains(self) -> np.ndarray:
-        """Per-source external gain rows, ``(num_sources, n)`` (read-only view).
-
-        Row ``s`` is the power source ``s`` lands on each node when on
-        the air; the fast paths fold continuous sources into a static
-        interference vector by summing these rows.
-        """
-        view = self._external_gains.view()
-        view.flags.writeable = False
-        return view
-
     def resolve(
         self,
         transmitters: Sequence[int],

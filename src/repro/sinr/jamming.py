@@ -54,11 +54,6 @@ class ExternalSource:
                 f"duty_cycle must be in (0, 1] (got {self.duty_cycle})"
             )
 
-    @property
-    def is_continuous(self) -> bool:
-        """Whether the source transmits every round (no randomness)."""
-        return self.duty_cycle >= 1.0
-
 
 def external_gain_matrix(
     sources: Sequence[ExternalSource], positions: np.ndarray, alpha: float

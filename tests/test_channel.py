@@ -50,24 +50,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             channel.base_gains[0, 1] = 99.0
 
-    def test_external_gains_is_readonly_and_matches_sources(self):
-        from repro.sinr.jamming import ExternalSource
-
-        jammer = ExternalSource((0.5, 2.0), power=10.0, duty_cycle=1.0)
-        channel = SINRChannel(
-            [(0.0, 0.0), (1.0, 0.0)], external_sources=[jammer]
-        )
-        gains = channel.external_gains
-        assert gains.shape == (1, 2)
-        assert np.array_equal(gains, channel._external_gains)
-        with pytest.raises(ValueError):
-            gains[0, 0] = 99.0
-
-    def test_external_gains_empty_without_sources(self):
-        gains = _three_node_channel().external_gains
-        assert gains.shape[0] == 0
-        assert gains.flags.writeable is False
-
     def test_gain_follows_path_loss(self):
         channel = _three_node_channel()
         p = channel.params
@@ -223,7 +205,7 @@ class TestEnergyReports:
         # The documented contract: energy is empty only when nobody
         # transmitted *and* no external source was on the air. On a
         # transmitter-free round, listeners still sense an active jammer.
-        from repro.sinr.jamming import ExternalSource
+        from repro.sinr.jamming import ExternalSource, external_gain_matrix
 
         jammer = ExternalSource((0.5, 2.0), power=10.0, duty_cycle=1.0)
         channel = SINRChannel(
@@ -233,7 +215,9 @@ class TestEnergyReports:
         assert report.transmitters == ()
         assert report.received_from == {}
         assert set(report.energy) == {0, 1, 2}
-        expected = channel.external_gains.sum(axis=0)
+        expected = external_gain_matrix(
+            channel.external_sources, channel.positions, channel.params.alpha
+        ).sum(axis=0)
         for node, energy in report.energy.items():
             assert energy == pytest.approx(expected[node])
             assert energy > 0.0

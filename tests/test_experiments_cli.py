@@ -84,6 +84,7 @@ class TestProfileFlag:
             "geometry",
             "gain_matrix",
             "round_loop",
+            "hitting",
             "stats",
             "other",
         }

@@ -14,14 +14,6 @@ from repro.sinr.jamming import ExternalSource
 
 
 class TestRestrictions:
-    def test_rejects_intermittent_jammer(self, rng):
-        jammer = ExternalSource((0.5, 50.0), power=10.0, duty_cycle=0.5)
-        channel = SINRChannel(
-            [(0.0, 0.0), (1.0, 0.0)], external_sources=[jammer]
-        )
-        with pytest.raises(ValueError, match="continuous"):
-            fast_fixed_probability_run(channel, p=0.1, rng=rng)
-
     def test_accepts_continuous_jammer(self, rng):
         jammer = ExternalSource((0.5, 50.0), power=10.0, duty_cycle=1.0)
         channel = SINRChannel(
@@ -131,6 +123,43 @@ class TestEngineExactParity:
             # Neither path builds the (n, n) matrix for a faded round.
             assert "_gain_matrix" not in vars(fast_channel)
             assert "_gain_matrix" not in vars(engine_channel)
+
+
+    def test_duty_cycled_jammer_trials_match_the_engine(self):
+        """A duty-0.5 jammer's on-air coin is drawn by the channel's resolve
+        core on both paths, after the round's coins and before any fading
+        multipliers: same seed, same rounds, same active counts."""
+        n, p = 48, 0.1
+        for gain_model in (None, RayleighFading()):
+            outcomes = set()
+            for seed in range(6):
+                positions = uniform_disk(n, generator_from((n, seed)))
+                power = SINRChannel(positions).params.power
+                centre = positions.mean(axis=0) + (0.31, 0.17)
+                jammer = ExternalSource(
+                    (float(centre[0]), float(centre[1])), 100.0 * power, duty_cycle=0.5
+                )
+                channels = [
+                    SINRChannel(positions, gain_model=gain_model, external_sources=[jammer])
+                    for _ in range(2)
+                ]
+                fast = fast_fixed_probability_run(
+                    channels[0], p, generator_from(seed), max_rounds=3_000
+                )
+                trace = Simulation(
+                    channels[1],
+                    FixedProbabilityProtocol(p),
+                    rng=generator_from(seed),
+                    max_rounds=3_000,
+                    keep_records=True,
+                ).run()
+                assert fast.rounds_to_solve == trace.rounds_to_solve
+                assert fast.rounds_executed == trace.rounds_executed
+                assert fast.active_counts == [
+                    len(record.active_before) for record in trace.records
+                ]
+                outcomes.add(fast.rounds_to_solve)
+            assert len(outcomes) > 1
 
 
 class TestEquivalenceWithGenericEngine:

@@ -19,10 +19,6 @@ class TestExternalSource:
         with pytest.raises(ValueError, match="position"):
             ExternalSource(position=(0.0, 0.0, 0.0), power=1.0)
 
-    def test_continuous_flag(self):
-        assert ExternalSource((0, 0), 1.0).is_continuous
-        assert not ExternalSource((0, 0), 1.0, duty_cycle=0.5).is_continuous
-
 
 class TestGainMatrix:
     def test_shape_and_values(self):

@@ -37,6 +37,8 @@ class TestClassifyPhase:
             ("src/repro/sim/engine.py", "run", "round_loop"),
             ("src/repro/radio/channel.py", "_resolve", "round_loop"),
             ("src/repro/sim/fast.py", "fast_fixed_probability_run", "round_loop"),
+            ("src/repro/hitting/game.py", "judge", "hitting"),
+            ("src/repro/hitting/reduction.py", "propose", "hitting"),
             ("src/repro/sim/runner.py", "run_trials", "stats"),
             ("src/repro/analysis/linkclasses.py", "link_class_partition", "stats"),
             ("~", "<built-in method numpy.array>", OTHER_PHASE),
@@ -78,6 +80,20 @@ class TestBuildProfileReport:
         assert phase_total == pytest.approx(
             profiled_report["total_seconds"], abs=1e-5
         )
+
+    def test_hitting_game_lands_in_its_phase(self):
+        from repro.hitting import AdaptiveReferee, UniformSubsetPlayer, play_hitting_game
+
+        profile = cProfile.Profile()
+        profile.enable()
+        for seed in range(20):
+            play_hitting_game(
+                UniformSubsetPlayer(64), AdaptiveReferee(64), generator_from(seed)
+            )
+        profile.disable()
+        phases = build_profile_report(profile)["phases"]
+        assert phases["hitting"]["seconds"] > 0
+        assert phases["round_loop"]["seconds"] == 0
 
     def test_round_loop_dominates_simulation_code(self, profiled_report):
         phases = profiled_report["phases"]

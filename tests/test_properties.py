@@ -8,7 +8,8 @@ These target the load-bearing mathematical properties:
 * link-class partition laws — classes partition the classified nodes, and
   knockouts never move a node to a smaller class;
 * the adaptive hitting referee's group dynamics — groups only refine, the
-  pair count never increases, and no player wins before ``ceil(log2 k)``;
+  pair count never increases, no player wins before ``ceil(log2 k)``, and
+  its group labels answer as a frozenset partition would;
 * the class-bound schedule — monotone non-increasing in ``t``, classes lag
   in the documented order.
 """
@@ -27,6 +28,7 @@ from repro.sinr.channel import SINRChannel
 from repro.sinr.geometry import pairwise_distances
 from repro.sinr.parameters import SINRParameters
 from tests.dense_geometry import nearest_neighbor_distances
+from tests.hitting_oracles import GroupRefinementReferee, mask_of
 
 
 # -- strategies --------------------------------------------------------------
@@ -171,10 +173,8 @@ class TestAdaptiveRefereeProperties:
         referee = AdaptiveReferee(k)
         previous = referee.consistent_pairs
         for _ in range(10):
-            proposal = frozenset(
-                data.draw(st.sets(st.integers(0, k - 1), max_size=k))
-            )
-            won = referee.judge(proposal)
+            proposal = data.draw(st.sets(st.integers(0, k - 1), max_size=k))
+            won = referee.judge(mask_of(k, proposal))
             assert referee.consistent_pairs <= previous
             previous = referee.consistent_pairs
             if won:
@@ -188,15 +188,26 @@ class TestAdaptiveRefereeProperties:
         floor = math.ceil(math.log2(k))
         rounds = 0
         for _ in range(200):
-            proposal = frozenset(
-                data.draw(st.sets(st.integers(0, k - 1), max_size=k))
-            )
+            proposal = data.draw(st.sets(st.integers(0, k - 1), max_size=k))
             rounds += 1
-            if referee.judge(proposal):
+            if referee.judge(mask_of(k, proposal)):
                 break
         else:
             return  # player never won within the budget; floor vacuous
         assert rounds >= floor
+
+    @given(st.integers(2, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_labels_match_group_refinement(self, k, data):
+        # One label per element holds the frozenset partition's state: the
+        # answers and the consistent-pair counts agree round by round, also
+        # after a win.
+        referee, oracle = AdaptiveReferee(k), GroupRefinementReferee(k)
+        for _ in range(12):
+            proposal = frozenset(data.draw(st.sets(st.integers(0, k - 1), max_size=k)))
+            won = referee.judge(mask_of(k, proposal))
+            assert won == oracle.judge(proposal)
+            assert referee.consistent_pairs == oracle.consistent_pairs
 
 
 # -- class-bound schedule properties -------------------------------------------

@@ -24,7 +24,7 @@ from repro.radio.channel import ChannelObservation, RadioChannel
 from repro.sim.seeding import generator_from
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
-from repro.sinr.jamming import ExternalSource
+from repro.sinr.jamming import ExternalSource, external_gain_matrix
 from tests.test_matrix_free import DEPLOYMENTS
 
 
@@ -44,7 +44,10 @@ def mask_external_interference(
         on_air = rng.random(len(channel.external_sources)) < duty_cycles
     if not on_air.any():
         return np.zeros(num_listeners)
-    return channel.external_gains[on_air][:, listen_mask].sum(axis=0)
+    gains = external_gain_matrix(
+        channel.external_sources, channel.positions, channel.params.alpha
+    )
+    return gains[on_air][:, listen_mask].sum(axis=0)
 
 
 def sinr_oracle(

@@ -65,7 +65,7 @@ def verify_trace(
         channel is not None
         and getattr(channel, "gain_model", None) is None
         and all(
-            s.is_continuous for s in getattr(channel, "external_sources", ())
+            s.duty_cycle >= 1.0 for s in getattr(channel, "external_sources", ())
         )
     )
 
