@@ -6,15 +6,21 @@ round. The paper's algorithm has no per-node state beyond active/inactive
 and a constant probability, so a whole execution collapses into numpy:
 
 * coin flips: one ``rng.random(n_active)`` per round;
-* reception: the channel's resolve core, the one the engine calls,
-  uninstrumented. It draws the external sources' on-air coins and
-  decodes (:meth:`~repro.sinr.channel.SINRChannel.decode`), walking the
-  round's listeners in fixed-size blocks of ``(transmitter, listener)``
-  gains: computed from positions, or gathered when the channel's
-  ``(n, n)`` matrix has been built, and multiplied by fresh Rayleigh
-  draws on a fading channel. A fresh deployment therefore never needs
-  that matrix, and a trial's memory is O(n) whatever the round's
-  ``|T| x |L|``;
+* reception: the external sources' on-air coins, then the round's
+  decisions, walking its listeners in fixed-size blocks of
+  ``(transmitter, listener)`` gains: computed from positions, or
+  gathered when the channel's ``(n, n)`` matrix has been built, and
+  multiplied by fresh Rayleigh draws on a fading channel. A fresh
+  deployment therefore never needs that matrix, and a trial's memory is
+  O(n) whatever the round's ``|T| x |L|``. A knockout needs only who
+  decoded, so an unprobed round takes the decisions-only
+  :meth:`~repro.sinr.channel.SINRChannel.decide`: gains from square
+  roots and products instead of ``pow``, with the few listeners that
+  land within a rounding margin of the threshold decided again exactly.
+  With the probe bus on, a round goes through the channel's resolve
+  core, the one the engine calls, uninstrumented, and its exact
+  :meth:`~repro.sinr.channel.SINRChannel.decode`, which publishes the
+  SINR probe. Both make the same decisions from the same draws;
 * knockout: a boolean mask update.
 
 ``fast_fixed_probability_run`` draws the coins, the jammers' duty-cycle
@@ -167,11 +173,16 @@ def fast_fixed_probability_run(
                 rounds_executed=round_index + 1,
                 active_counts=active_counts,
             )
-        # Draws the duty-cycle coins and fading multipliers, if any, as the
-        # engine's resolve does; the SINR probe it publishes when probing
-        # draws nothing, so probes never perturb the run.
-        report = channel._resolve_ids(tx, active_ids[~coins], rng)
-        knocked_nodes = report.listener_ids[report.decoded >= 0]
+        # Both draw the duty-cycle coins and fading multipliers, if any, as
+        # the engine's resolve does. Unprobed rounds need only who decoded
+        # (the screened decisions); probed ones take the exact decode and
+        # its SINR probe, which draws nothing, so probes never perturb the
+        # run.
+        if probing:
+            report = channel._resolve_ids(tx, active_ids[~coins], rng)
+            knocked_nodes = report.listener_ids[report.decoded >= 0]
+        else:
+            knocked_nodes = channel._receiver_ids(tx, active_ids[~coins], rng)
         knockouts = int(knocked_nodes.size)
         active[knocked_nodes] = False
         if telemetry is not None:

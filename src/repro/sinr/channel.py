@@ -19,7 +19,11 @@ its ``|T| x |L|`` gains at once: a round's memory is O(n) whatever its
 size. :meth:`SINRChannel.gain_rows` returns the whole array for callers
 that want it. Under Rayleigh fading each block's gains are multiplied by
 fresh exponential draws before the reductions, so faded and deterministic
-rounds share the one decode.
+rounds share the one decode. :meth:`SINRChannel.decide` walks the same
+blocks for callers that need only the decisions (the fast path): it
+screens each listener with gains built from square roots and products
+instead of ``pow``, and recomputes exactly only the rows too close to
+the threshold to tell.
 
 Because the SINR of a candidate transmitter is monotone increasing in its
 arriving signal (each transmitter's own power is excluded from its
@@ -34,6 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import math
 import time
 
 import numpy as np
@@ -48,6 +53,7 @@ from repro.sinr.geometry import (
     diameter_of,
     has_colocated_pair,
     pairwise_distances,
+    squared_cross_distances,
 )
 from repro.sinr.jamming import ExternalSource, external_gain_matrix
 from repro.sinr.parameters import SINRParameters
@@ -60,6 +66,44 @@ _GAIN_BLOCK_CELLS = 1 << 20
 #: Gain cells per listener block when :meth:`SINRChannel.decode` decodes a
 #: round (256 KiB of float64 per buffer).
 _DECODE_BLOCK_CELLS = 1 << 15
+
+# The screen of SINRChannel.decide. Let u = 2**-53 (half an ulp). Both gain
+# forms start from the same bits of d2 = dx*dx + dy*dy and stay within a
+# few u of the real P / d2**(alpha/2), as long as every intermediate is a
+# normal float:
+#   exact    P / pow(sqrt(d2), alpha): sqrt's u grows alpha-fold through
+#            the power, pow adds at most 2 ulps (4u), the division u;
+#   screened P / (d2**k * root), root in {1, d2**(1/4), d2**(1/2),
+#            d2**(3/4)} from one or two square roots: at most alpha/2 + 2
+#            roundings of u, the division u.
+# A fading multiplier adds u to each, so every gain, and the row maximum s,
+# lies within rho = (alpha + 6)u of its real value. The row sum T (any
+# summation order, external power added) lies within rho + |tx|u, and the
+# decision's three roundings add 3u: on either path, the computed
+# s - beta*(N + (T - s)) lies within (2*rho + (|tx| + 3)u)*K of the real
+# one, where K = s + beta*(N + T) <= (1 + beta)*(s + beta*(N + T - s)). A
+# listener whose screened difference exceeds twice that,
+# (2*|tx| + 4*alpha + 30)u * K, therefore decides as the exact decode does.
+# The margin below is (8*|tx| + 8*alpha + 128)u: two to four times the
+# bound, which also absorbs the second-order terms and the rounding of the
+# margin itself.
+#
+# "Normal floats" is what the channel-level and block-level conditions
+# buy. The channel screens only when 2*alpha is an integer, diameter**alpha
+# <= 2**1000 (no denominator overflows) and beta*N >= 2**-960 (so K >=
+# beta*N dwarfs the absolute error of gains or faded products that fall
+# below the normal range); a block is screened only when its smallest d2
+# keeps every denominator at or above 2**-1020, and its decisions are kept
+# only while its strongest screened gain stays within _SCREEN_CEILING.
+
+#: Unit of the screen's margin: a listener is unsure when
+#: ``|s - r| <= (|tx| + alpha + 16) * _MARGIN_UNIT * (1 + beta) * (s + r)``,
+#: ``r = beta * (N + T - s)``.
+_MARGIN_UNIT = 2.0**-50
+
+#: Blocks whose strongest screened gain exceeds this are decided exactly:
+#: up to it, no exact gain can overflow where the screened one did not.
+_SCREEN_CEILING = 2.0**1000
 
 
 _NO_IDS = np.empty(0, dtype=np.intp)
@@ -218,6 +262,8 @@ class SINRChannel:
         self._external_gains = external_gain_matrix(
             self.external_sources, self.positions, params.alpha
         )
+        self._duty_cycles = np.asarray([s.duty_cycle for s in self.external_sources])
+        self._always_on = bool(np.all(self._duty_cycles >= 1.0))
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -253,6 +299,23 @@ class SINRChannel:
         view = self._gain_matrix.view()
         view.flags.writeable = False
         return view
+
+    @cached_property
+    def _screen_floor(self) -> Optional[float]:
+        """Smallest ``d2`` a screened block may hold; ``None`` when :meth:`decide` cannot screen.
+
+        See the derivation beside ``_MARGIN_UNIT``.
+        """
+        params = self.params
+        if (
+            float(2 * params.alpha).is_integer()
+            and self.diameter > 0.0
+            and params.alpha * math.log2(self.diameter) <= 1000.0
+            and params.beta * params.noise >= 2.0**-960
+        ):
+            # d2 ** (alpha / 2) >= 2**-1020.
+            return 2.0 ** (-2040.0 / params.alpha)
+        return None
 
     @cached_property
     def _nearest_start(self):
@@ -292,13 +355,16 @@ class SINRChannel:
         self._gain_filler(tx)(listeners, rows, np.empty_like(rows))
         return rows.T
 
-    def _gain_filler(self, tx: np.ndarray):
-        """``fill(listeners, out, work)``, writing ``G[tx][:, listeners].T`` into ``out``.
+    def _gain_filler(self, tx: np.ndarray, screen: bool = False):
+        """``fill(listeners, out, work) -> exact``, writing ``G[tx][:, listeners].T`` into ``out``.
 
         ``out`` is a C-order ``(|listeners|, |tx|)`` buffer: one row of
         gains per listener; ``work``, a C-order buffer of the same shape,
         is scratch. The per-round set-up (the transmitters' coordinates)
-        is done once here.
+        is done once here. ``fill`` writes the exact gains and returns
+        ``True``, except with ``screen`` set on a block the screen covers
+        (``_screen_floor``): there it writes :meth:`decide`'s screened
+        gains ``P / (d2**k * root)`` and returns ``False``.
         """
         if "_gain_matrix" in self.__dict__:
             matrix = self._gain_matrix
@@ -315,22 +381,70 @@ class SINRChannel:
                 taken = work.reshape(out.shape[::-1])
                 np.take(strip, listeners - first, axis=1, out=taken, mode="clip")
                 np.copyto(out, taken.T)
+                return True
 
             return gather
         positions = self.positions
         # Column-major, so cross_distances' coordinate rows are views.
         points = np.asfortranarray(positions[tx])
         alpha, power = self.params.alpha, self.params.power
+        floor = self._screen_floor if screen else None
 
         def compute(listeners, out, work):
             # The matrix's ufuncs, in place: the same bits. Swapping the
             # points only negates dx and dy, so no bit changes either.
-            cross_distances(positions[listeners], points, out=out, work=work)
-            np.power(out, alpha, out=out)
+            squared = squared_cross_distances(positions[listeners], points, out=out, work=work)
+            exact = floor is None or not squared.min() >= floor
+            if exact:
+                denominators = np.power(np.sqrt(squared, out=out), alpha, out=out)
+            else:
+                denominators = _root_power(squared, alpha, out=work)
             with np.errstate(divide="ignore"):
-                np.divide(power, out, out=out)
+                np.divide(power, denominators, out=out)
+            return exact
 
         return compute
+
+    def _blocks(self, tx, listeners, rng, screen=False):
+        """Walk a round's listeners in blocks: the one loop of :meth:`decode` and :meth:`decide`.
+
+        Yields ``(start, rows, multipliers, exact)`` per block: ``rows``
+        holds the gains of ``listeners[start : start + len(rows)]``, one
+        row per listener, multiplied under Rayleigh fading by
+        ``multipliers``, the block's draws (scratch otherwise); ``exact``
+        is what :meth:`_gain_filler`'s ``fill`` returned. The next block
+        reuses both buffers.
+        """
+        fading = self.gain_model
+        if fading is not None and rng is None:
+            raise ValueError("a stochastic gain model requires an rng")
+        num_tx, num_listeners = tx.size, listeners.size
+        block = max(1, min(num_listeners, _DECODE_BLOCK_CELLS // num_tx))
+        gains = np.empty((block, num_tx))
+        work = np.empty_like(gains)
+        fill = self._gain_filler(tx, screen)
+        for start in range(0, num_listeners, block):
+            rows = gains[: num_listeners - start]
+            scratch = work[: rows.shape[0]]
+            exact = fill(listeners[start : start + block], rows, scratch)
+            if fading is not None:
+                rng.standard_exponential(out=scratch)
+                scratch *= fading.scale
+                rows *= scratch
+            yield start, rows, scratch, exact
+
+    def _threshold(self, strongest: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """``beta * (noise + interference)``, which ``strongest`` must reach to be decoded.
+
+        SINR_i = s_i / (noise + tot - s_i) is monotone increasing in the
+        arriving signal s_i, so the strongest transmitter clears the
+        threshold iff any transmitter does — for every beta. With capture
+        (decode the strongest signal that clears), checking the argmax is
+        therefore exhaustive. External interference sits in the
+        denominator alongside the other transmitters.
+        """
+        params = self.params
+        return params.beta * (params.noise + (totals - strongest))
 
     def decode(
         self,
@@ -366,15 +480,6 @@ class SINRChannel:
         of one ``(|listeners|, |tx|)`` draw, so the faded gains, and every
         result, do not depend on the block size either.
         """
-        fading = self.gain_model
-        if fading is not None and rng is None:
-            raise ValueError("a stochastic gain model requires an rng")
-        num_tx, num_listeners = tx.size, listeners.size
-        block = max(1, min(num_listeners, _DECODE_BLOCK_CELLS // num_tx))
-        gains = np.empty((block, num_tx))
-        work = np.empty_like(gains)
-        fill = self._gain_filler(tx)
-        cols = np.arange(block)
         bus = get_probe_bus()
         probe = (
             SINRProbeColumns(tx, listeners, external, self.params.noise)
@@ -382,16 +487,9 @@ class SINRChannel:
             else None
         )
         blocks = []
-        for start in range(0, num_listeners, block):
-            rows = gains[: num_listeners - start]
-            scratch = work[: rows.shape[0]]
-            fill(listeners[start : start + block], rows, scratch)
-            if fading is not None:
-                rng.standard_exponential(out=scratch)
-                scratch *= fading.scale
-                rows *= scratch
+        for start, rows, _, _ in self._blocks(tx, listeners, rng):
             picked = rows.argmax(axis=1)
-            strongest = rows[cols[: rows.shape[0]], picked]
+            strongest = rows[np.arange(rows.shape[0]), picked]
             blocks.append((rows.sum(axis=1), picked, strongest))
             if probe is not None:
                 probe.fill(start, rows, picked, strongest)
@@ -400,20 +498,64 @@ class SINRChannel:
         else:
             totals, best, strongest = (np.concatenate(column) for column in zip(*blocks))
         totals += external
-
-        # SINR_i = s_i / (noise + tot - s_i) is monotone increasing in the
-        # arriving signal s_i, so the strongest transmitter clears the
-        # threshold iff any transmitter does — for every beta. With capture
-        # (decode the strongest signal that clears), checking the argmax is
-        # therefore exhaustive. External interference sits in the
-        # denominator alongside the other transmitters.
-        params = self.params
-        decoded = strongest >= params.beta * (params.noise + (totals - strongest))
+        decoded = strongest >= self._threshold(strongest, totals)
         if probe is not None:
             # Flight-recorder probe (repro.obs.probe): per-listener SINR of
             # the decode candidate and its strongest competitor.
-            probe.publish(bus, decoded, params.beta)
+            probe.publish(bus, decoded, self.params.beta)
         return totals, best, decoded
+
+    def decide(
+        self,
+        tx: np.ndarray,
+        listeners: np.ndarray,
+        external: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """:meth:`decode`'s ``decoded`` alone: whether each listener decodes a sender.
+
+        Same arguments, same draws from ``rng`` and the same decisions as
+        :meth:`decode`, but no totals and no probe. Where the channel and
+        a block allow it (``_screen_floor``), the block's gains are
+        ``P / (d2**k * root)`` from square roots and products, with no
+        ``pow``, and each listener is decided from them unless its
+        strongest signal lands within a rounding margin of the threshold
+        (derived beside ``_MARGIN_UNIT``). Only those unsure rows are
+        refilled with the exact gains, faded by the block's own
+        multipliers, and decided again. Gathered blocks, and blocks the
+        screen does not cover, hold the exact gains already.
+        """
+        params = self.params
+        margin = (tx.size + params.alpha + 16) * _MARGIN_UNIT * (1.0 + params.beta)
+        decoded = np.empty(listeners.size, dtype=bool)
+        for start, rows, multipliers, exact in self._blocks(tx, listeners, rng, screen=True):
+            block = slice(start, start + rows.shape[0])
+            strongest, threshold = self._row_thresholds(rows, external[block])
+            np.greater_equal(strongest, threshold, out=decoded[block])
+            if exact:
+                continue
+            # An infinite gain or total makes its row compare NaN, or inf
+            # with inf, so the row is unsure.
+            sure = np.abs(strongest - threshold) > margin * (strongest + threshold)
+            if strongest.max() > _SCREEN_CEILING:
+                sure[:] = False
+            if sure.all():
+                continue
+            unsure = start + np.flatnonzero(~sure)
+            refill = np.empty((unsure.size, tx.size))
+            self._gain_filler(tx)(listeners[unsure], refill, np.empty_like(refill))
+            if self.gain_model is not None:
+                refill *= multipliers[unsure - start]
+            strongest, threshold = self._row_thresholds(refill, external[unsure])
+            decoded[unsure] = strongest >= threshold
+        return decoded
+
+    def _row_thresholds(self, rows: np.ndarray, external: np.ndarray):
+        """Per row of gains: its strongest signal and the :meth:`_threshold` it must reach."""
+        strongest = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)]
+        totals = rows.sum(axis=1)
+        totals += external
+        return strongest, self._threshold(strongest, totals)
 
     def resolve(
         self,
@@ -480,19 +622,33 @@ class SINRChannel:
         """The uninstrumented body of :meth:`resolve_ids`."""
         if listener_ids.size == 0:
             return ReceptionReport(tx)
+        # Duty-cycle coins first, then the fading multipliers (in decode).
+        external = self._external_interference(listener_ids, rng)
         if tx.size == 0:
             # Nothing to decode; listeners may still sense external energy.
             return ReceptionReport(
-                tx,
-                listener_ids,
-                np.full(listener_ids.size, -1, dtype=np.intp),
-                self._external_interference(listener_ids, rng),
+                tx, listener_ids, np.full(listener_ids.size, -1, dtype=np.intp), external
             )
-
-        # Duty-cycle coins first, then the fading multipliers (in decode).
-        external = self._external_interference(listener_ids, rng)
         totals, best, decoded = self.decode(tx, listener_ids, external, rng)
         return ReceptionReport(tx, listener_ids, np.where(decoded, tx[best], -1), totals)
+
+    def _receiver_ids(
+        self,
+        tx: np.ndarray,
+        listener_ids: np.ndarray,
+        rng: Optional[np.random.Generator],
+    ) -> np.ndarray:
+        """The listeners that decode a sender: :meth:`_resolve_ids` without the report.
+
+        The ids of ``report.listener_ids[report.decoded >= 0]``, from the
+        same draws, decided by :meth:`decide`.
+        """
+        if listener_ids.size == 0:
+            return listener_ids
+        external = self._external_interference(listener_ids, rng)
+        if tx.size == 0:
+            return _NO_IDS
+        return listener_ids[self.decide(tx, listener_ids, external, rng)]
 
     def _external_interference(
         self, listener_ids: np.ndarray, rng: Optional[np.random.Generator]
@@ -500,30 +656,41 @@ class SINRChannel:
         """Arriving external power per listener for one round."""
         if not self.external_sources:
             return np.zeros(listener_ids.size)
-        duty_cycles = np.asarray([s.duty_cycle for s in self.external_sources])
-        if np.all(duty_cycles >= 1.0):
-            on_air = np.ones(len(self.external_sources), dtype=bool)
-        else:
-            if rng is None:
-                raise ValueError(
-                    "external sources with duty_cycle < 1 require an rng"
-                )
-            on_air = rng.random(len(self.external_sources)) < duty_cycles
+        if self._always_on:
+            return self._external_gains[:, listener_ids].sum(axis=0)
+        if rng is None:
+            raise ValueError("external sources with duty_cycle < 1 require an rng")
+        on_air = rng.random(len(self.external_sources)) < self._duty_cycles
         if not on_air.any():
             return np.zeros(listener_ids.size)
         return self._external_gains[on_air][:, listener_ids].sum(axis=0)
-
-    def sinr(self, sender: int, receiver: int, interferers: Sequence[int]) -> float:
-        """Point SINR of Equation 1 for explicit sets — used by tests."""
-        if sender == receiver:
-            raise ValueError("sender and receiver must differ")
-        others = [w for w in interferers if w not in (sender, receiver)]
-        signal = self._gain_matrix[sender, receiver]
-        interference = float(self._gain_matrix[others, receiver].sum()) if others else 0.0
-        return self.params.sinr(signal, interference)
 
     def __repr__(self) -> str:
         return (
             f"SINRChannel(n={self.n}, params={self.params!r}, "
             f"gain_model={self.gain_model!r})"
         )
+
+
+def _root_power(squared: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """``squared ** (alpha / 2)`` into ``out`` from square roots and products.
+
+    For ``2 * alpha`` an integer above 4, with ``a = 2 * alpha``:
+    ``squared ** (a // 4)`` times the root ``squared ** ((a % 4) / 4)``
+    (one or two square roots). At most ``alpha / 2 + 2`` roundings from
+    the real power, and no ``pow``.
+    """
+    pairs, quarters = divmod(round(2 * alpha), 4)
+    if quarters:
+        np.sqrt(squared, out=out)
+        if quarters == 1:
+            np.sqrt(out, out=out)
+        elif quarters == 3:
+            out *= squared
+            np.sqrt(out, out=out)
+    else:
+        np.multiply(squared, squared, out=out)
+        pairs -= 2
+    for _ in range(pairs):
+        out *= squared
+    return out

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "pairwise_distances",
     "cross_distances",
+    "squared_cross_distances",
     "has_colocated_pair",
     "diameter_of",
     "annulus_counts",
@@ -77,6 +78,20 @@ def cross_distances(
     blocks reuse its memory: the distances land in ``out``, ``work`` is
     scratch.
     """
+    squared = squared_cross_distances(sources, targets, out=out, work=work)
+    return np.sqrt(squared, out=squared)
+
+
+def squared_cross_distances(
+    sources: np.ndarray,
+    targets: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`cross_distances` before its square root: ``dx*dx + dy*dy``, ``(m, k)``.
+
+    ``out`` and ``work`` as for :func:`cross_distances`.
+    """
     # Contiguous x and y rows make the broadcast subtractions faster
     # (a view, without a copy, when ``targets`` is column-major).
     target_x, target_y = np.ascontiguousarray(targets.T)
@@ -85,7 +100,7 @@ def cross_distances(
     dx *= dx
     dy *= dy
     dx += dy
-    return np.sqrt(dx, out=dx)
+    return dx
 
 
 #: Coordinate gap below which two points may be at computed distance 0:

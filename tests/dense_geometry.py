@@ -5,7 +5,8 @@ extremes from positions, in O(n) memory
 (:mod:`repro.analysis.nearest_active`, :mod:`repro.analysis.linkclasses`,
 :mod:`repro.deploy.metrics`). These helpers are the plain forms over the
 full ``(n, n)`` matrix of :func:`repro.sinr.geometry.pairwise_distances`;
-the tests hold the library to them bit for bit.
+the tests hold the library to them bit for bit. :func:`point_sinr` is
+Equation 1 for one explicit link, read off a channel's gain matrix.
 """
 
 from __future__ import annotations
@@ -94,3 +95,17 @@ def exponential_annulus(
     within = (row >= 2.0 ** (t + class_index)) & (row < 2.0 ** (t + 1 + class_index))
     within[center] = False
     return np.flatnonzero(within)
+
+
+def point_sinr(channel, sender: int, receiver: int, interferers: Sequence[int]) -> float:
+    """Equation 1's SINR of ``sender`` at ``receiver`` under explicit ``interferers``.
+
+    Read off the channel's ``(n, n)`` gain matrix; ``sender`` and
+    ``receiver`` are dropped from the interferers.
+    """
+    if sender == receiver:
+        raise ValueError("sender and receiver must differ")
+    gains = channel.base_gains
+    others = [w for w in interferers if w not in (sender, receiver)]
+    interference = float(gains[others, receiver].sum()) if others else 0.0
+    return channel.params.sinr(gains[sender, receiver], interference)

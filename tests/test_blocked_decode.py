@@ -10,6 +10,12 @@ listener-major ``(|L|, |T|)`` exponential draw. On random rounds, at
 block budgets of 1, 7 and 1000 cells and the default, totals, energy,
 decoded senders and every SINR-probe array must have the oracle's bits.
 Three tracemalloc checks bound what one large round may allocate.
+
+:meth:`SINRChannel.decide`, the decisions-only decode of unprobed
+fast-path rounds, screens listeners with gains built without ``pow`` and
+refills the unsure ones exactly; its decisions, and the draws it makes,
+must equal the oracle's too, on every deployment, channel kind and block
+budget, with the margin at its value or at infinity.
 """
 
 import tracemalloc
@@ -26,6 +32,7 @@ from repro.sim.seeding import generator_from
 from repro.sinr import channel as sinr_channel
 from repro.sinr.channel import SINRChannel
 from repro.sinr.fading import RayleighFading
+from repro.sinr.parameters import SINRParameters
 from tests.test_matrix_free import DEPLOYMENTS
 from tests.test_report_oracles import _jammed, mask_external_interference, radio_oracle
 
@@ -281,6 +288,221 @@ class TestResolveEqualsTheDenseResolve:
                 report = channel.resolve(tx, listeners=listeners)
                 expected = radio_oracle(channel, tx, listeners)
                 assert (report.transmitters, report.received_from, report.observations) == expected
+
+
+def _scaled_with_partners(scale, gap, count=150, partners=12):
+    """A uniform disk scaled by ``scale``; its first points gain a partner ``gap * scale`` away."""
+    base = scale * topologies.uniform_disk(count, generator_from(31))
+    angles = 2 * np.pi * generator_from(32).random(partners)
+    offsets = gap * scale * np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.concatenate([base, base[:partners] + offsets])
+
+
+#: Deployments for the screen: the library's own, near-co-located pairs at
+#: unit scale, pairs too close for the screen at a tiny scale (their blocks
+#: fall back to the exact gains), and a scale near the screen's ceiling.
+SCREEN_DEPLOYMENTS = {
+    "uniform_disk": DEPLOYMENTS["uniform_disk"],
+    "clustered": DEPLOYMENTS["clustered"],
+    "exponential_chain": DEPLOYMENTS["exponential_chain"],
+    "near_colocated": _scaled_with_partners(1.0, 1e-9),
+    "tiny_scale": _scaled_with_partners(1e-100, 1e-4),
+    "huge_scale": _scaled_with_partners(1e90, 1e-3),
+}
+
+SCREEN_CHANNELS = {
+    "plain": SINRChannel,
+    "rayleigh": lambda positions: SINRChannel(positions, gain_model=RayleighFading(1.5)),
+    "continuous_jammer": lambda positions: _jammed(positions, 1.0),
+    "duty_cycled_jammer": lambda positions: _jammed(positions, 0.5),
+}
+
+
+@contextmanager
+def screen_spy(monkeypatch):
+    """Count the rows :meth:`SINRChannel.decide` screens and the listeners it refills."""
+    seen = {"screened": 0, "refilled": []}
+    root_power, gain_filler = sinr_channel._root_power, SINRChannel._gain_filler
+
+    def counted_root_power(squared, alpha, out):
+        seen["screened"] += squared.shape[0]
+        return root_power(squared, alpha, out)
+
+    def counted_filler(self, tx, screen=False):
+        fill = gain_filler(self, tx, screen)
+        if screen:
+            return fill
+
+        def refill(listeners, out, work):
+            seen["refilled"].extend(listeners.tolist())
+            return fill(listeners, out, work)
+
+        return refill
+
+    monkeypatch.setattr(sinr_channel, "_root_power", counted_root_power)
+    monkeypatch.setattr(SINRChannel, "_gain_filler", counted_filler)
+    yield seen
+
+
+def assert_receivers_equal_the_dense_resolve(channel, rounds):
+    for index, (tx, listeners) in enumerate(rounds):
+        rng, oracle_rng = generator_from(index), generator_from(index)
+        receivers = channel._receiver_ids(tx, listeners, rng)
+        senders, _, _ = dense_resolve(channel, tx, listeners, oracle_rng)
+        assert_same_bits(receivers, listeners[senders >= 0])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+#: Tiny-scale pairs and the non-finite cases reach inf and NaN on purpose.
+_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+@_OVERFLOWS
+class TestScreenedDecisionsEqualTheDenseDecode:
+    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+    @pytest.mark.parametrize("kind", sorted(SCREEN_CHANNELS))
+    @pytest.mark.parametrize("name", sorted(SCREEN_DEPLOYMENTS))
+    def test_random_rounds(self, monkeypatch, name, kind, block_cells):
+        monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", block_cells)
+        channel = SCREEN_CHANNELS[kind](SCREEN_DEPLOYMENTS[name])
+        assert channel._screen_floor is not None
+        with screen_spy(monkeypatch) as seen:
+            assert_receivers_equal_the_dense_resolve(
+                channel, random_rounds(channel.n, seed=len(name) + len(kind), count=8)
+            )
+        assert seen["screened"] > 0
+        assert "_gain_matrix" not in vars(channel)
+
+    def test_tiny_scale_pairs_take_the_exact_gains(self, monkeypatch):
+        # A block holding one of the pairs 1e-104 apart has a d2 below the
+        # screen's floor, so it is filled exactly; the others are screened.
+        monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", 8)
+        channel = SINRChannel(SCREEN_DEPLOYMENTS["tiny_scale"])
+        partner, twin = 150, 0
+        listeners = np.setdiff1d(np.arange(channel.n), [twin, 1])
+        tx = np.array([twin, 1])
+        with screen_spy(monkeypatch) as seen:
+            assert_receivers_equal_the_dense_resolve(channel, [(tx, listeners)])
+        assert 0 < seen["screened"] < listeners.size
+        assert partner in listeners
+
+    @pytest.mark.parametrize("kind", sorted(SCREEN_CHANNELS))
+    @pytest.mark.parametrize("name", ["uniform_disk", "exponential_chain", "near_colocated"])
+    def test_an_infinite_margin_refills_every_screened_row(self, monkeypatch, name, kind):
+        monkeypatch.setattr(sinr_channel, "_MARGIN_UNIT", np.inf)
+        monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", 1000)
+        channel = SCREEN_CHANNELS[kind](SCREEN_DEPLOYMENTS[name])
+        with screen_spy(monkeypatch) as seen:
+            assert_receivers_equal_the_dense_resolve(channel, random_rounds(channel.n, seed=9))
+        assert seen["screened"] > 0
+        assert len(seen["refilled"]) == seen["screened"]
+
+    @pytest.mark.parametrize("alpha", [2.2, 2.5, 3.5, 4.0, 4.5, 6.0])
+    def test_other_alphas(self, monkeypatch, alpha):
+        channel = SINRChannel(DEPLOYMENTS["uniform_disk"], params=SINRParameters(alpha=alpha))
+        with screen_spy(monkeypatch) as seen:
+            assert_receivers_equal_the_dense_resolve(channel, random_rounds(channel.n, seed=2))
+        # Only half-integer and integer exponents are screened.
+        assert (seen["screened"] > 0) == float(2 * alpha).is_integer()
+
+    def test_gathered_blocks_and_noiseless_channels_are_not_screened(self, monkeypatch):
+        built = SINRChannel(DEPLOYMENTS["clustered"])
+        built.base_gains
+        noiseless = SINRChannel(DEPLOYMENTS["clustered"], params=SINRParameters(noise=0.0))
+        assert noiseless._screen_floor is None
+        for channel in (built, noiseless):
+            with screen_spy(monkeypatch) as seen:
+                assert_receivers_equal_the_dense_resolve(
+                    channel, random_rounds(channel.n, seed=5)
+                )
+            assert seen["screened"] == 0 and seen["refilled"] == []
+
+    def test_rounds_without_transmitters_or_listeners_draw_as_resolve_does(self):
+        channel = _jammed(DEPLOYMENTS["clustered"], 0.5, gain_model=RayleighFading())
+        everyone = np.arange(channel.n)
+        for tx, listeners in [(everyone[:0], everyone), (everyone, everyone[:0])]:
+            rng, oracle_rng = generator_from(1), generator_from(1)
+            receivers = channel._receiver_ids(tx, listeners, rng)
+            report = channel._resolve_ids(tx, listeners, oracle_rng)
+            assert_same_bits(receivers, report.listener_ids[report.decoded >= 0])
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _threshold_gap(channel, tx, listeners):
+    """``s - beta * (N + T - s)`` per listener, from the exact gains."""
+    rows = dense_gain_rows(channel, tx, listeners)
+    strongest, totals = rows.max(axis=0), rows.sum(axis=0)
+    params = channel.params
+    return strongest - params.beta * (params.noise + (totals - strongest)), strongest
+
+
+@_OVERFLOWS
+class TestUnsureRows:
+    PARAMS = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=10.0)
+
+    def _channel(self, x):
+        # Listener 0 hears transmitter 1 at distance 1 against transmitter
+        # 2 at distance x along the same line.
+        positions = [(0.0, 0.0), (1.0, 0.0), (x, 0.0)]
+        return SINRChannel(positions, params=self.PARAMS, auto_power=False)
+
+    def test_a_listener_at_the_threshold_is_refilled(self, monkeypatch):
+        tx, listeners = np.array([1, 2]), np.array([0])
+        # Bisect the interferer's distance down to the last bit at which the
+        # listener's decision flips.
+        low, high = 1.05, 1.5
+        assert _threshold_gap(self._channel(low), tx, listeners)[0][0] < 0
+        assert _threshold_gap(self._channel(high), tx, listeners)[0][0] > 0
+        while np.nextafter(low, high) < high:
+            middle = (low + high) / 2
+            if middle in (low, high):
+                break
+            if _threshold_gap(self._channel(middle), tx, listeners)[0][0] < 0:
+                low = middle
+            else:
+                high = middle
+        for x, decodes in ((low, False), (high, True)):
+            channel = self._channel(x)
+            gap, strongest = _threshold_gap(channel, tx, listeners)
+            assert abs(gap[0]) <= 1e-13 * strongest[0]
+            with screen_spy(monkeypatch) as seen:
+                decoded = channel.decide(tx, listeners, np.zeros(1))
+            assert seen["screened"] == 1 and seen["refilled"] == [0]
+            assert decoded.tolist() == [decodes]
+
+    @pytest.mark.parametrize("case", ["infinite_gain", "overflowing_total"])
+    def test_non_finite_rows_are_unsure(self, monkeypatch, case):
+        # Only the row check is left: the block-wide ceiling is lifted.
+        monkeypatch.setattr(sinr_channel, "_SCREEN_CEILING", np.inf)
+        if case == "infinite_gain":
+            # 1e10 / (1e-100)**3 overflows; the far listeners' gains do not.
+            positions = [(0.0, 0.0), (1e-100, 0.0), (3.0, 0.0), (1e3, 0.0), (0.0, 2e3)]
+            power, tx = 1e10, np.array([0, 2])
+        else:
+            # Thirty gains of 1e307 sum past the largest float.
+            angles = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
+            ring = np.column_stack([np.cos(angles), np.sin(angles)])
+            positions = np.concatenate([[[0.0, 0.0], [1e3, 0.0], [0.0, 2e3]], ring])
+            power, tx = 1e307, np.arange(3, 33)
+        params = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=power)
+        channel = SINRChannel(positions, params=params, auto_power=False)
+        listeners = np.setdiff1d(np.arange(channel.n), tx)
+        near = listeners[0]
+        with screen_spy(monkeypatch) as seen:
+            decoded = channel.decide(tx, listeners, np.zeros(listeners.size))
+        assert seen["screened"] == listeners.size
+        assert seen["refilled"] == [near]
+        _, _, expected, _ = dense_decode(channel, tx, listeners, np.zeros(listeners.size))
+        assert_same_bits(decoded, expected)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0, 4.5, 6.0, 7.5])
+    def test_root_power_is_within_its_rounding_bound(self, alpha):
+        squared = generator_from(4).random(4000) * 10.0 ** generator_from(5).integers(-30, 30, 4000)
+        found = sinr_channel._root_power(squared, alpha, np.empty_like(squared))
+        reference = np.power(np.sqrt(squared), alpha)
+        assert np.all(np.abs(found - reference) <= (alpha + 6) * 2.0**-53 * reference)
 
 
 def _fast_run(channel, seed):

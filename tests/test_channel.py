@@ -6,6 +6,7 @@ import pytest
 from repro.sinr.channel import ReceptionReport, SINRChannel
 from repro.sinr.fading import RayleighFading
 from repro.sinr.parameters import SINRParameters
+from tests.dense_geometry import point_sinr
 
 
 def _three_node_channel(beta=1.5, alpha=3.0, noise=1.0, power=None):
@@ -104,7 +105,7 @@ class TestInterference:
     def test_reception_matches_manual_sinr(self):
         channel = _three_node_channel()
         report = channel.resolve([0, 2])
-        manual = channel.sinr(sender=0, receiver=1, interferers=[2])
+        manual = point_sinr(channel, sender=0, receiver=1, interferers=[2])
         assert (report.received_from.get(1) == 0) == (manual >= channel.params.beta)
 
     def test_symmetric_interferers_block_middle_listener(self):
@@ -140,12 +141,12 @@ class TestInterference:
     def test_sinr_helper_rejects_self_link(self):
         channel = _three_node_channel()
         with pytest.raises(ValueError):
-            channel.sinr(sender=0, receiver=0, interferers=[])
+            point_sinr(channel, sender=0, receiver=0, interferers=[])
 
     def test_sinr_helper_excludes_endpoints_from_interference(self):
         channel = _three_node_channel()
-        with_self = channel.sinr(0, 1, interferers=[0, 1, 2])
-        without = channel.sinr(0, 1, interferers=[2])
+        with_self = point_sinr(channel, 0, 1, interferers=[0, 1, 2])
+        without = point_sinr(channel, 0, 1, interferers=[2])
         assert with_self == pytest.approx(without)
 
 

@@ -196,3 +196,75 @@ class TestEquivalenceWithGenericEngine:
             np.var(fast_rounds, ddof=1) / trials + np.var(slow_rounds, ddof=1) / trials
         )
         assert abs(fast_mean - slow_mean) < 4 * pooled_se + 0.5
+
+
+def _probed_run(channel, seed):
+    """A fast-path run with the probe bus on, which decodes every round exactly."""
+    from repro.obs.probe import ProbeBus, ProbeRecorder, set_probe_bus
+
+    bus = ProbeBus(enabled=True)
+    bus.subscribe(ProbeRecorder())
+    previous = set_probe_bus(bus)
+    try:
+        return fast_fixed_probability_run(channel, 0.1, generator_from(seed))
+    finally:
+        set_probe_bus(previous)
+
+
+def _screen_channels():
+    from tests.test_matrix_free import DEPLOYMENTS
+
+    disk = uniform_disk(400, generator_from(40))
+    power = SINRChannel(disk).params.power
+    jammer = ExternalSource((0.3, 0.2), 20.0 * power, duty_cycle=0.5)
+    return {
+        "uniform_disk": lambda: SINRChannel(disk),
+        "clustered": lambda: SINRChannel(DEPLOYMENTS["clustered"]),
+        "exponential_chain": lambda: SINRChannel(DEPLOYMENTS["exponential_chain"]),
+        "rayleigh": lambda: SINRChannel(disk, gain_model=RayleighFading()),
+        "faded_jammer": lambda: SINRChannel(
+            disk, gain_model=RayleighFading(), external_sources=[jammer]
+        ),
+    }
+
+
+SCREEN_CHANNELS = _screen_channels()
+
+
+class TestScreenedRounds:
+    """Unprobed runs decide rounds with ``SINRChannel.decide``'s screen;
+    probed runs, like the engine, decode them exactly. Every run must be
+    the same either way."""
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_CHANNELS))
+    def test_unprobed_runs_equal_probed_runs(self, name):
+        channel = SCREEN_CHANNELS[name]()
+        assert channel._screen_floor is not None
+        for seed in range(4):
+            unprobed = fast_fixed_probability_run(channel, 0.1, generator_from(seed))
+            assert unprobed == _probed_run(channel, seed)
+        assert "_gain_matrix" not in vars(channel)
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_CHANNELS))
+    def test_an_infinite_margin_changes_no_run(self, monkeypatch, name):
+        from repro.sinr import channel as sinr_channel
+
+        channel = SCREEN_CHANNELS[name]()
+        default = [
+            fast_fixed_probability_run(channel, 0.1, generator_from(seed)) for seed in range(3)
+        ]
+        monkeypatch.setattr(sinr_channel, "_MARGIN_UNIT", np.inf)
+        exact = [
+            fast_fixed_probability_run(channel, 0.1, generator_from(seed)) for seed in range(3)
+        ]
+        assert exact == default
+
+    def test_unprobed_runs_build_no_report(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an unprobed round built a ReceptionReport")
+
+        monkeypatch.setattr(SINRChannel, "_resolve_ids", refuse)
+        monkeypatch.setattr(SINRChannel, "decode", refuse)
+        for name in ("uniform_disk", "faded_jammer"):
+            result = fast_fixed_probability_run(SCREEN_CHANNELS[name](), 0.1, generator_from(1))
+            assert result.rounds_executed > 1

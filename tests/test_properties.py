@@ -27,7 +27,7 @@ from repro.hitting.game import AdaptiveReferee
 from repro.sinr.channel import SINRChannel
 from repro.sinr.geometry import pairwise_distances
 from repro.sinr.parameters import SINRParameters
-from tests.dense_geometry import nearest_neighbor_distances
+from tests.dense_geometry import nearest_neighbor_distances, point_sinr
 from tests.hitting_oracles import GroupRefinementReferee, mask_of
 
 
@@ -115,7 +115,7 @@ class TestSINRMonotonicity:
         report = channel.resolve(tx)
         for listener, sender in report.received_from.items():
             interferers = [w for w in tx if w != sender]
-            sinr = channel.sinr(sender, listener, interferers)
+            sinr = point_sinr(channel, sender, listener, interferers)
             assert sinr >= channel.params.beta - 1e-9
 
 
