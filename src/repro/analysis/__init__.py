@@ -13,8 +13,8 @@ the proof's *mechanism*, not just its endpoint:
     paper's constant 96 and ``epsilon = alpha/2 - 1``) and the
     well-separated subset ``S_i`` of Lemma 2.
 ``class_bounds``
-    The Section 3.3 class-bound vectors ``q_t`` (and the aggressive
-    ``q~_t``), with the paper's ``gamma_slow``, ``rho`` and ``l`` schedule.
+    The Section 3.3 class-bound vectors ``q_t``, with the paper's
+    ``gamma_slow``, ``rho`` and ``l`` schedule.
 ``interference``
     The Lemma 3/4 interference accounting: Claim 1's ``c_max`` constant,
     the separation/interference trade-off, and measured interference sums

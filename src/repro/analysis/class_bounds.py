@@ -1,4 +1,4 @@
-"""Class-bound vectors ``q_t`` and ``q~_t`` — Section 3.3's fitting strategy.
+"""Class-bound vectors ``q_t`` — Section 3.3's fitting strategy.
 
 The round-complexity proof does not argue about individual executions
 directly; it defines a *schedule* of upper bounds on the link-class sizes
@@ -15,11 +15,10 @@ and shows every execution eventually obeys it:
       q_t(i) = gamma_slow * q_{t-1}(i) for t >  s_i,
 
   truncated at 0 when the value drops below 1 (a class bounded below one
-  node is empty);
-* the aggressive bound ``q~_{t+1}(i) = q_t(i) * (gamma_slow - rho/(1-rho))``
-  whose satisfaction is *permanent*: even if every node of every smaller
-  class migrated up into ``d_i``, the class would still respect
-  ``q_{t+1}(i)`` (the argument following Lemma 9).
+  node is empty). The proof's aggressive bound
+  ``q~_{t+1}(i) = q_t(i) * (gamma_slow - rho/(1-rho))``, whose
+  satisfaction is permanent (the argument following Lemma 9), sits below
+  ``q_{t+1}(i)``; the tests check that against :meth:`ClassBoundSchedule.bound`.
 
 Claim 8: the first step ``T`` with ``q_T = 0`` everywhere is
 ``Theta(log n + log R)``. Experiment E6 overlays measured class-size
@@ -37,7 +36,7 @@ __all__ = ["ClassBoundSchedule"]
 
 
 class ClassBoundSchedule:
-    """The ``q_t`` / ``q~_t`` schedule for a given ``n`` and class count.
+    """The ``q_t`` schedule for a given ``n`` and class count.
 
     Parameters
     ----------
@@ -94,20 +93,6 @@ class ClassBoundSchedule:
         value = self.n * self.gamma_slow ** (t - start)
         return value if value >= 1.0 else 0.0
 
-    def aggressive_bound(self, t: int, class_index: int) -> float:
-        """``q~_{t+1}(i) = q_t(i) * (gamma_slow - rho/(1-rho))``.
-
-        The threshold whose crossing is permanent (argument after
-        Lemma 9). Returns the bound associated with *step ``t + 1``* given
-        the step-``t`` value, as in the paper's definition.
-        """
-        margin = self.gamma_slow - self.rho / (1.0 - self.rho)
-        if margin <= 0.0:
-            raise ValueError(
-                "gamma_slow - rho/(1-rho) must be positive; pick a smaller rho"
-            )
-        return self.bound(t, class_index) * margin
-
     def vector(self, t: int) -> np.ndarray:
         """The full ``q_t`` as an array over class positions."""
         return np.array(
@@ -132,15 +117,6 @@ class ClassBoundSchedule:
         while t > 1 and self.bound(t - 1, last) == 0.0:
             t -= 1
         return t
-
-    def schedule_matrix(self, max_step: int = None) -> np.ndarray:
-        """``(steps x classes)`` array of ``q_t(i)`` values.
-
-        Defaults to running through :meth:`zero_step`.
-        """
-        if max_step is None:
-            max_step = self.zero_step()
-        return np.vstack([self.vector(t) for t in range(max_step + 1)])
 
     def violations(self, sizes: np.ndarray, t: int) -> List[int]:
         """Class indices whose measured size exceeds ``q_t``.

@@ -10,7 +10,6 @@ than silently drifting a number.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -167,17 +166,6 @@ class ExperimentResult:
                 for label, wall, rps in document.get("timings", [])
             ],
         )
-
-    def to_csv(self, path: str) -> None:
-        """Write the table rows as CSV (header included).
-
-        The CSV carries the data only; checks and notes live in the
-        markdown report. Downstream plotting pipelines consume this.
-        """
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.header)
-            writer.writerows(self.rows)
 
     def format(self) -> str:
         """Full printable report: title, table, checks, notes."""

@@ -18,8 +18,8 @@ from typing import List
 
 from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.protocols.simple import FixedProbabilityProtocol
-from repro.sim.runner import high_probability_budget, run_trials
+from repro.sim.parallel import run_fast_trials
+from repro.sim.runner import high_probability_budget
 from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
@@ -56,12 +56,12 @@ def run(config: Config) -> ExperimentResult:
     means: List[float] = []
     for index, alpha in enumerate(config.alphas):
         params = SINRParameters(alpha=alpha)
-        stats = run_trials(
-            channel_factory=lambda rng, params=params: SINRChannel(
+        stats = run_fast_trials(
+            lambda rng, params=params: SINRChannel(
                 uniform_disk(config.n, rng), params=params
             ),
-            protocol=FixedProbabilityProtocol(p=config.p),
-            trials=config.trials,
+            config.p,
+            config.trials,
             seed=(config.seed, index),
             max_rounds=budget,
         )

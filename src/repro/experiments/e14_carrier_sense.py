@@ -29,7 +29,7 @@ from repro.protocols.carrier_sense import (
     CarrierSenseTournamentProtocol,
     carrier_sense_threshold,
 )
-from repro.protocols.simple import FixedProbabilityProtocol
+from repro.sim.parallel import run_fast_trials
 from repro.sim.runner import high_probability_budget, run_trials
 from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
@@ -84,22 +84,23 @@ def run(config: Config) -> ExperimentResult:
         positions = uniform_disk(n, generator_from((config.seed, n)))
         channel = SINRChannel(positions, params=params)
         stats_geom = deployment_stats(positions)
-        threshold = carrier_sense_threshold(channel)
-        for label, protocol in (
-            ("carrier-sense", CarrierSenseTournamentProtocol(threshold)),
-            ("simple", FixedProbabilityProtocol(p=0.1)),
-        ):
-            stats = run_trials(
-                channel_factory=lambda rng, channel=channel: channel,
-                protocol=protocol,
-                trials=config.trials,
-                seed=(config.seed, n, label == "simple"),
-                max_rounds=budget,
-            )
-            if label == "carrier-sense":
-                cs_means.append(stats.mean_rounds)
-            else:
-                simple_means.append(stats.mean_rounds)
+        cs_stats = run_trials(
+            channel_factory=lambda rng, channel=channel: channel,
+            protocol=CarrierSenseTournamentProtocol(carrier_sense_threshold(channel)),
+            trials=config.trials,
+            seed=(config.seed, n, False),
+            max_rounds=budget,
+        )
+        simple_stats = run_fast_trials(
+            lambda rng, channel=channel: channel,
+            0.1,
+            config.trials,
+            seed=(config.seed, n, True),
+            max_rounds=budget,
+        )
+        cs_means.append(cs_stats.mean_rounds)
+        simple_means.append(simple_stats.mean_rounds)
+        for label, stats in (("carrier-sense", cs_stats), ("simple", simple_stats)):
             result.rows.append(
                 [
                     "uniform",

@@ -35,8 +35,7 @@ import numpy as np
 from repro.deploy.metrics import deployment_stats
 from repro.deploy.topologies import exponential_chain
 from repro.experiments.common import ExperimentResult
-from repro.protocols.simple import FixedProbabilityProtocol
-from repro.sim.runner import run_trials
+from repro.sim.parallel import run_fast_trials
 from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
@@ -74,7 +73,6 @@ class Config:
 def run(config: Config) -> ExperimentResult:
     """Execute the sweep and fit rounds against ``log R``."""
     params = SINRParameters(alpha=config.alpha)
-    protocol = FixedProbabilityProtocol(p=config.p)
     result = ExperimentResult(
         experiment_id="E2",
         title=TITLE,
@@ -104,10 +102,10 @@ def run(config: Config) -> ExperimentResult:
         positions = exponential_chain(classes, nodes_per_class=per_class)
         stats_geom = deployment_stats(positions)
         channel = SINRChannel(positions, params=params)
-        stats = run_trials(
-            channel_factory=lambda rng, channel=channel: channel,
-            protocol=protocol,
-            trials=config.trials,
+        stats = run_fast_trials(
+            lambda rng, channel=channel: channel,
+            config.p,
+            config.trials,
             seed=(config.seed, classes),
             max_rounds=config.max_rounds,
         )

@@ -18,8 +18,8 @@ from typing import List
 
 from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.protocols.simple import FixedProbabilityProtocol
-from repro.sim.runner import high_probability_budget, run_trials
+from repro.sim.parallel import run_fast_trials
+from repro.sim.runner import high_probability_budget
 from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
@@ -66,12 +66,10 @@ def run(config: Config) -> ExperimentResult:
     means = {}
     budget = 100 * high_probability_budget(config.n)
     for index, p in enumerate(config.probabilities):
-        stats = run_trials(
-            channel_factory=lambda rng: SINRChannel(
-                uniform_disk(config.n, rng), params=params
-            ),
-            protocol=FixedProbabilityProtocol(p=p),
-            trials=config.trials,
+        stats = run_fast_trials(
+            lambda rng: SINRChannel(uniform_disk(config.n, rng), params=params),
+            p,
+            config.trials,
             seed=(config.seed, index),
             max_rounds=budget,
         )

@@ -30,7 +30,27 @@ from repro.hitting.players import HittingPlayer
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.schedules import template_step
 
-__all__ = ["ContentionResolutionPlayer"]
+__all__ = ["ContentionResolutionPlayer", "silent_step"]
+
+
+def silent_step(protocol: ProtocolFactory, k: int):
+    """The vector step that runs ``k`` of the factory's nodes on silence alone.
+
+    Collision-detection protocols are refused: a CD protocol's behaviour
+    is not defined by reception alone. So are factories without a
+    vector step (:func:`~repro.protocols.schedules.template_step`).
+    """
+    if protocol.requires_collision_detection:
+        raise ValueError(
+            "only silence is simulated; collision-detection protocols "
+            "cannot be simulated this way"
+        )
+    step = template_step(protocol.template(k), k)
+    if step is None:
+        raise ValueError(
+            f"the simulation runs a factory's vector step; {protocol.name} has none"
+        )
+    return step
 
 
 class ContentionResolutionPlayer(HittingPlayer):
@@ -39,27 +59,16 @@ class ContentionResolutionPlayer(HittingPlayer):
     Parameters
     ----------
     protocol:
-        A protocol factory with a vector step (so not the carrier-sense
-        tournament). Collision-detection protocols are rejected: the
-        reduction feeds nodes *silence*, and a CD protocol's behaviour is
-        not defined by reception alone.
+        A protocol factory that :func:`silent_step` accepts: one with a
+        vector step (so not the carrier-sense tournament) and without
+        collision detection, since the reduction feeds nodes *silence*.
     k:
         The game size; the simulation runs ``k`` nodes.
     """
 
     def __init__(self, protocol: ProtocolFactory, k: int) -> None:
         super().__init__(k)
-        if protocol.requires_collision_detection:
-            raise ValueError(
-                "the Lemma 14 reduction simulates silence only; collision-"
-                "detection protocols cannot be simulated this way"
-            )
-        self.step = template_step(protocol.template(k), k)
-        if self.step is None:
-            raise ValueError(
-                f"the Lemma 14 reduction runs a factory's vector step; "
-                f"{protocol.name} has none"
-            )
+        self.step = silent_step(protocol, k)
         self._ids = np.arange(k)
         self._round = 0
 

@@ -6,11 +6,15 @@ matter as with only two nodes there is no opportunity for spatial reuse.
 The game is won the first time one player transmits while the other
 listens."
 
-Because fading is irrelevant, the game runs on the clique collision channel
-with ``n = 2``. Any :class:`~repro.protocols.base.ProtocolFactory` can play;
-these helpers measure the distribution of winning rounds and the failure
-probability within a budget — the quantities Lemma 14 relates to the
-hitting game.
+Because fading is irrelevant, and so is the channel, a round is only the
+two players' decisions: :func:`two_player_trial` asks the factory's
+vector step (:func:`~repro.protocols.schedules.template_step`) for the
+transmit mask over both players until exactly one of them transmits. A
+round that no one wins is silence or a collision, which knocks out no
+player of a protocol without collision detection, so nothing else is
+kept. These helpers measure the distribution of winning rounds and the
+failure probability within a budget — the quantities Lemma 14 relates to
+the hitting game.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
+from repro.hitting.reduction import silent_step
 from repro.protocols.base import ProtocolFactory
-from repro.radio.channel import RadioChannel
-from repro.sim.engine import Simulation
 from repro.sim.seeding import SeedLike, spawn_generators
 
 __all__ = [
@@ -47,18 +52,18 @@ def two_player_trial(
     rng,
     max_rounds: int = 10_000,
 ) -> TwoPlayerOutcome:
-    """One execution of the protocol with exactly two nodes."""
-    channel = RadioChannel(2, collision_detection=False)
-    simulation = Simulation(
-        channel,
-        protocol,
-        rng=rng,
-        max_rounds=max_rounds,
-        keep_records=False,
-        protocol_name=protocol.name,
-    )
-    trace = simulation.run()
-    return TwoPlayerOutcome(rounds=trace.rounds_to_solve)
+    """One execution of the protocol with exactly two nodes.
+
+    The protocol must be one :func:`~repro.hitting.reduction.silent_step`
+    accepts: with a vector step and without collision detection.
+    """
+    step = silent_step(protocol, 2)
+    players = np.arange(2)
+    for round_index in range(max_rounds):
+        transmit = step.decide(players, np.full(2, round_index), rng, False)
+        if transmit[0] != transmit[1]:
+            return TwoPlayerOutcome(rounds=round_index + 1)
+    return TwoPlayerOutcome(rounds=None)
 
 
 def two_player_trials(

@@ -3,8 +3,10 @@
 Every quantitative claim in the paper is "with high probability", so a
 single execution proves nothing — experiments repeat executions over
 independently seeded trials and summarise the distribution of solving
-rounds. :func:`run_trials` is the one entry point all experiments and
-benchmarks share.
+rounds. :func:`run_trials` runs them on the generic engine; the paper's
+algorithm, when only round counts are wanted, runs through its fast-path
+sibling :func:`repro.sim.parallel.run_fast_trials` (docs/simulation.md
+lists which experiment takes which).
 
 Every trial, serial or sharded, engine or fast path, runs through one
 loop (:func:`run_entries`) that calls a per-trial kernel and reports to
@@ -113,12 +115,6 @@ class TrialStats:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile q must be in [0, 100] (got {q})")
         return float(np.percentile(self.rounds, q)) if self.rounds else float("nan")
-
-    @property
-    def stddev_rounds(self) -> float:
-        if len(self.rounds) < 2:
-            return float("nan")
-        return float(np.std(self.rounds, ddof=1))
 
     @property
     def rounds_per_second(self) -> float:

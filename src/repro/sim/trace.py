@@ -95,9 +95,6 @@ class ExecutionTrace:
         """Number of nodes deactivated by each recorded round."""
         return [len(record.knocked_out) for record in self.records]
 
-    def total_knockouts(self) -> int:
-        return sum(self.knockouts_per_round())
-
     def __repr__(self) -> str:
         status = (
             f"solved@{self.solved_round}" if self.solved else "unsolved"

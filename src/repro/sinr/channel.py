@@ -488,17 +488,18 @@ class SINRChannel:
         )
         blocks = []
         for start, rows, _, _ in self._blocks(tx, listeners, rng):
-            picked = rows.argmax(axis=1)
-            strongest = rows[np.arange(rows.shape[0]), picked]
-            blocks.append((rows.sum(axis=1), picked, strongest))
+            block = slice(start, start + rows.shape[0])
+            picked, strongest, totals, threshold = self._row_thresholds(rows, external[block])
+            decoded = strongest >= threshold
+            if strongest.max() == np.inf:
+                _overflow_rule(rows, strongest, external[block], decoded)
+            blocks.append((totals, picked, decoded))
             if probe is not None:
                 probe.fill(start, rows, picked, strongest)
         if len(blocks) == 1:
-            totals, best, strongest = blocks[0]
+            totals, best, decoded = blocks[0]
         else:
-            totals, best, strongest = (np.concatenate(column) for column in zip(*blocks))
-        totals += external
-        decoded = strongest >= self._threshold(strongest, totals)
+            totals, best, decoded = (np.concatenate(column) for column in zip(*blocks))
         if probe is not None:
             # Flight-recorder probe (repro.obs.probe): per-listener SINR of
             # the decode candidate and its strongest competitor.
@@ -530,14 +531,17 @@ class SINRChannel:
         decoded = np.empty(listeners.size, dtype=bool)
         for start, rows, multipliers, exact in self._blocks(tx, listeners, rng, screen=True):
             block = slice(start, start + rows.shape[0])
-            strongest, threshold = self._row_thresholds(rows, external[block])
+            _, strongest, _, threshold = self._row_thresholds(rows, external[block])
             np.greater_equal(strongest, threshold, out=decoded[block])
+            peak = strongest.max()
             if exact:
+                if peak == np.inf:
+                    _overflow_rule(rows, strongest, external[block], decoded[block])
                 continue
             # An infinite gain or total makes its row compare NaN, or inf
             # with inf, so the row is unsure.
             sure = np.abs(strongest - threshold) > margin * (strongest + threshold)
-            if strongest.max() > _SCREEN_CEILING:
+            if peak > _SCREEN_CEILING:
                 sure[:] = False
             if sure.all():
                 continue
@@ -546,16 +550,27 @@ class SINRChannel:
             self._gain_filler(tx)(listeners[unsure], refill, np.empty_like(refill))
             if self.gain_model is not None:
                 refill *= multipliers[unsure - start]
-            strongest, threshold = self._row_thresholds(refill, external[unsure])
-            decoded[unsure] = strongest >= threshold
+            _, strongest, _, threshold = self._row_thresholds(refill, external[unsure])
+            refilled = strongest >= threshold
+            if strongest.max() == np.inf:
+                _overflow_rule(refill, strongest, external[unsure], refilled)
+            decoded[unsure] = refilled
         return decoded
 
     def _row_thresholds(self, rows: np.ndarray, external: np.ndarray):
-        """Per row of gains: its strongest signal and the :meth:`_threshold` it must reach."""
-        strongest = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)]
+        """Per row of gains, one row per listener: ``(picked, strongest, totals, threshold)``.
+
+        The column of its strongest gain, that gain, the row's total with
+        ``external`` added, and the :meth:`_threshold` the gain must
+        reach. A row whose strongest gain is ``inf`` has a NaN threshold
+        (``inf - inf``); its callers decide it by :func:`_overflow_rule`,
+        checking one ``max`` per block.
+        """
+        picked = rows.argmax(axis=1)
+        strongest = rows[np.arange(rows.shape[0]), picked]
         totals = rows.sum(axis=1)
         totals += external
-        return strongest, self._threshold(strongest, totals)
+        return picked, strongest, totals, self._threshold(strongest, totals)
 
     def resolve(
         self,
@@ -670,6 +685,21 @@ class SINRChannel:
             f"SINRChannel(n={self.n}, params={self.params!r}, "
             f"gain_model={self.gain_model!r})"
         )
+
+
+def _overflow_rule(
+    rows: np.ndarray, strongest: np.ndarray, external: np.ndarray, decoded: np.ndarray
+) -> None:
+    """Decide, in ``decoded``, the rows whose strongest gain overflowed to ``inf``.
+
+    The rule of docs/model.md: a lone infinite gain decodes, since its
+    SINR is infinite; a second infinite gain, or infinite external power,
+    blocks it.
+    """
+    overflowed = np.flatnonzero(strongest == np.inf)
+    decoded[overflowed] = (np.count_nonzero(rows[overflowed] == np.inf, axis=1) == 1) & (
+        external[overflowed] < np.inf
+    )
 
 
 def _root_power(squared: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:

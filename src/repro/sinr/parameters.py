@@ -22,7 +22,6 @@ The paper's model is parameterised by four constants:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 __all__ = ["SINRParameters", "single_hop_power"]
@@ -78,37 +77,6 @@ class SINRParameters:
         good-node annulus budget ``96 * 2^{t(alpha - 1 - epsilon)}`` grows.
         """
         return self.alpha / 2.0 - 1.0
-
-    @property
-    def communication_range(self) -> float:
-        """Maximum distance at which a transmission can be received.
-
-        Solves ``P / d^alpha / N >= beta`` for ``d``. Infinite when the
-        channel is noiseless (``N == 0``).
-        """
-        if self.noise == 0.0:
-            return math.inf
-        return (self.power / (self.beta * self.noise)) ** (1.0 / self.alpha)
-
-    def received_power(self, distance: float) -> float:
-        """Signal strength ``P / d^alpha`` arriving from ``distance`` away."""
-        if distance <= 0.0:
-            raise ValueError(f"distance must be positive (got {distance})")
-        return self.power / distance**self.alpha
-
-    def sinr(self, signal: float, interference: float) -> float:
-        """The SINR ratio for a received ``signal`` under ``interference``.
-
-        Returns ``inf`` on a noiseless, interference-free channel.
-        """
-        denominator = self.noise + interference
-        if denominator == 0.0:
-            return math.inf
-        return signal / denominator
-
-    def is_received(self, signal: float, interference: float) -> bool:
-        """Whether a signal clears the threshold: ``SINR >= beta``."""
-        return self.sinr(signal, interference) >= self.beta
 
     def satisfies_single_hop(self, diameter: float, margin: float = SINGLE_HOP_MARGIN) -> bool:
         """Check the paper's single-hop assumption for a given ``diameter``.

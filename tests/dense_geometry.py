@@ -11,6 +11,7 @@ Equation 1 for one explicit link, read off a channel's gain matrix.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,4 +109,5 @@ def point_sinr(channel, sender: int, receiver: int, interferers: Sequence[int]) 
     gains = channel.base_gains
     others = [w for w in interferers if w not in (sender, receiver)]
     interference = float(gains[others, receiver].sum()) if others else 0.0
-    return channel.params.sinr(gains[sender, receiver], interference)
+    denominator = channel.params.noise + interference
+    return math.inf if denominator == 0.0 else gains[sender, receiver] / denominator

@@ -1,14 +1,16 @@
 """Frozen set-based references for the hitting game's mask implementations.
 
 ``repro.hitting`` plays the game on boolean masks: the adaptive referee
-keeps one group label per element and the Lemma 14 player runs the
-engine's vector step. These are the set-based versions they replaced,
-kept here as oracles:
+keeps one group label per element, and the Lemma 14 player and the
+two-player game run the engine's vector step. These are the versions
+they replaced, kept here as oracles:
 
 * :class:`GroupRefinementReferee` holds the partition of ``{0..k-1}``
   into frozenset groups with identical proposal-membership histories;
 * :class:`PerNodeContentionResolutionPlayer` builds the factory's ``k``
-  nodes, asks each one to ``decide`` and feeds each one silence.
+  nodes, asks each one to ``decide`` and feeds each one silence;
+* :func:`engine_two_player_trial` runs the generic engine on a
+  two-node collision channel without collision detection.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from typing import FrozenSet, Iterable, List
 
 import numpy as np
 
+from repro.hitting.two_player import TwoPlayerOutcome
 from repro.protocols.base import Action, Feedback, ProtocolFactory
+from repro.radio.channel import RadioChannel
+from repro.sim.engine import Simulation
 
 
 def mask_of(k: int, ids: Iterable[int]) -> np.ndarray:
@@ -75,3 +80,20 @@ class PerNodeContentionResolutionPlayer:
             transmitted = node.node_id in self._pending
             node.on_feedback(self._round, Feedback(transmitted=transmitted))
         self._round += 1
+
+
+def engine_two_player_trial(
+    protocol: ProtocolFactory, rng, max_rounds: int = 10_000
+) -> TwoPlayerOutcome:
+    """One two-player execution through a ``RadioChannel(2)`` and a ``Simulation``."""
+    channel = RadioChannel(2, collision_detection=False)
+    simulation = Simulation(
+        channel,
+        protocol,
+        rng=rng,
+        max_rounds=max_rounds,
+        keep_records=False,
+        protocol_name=protocol.name,
+    )
+    trace = simulation.run()
+    return TwoPlayerOutcome(rounds=trace.rounds_to_solve)

@@ -3,9 +3,9 @@
 :meth:`SINRChannel.decode` walks a round's listeners in blocks of about
 ``_DECODE_BLOCK_CELLS`` gains, and both :meth:`SINRChannel.resolve` and
 the fast path decode through it. The oracle below is the decode that
-held the round's whole ``|T| x |L|`` gain array, kept unchanged: the old
-``gain_rows``, a column sum, the argmax, the decision and the SINR probe
-on full rows. A faded round's oracle multiplies those rows by one
+held the round's whole ``|T| x |L|`` gain array: the old ``gain_rows``, a
+column sum, the argmax, the decision and the SINR probe on full rows,
+kept unchanged but for the overflow rule, which its ``inf - inf`` broke. A faded round's oracle multiplies those rows by one
 listener-major ``(|L|, |T|)`` exponential draw. On random rounds, at
 block budgets of 1, 7 and 1000 cells and the default, totals, energy,
 decoded senders and every SINR-probe array must have the oracle's bits.
@@ -101,6 +101,13 @@ def dense_decode(channel, tx, listeners, external, rng=None):
     interference = totals - best
     params = channel.params
     decoded = best >= params.beta * (params.noise + interference)
+    # The overflow rule (docs/model.md), which the NaN of inf - inf hid
+    # from the dense decode: a lone infinite gain decodes; a second one, or
+    # infinite external power, blocks it.
+    overflowed = np.isinf(best)
+    decoded[overflowed] = (np.isinf(rows[:, overflowed]).sum(axis=0) == 1) & np.isfinite(
+        external[overflowed]
+    )
     probe = dense_sinr_probe(tx, listeners, rows, best_rows, external, decoded, params.noise)
     return totals, best_rows, decoded, probe
 

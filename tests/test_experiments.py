@@ -77,20 +77,6 @@ class TestExperimentResult:
         result = ExperimentResult("EX", "t", ["c"], checks={"shape": False})
         assert "FAIL" in result.format()
 
-    def test_to_csv_round_trip(self, tmp_path):
-        import csv
-
-        result = ExperimentResult(
-            "EX", "t", ["n", "mean"], rows=[[16, 3.5], [32, 7.0]]
-        )
-        path = tmp_path / "rows.csv"
-        result.to_csv(str(path))
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["n", "mean"]
-        assert rows[1] == ["16", "3.5"]
-        assert len(rows) == 3
-
 
 class TestRegistry:
     def test_all_experiments_registered(self):

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.protocols.simple import FixedProbabilityProtocol
@@ -107,14 +106,6 @@ class TestTrialStats:
         stats = TrialStats(protocol_name="x", trials=1, rounds=[1], failures=0)
         with pytest.raises(ValueError, match="percentile"):
             stats.percentile(101)
-
-    def test_stddev(self):
-        stats = TrialStats(protocol_name="x", trials=2, rounds=[1, 3], failures=0)
-        assert stats.stddev_rounds == pytest.approx(np.std([1, 3], ddof=1))
-
-    def test_stddev_single_sample_nan(self):
-        stats = TrialStats(protocol_name="x", trials=1, rounds=[4], failures=0)
-        assert math.isnan(stats.stddev_rounds)
 
     def test_summary_line_contains_name(self):
         stats = TrialStats(protocol_name="myproto", trials=1, rounds=[4], failures=0)

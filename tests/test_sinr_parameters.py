@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINGLE_HOP_MARGIN, SINRParameters, single_hop_power
+from tests.test_blocked_decode import probing
 
 
 class TestValidation:
@@ -55,55 +58,81 @@ class TestEpsilon:
         assert SINRParameters(alpha=4.0).epsilon > SINRParameters(alpha=3.0).epsilon
 
 
+def _line_channel(distances, **params):
+    """Node 0 at the origin and one node per distance along the x axis, power as given."""
+    positions = np.array([(0.0, 0.0)] + [(d, 0.0) for d in distances])
+    return SINRChannel(positions, params=SINRParameters(**params), auto_power=False)
+
+
+def _heard(channel, transmitters):
+    """Who node 0 decodes when ``transmitters`` transmit, or ``None``."""
+    return channel.resolve(transmitters, listeners=[0]).received_from.get(0)
+
+
 class TestReception:
+    """Equation 1 as the channel applies it: gains ``P / d^alpha``, SINR >= beta."""
+
     def test_received_power_decays_with_distance(self):
-        params = SINRParameters(alpha=3.0, power=8.0)
-        assert params.received_power(1.0) > params.received_power(2.0)
+        channel = _line_channel([1.0, 2.0], alpha=3.0, power=8.0)
+        near, far = channel.gain_rows(np.array([1, 2]), np.array([0]))[:, 0]
+        assert near > far
 
     def test_received_power_exact_value(self):
-        params = SINRParameters(alpha=3.0, power=8.0)
-        assert params.received_power(2.0) == pytest.approx(1.0)
+        channel = _line_channel([2.0], alpha=3.0, power=8.0)
+        assert channel.gain_rows(np.array([1]), np.array([0]))[0, 0] == 1.0
 
     def test_received_power_rejects_zero_distance(self):
-        with pytest.raises(ValueError, match="distance"):
-            SINRParameters().received_power(0.0)
+        with pytest.raises(ValueError, match="co-located"):
+            SINRChannel(np.zeros((2, 2)))
 
     def test_sinr_ratio(self):
-        params = SINRParameters(noise=1.0)
-        assert params.sinr(signal=3.0, interference=1.0) == pytest.approx(1.5)
+        # Signal 3 at unit distance, interference 1 from 3^(1/3) away.
+        channel = _line_channel([1.0, 3.0 ** (1 / 3)], alpha=3.0, noise=1.0, power=3.0)
+        with probing() as probes:
+            channel.resolve([1, 2], listeners=[0])
+        assert probes[0].sinr[0] == pytest.approx(1.5)
 
     def test_sinr_infinite_on_clean_noiseless_channel(self):
-        params = SINRParameters(noise=0.0)
-        assert math.isinf(params.sinr(signal=1.0, interference=0.0))
+        channel = _line_channel([1.0], noise=0.0)
+        with probing() as probes:
+            channel.resolve([1], listeners=[0])
+        assert math.isinf(probes[0].sinr[0])
 
     def test_is_received_at_threshold(self):
-        params = SINRParameters(beta=1.5, noise=1.0)
-        assert params.is_received(signal=1.5, interference=0.0)
+        channel = _line_channel([1.0], beta=1.5, noise=1.0, power=1.5)
+        assert _heard(channel, [1]) == 1
 
     def test_is_not_received_below_threshold(self):
-        params = SINRParameters(beta=1.5, noise=1.0)
-        assert not params.is_received(signal=1.49, interference=0.0)
+        channel = _line_channel([1.0], beta=1.5, noise=1.0, power=1.49)
+        assert _heard(channel, [1]) is None
 
     def test_interference_blocks_reception(self):
-        params = SINRParameters(beta=1.5, noise=1.0)
-        assert params.is_received(signal=3.0, interference=0.5)
-        assert not params.is_received(signal=3.0, interference=2.0)
+        # Signal 3 at unit distance; interference 0.5, then 2.0 (alpha = 4).
+        for interference, heard in ((0.5, 1), (2.0, None)):
+            distance = (3.0 / interference) ** 0.25
+            channel = _line_channel(
+                [1.0, distance], alpha=4.0, beta=1.5, noise=1.0, power=3.0
+            )
+            assert _heard(channel, [1, 2]) == heard
 
 
 class TestCommunicationRange:
+    """The range ``(P / (beta N))^(1/alpha)``: the farthest a lone signal is decoded."""
+
     def test_range_infinite_without_noise(self):
-        assert math.isinf(SINRParameters(noise=0.0).communication_range)
+        channel = _line_channel([1e6], noise=0.0, power=1.0)
+        assert _heard(channel, [1]) == 1
 
     def test_range_solves_threshold_equation(self):
-        params = SINRParameters(alpha=3.0, beta=2.0, noise=1.0, power=16.0)
-        d = params.communication_range
-        # At exactly d the arriving signal equals beta * noise.
-        assert params.received_power(d) == pytest.approx(params.beta * params.noise)
+        # (16 / (2 * 1))^(1/3) = 2: at exactly 2 the signal equals beta * N.
+        params = dict(alpha=3.0, beta=2.0, noise=1.0, power=16.0)
+        assert _heard(_line_channel([2.0], **params), [1]) == 1
+        assert _heard(_line_channel([2.0 * (1 + 1e-12)], **params), [1]) is None
 
     def test_range_grows_with_power(self):
-        low = SINRParameters(power=1.0).communication_range
-        high = SINRParameters(power=100.0).communication_range
-        assert high > low
+        params = dict(alpha=3.0, beta=1.5, noise=1.0)
+        assert _heard(_line_channel([2.0], power=1.0, **params), [1]) is None
+        assert _heard(_line_channel([2.0], power=100.0, **params), [1]) == 1
 
 
 class TestSingleHop:

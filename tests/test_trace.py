@@ -28,7 +28,7 @@ class TestExecutionTrace:
         trace = ExecutionTrace(n=5, protocol_name="x")
         assert not trace.solved
         assert trace.rounds_to_solve is None
-        assert trace.total_knockouts() == 0
+        assert sum(trace.knockouts_per_round()) == 0
 
     def test_rounds_to_solve_is_one_based(self):
         trace = ExecutionTrace(n=5, protocol_name="x", solved_round=0)
@@ -42,7 +42,7 @@ class TestExecutionTrace:
         ]
         assert trace.active_counts() == [4, 2]
         assert trace.knockouts_per_round() == [2, 1]
-        assert trace.total_knockouts() == 3
+        assert sum(trace.knockouts_per_round()) == 3
 
     def test_repr_mentions_status(self):
         solved = ExecutionTrace(n=2, protocol_name="p", solved_round=3)

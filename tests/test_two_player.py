@@ -1,15 +1,35 @@
 """Unit tests for two-player contention resolution."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro.hitting
 
 from repro.hitting.two_player import (
     failure_probability_within,
     two_player_trial,
     two_player_trials,
 )
+from repro.protocols.backoff import BinaryExponentialBackoffProtocol
+from repro.protocols.carrier_sense import CarrierSenseTournamentProtocol
+from repro.protocols.cd_tournament import CollisionDetectionTournamentProtocol
 from repro.protocols.decay import DecayProtocol
+from repro.protocols.sawtooth import SawtoothBackoffProtocol
 from repro.protocols.simple import FixedProbabilityProtocol
-from repro.sim.seeding import generator_from
+from repro.sim.seeding import generator_from, spawn_generators
+from tests.hitting_oracles import engine_two_player_trial
+
+#: Factories with a vector step, paired with the game by the engine oracle.
+PLAYERS = {
+    "simple(0.5)": lambda: FixedProbabilityProtocol(p=0.5),
+    "simple(0.1)": lambda: FixedProbabilityProtocol(p=0.1),
+    "decay(N=2)": lambda: DecayProtocol(size_bound=2),
+    "decay(N=64)": lambda: DecayProtocol(size_bound=64),
+    "sawtooth": SawtoothBackoffProtocol,
+    "beb": BinaryExponentialBackoffProtocol,
+}
 
 
 class TestSingleTrial:
@@ -25,6 +45,41 @@ class TestSingleTrial:
             FixedProbabilityProtocol(p=1.0), generator_from(0), max_rounds=100
         )
         assert not outcome.won
+
+
+class TestMaskGameEqualsTheEngine:
+    @pytest.mark.parametrize("name", sorted(PLAYERS))
+    def test_trial_for_trial(self, name):
+        protocol = PLAYERS[name]()
+        games = spawn_generators(26, 500)
+        oracles = spawn_generators(26, 500)
+        for game_rng, oracle_rng in zip(games, oracles):
+            outcome = two_player_trial(protocol, game_rng, max_rounds=200)
+            expected = engine_two_player_trial(protocol, oracle_rng, max_rounds=200)
+            assert outcome == expected
+            assert game_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_a_factory_without_a_vector_step_is_refused(self):
+        with pytest.raises(ValueError, match="vector step"):
+            two_player_trial(CarrierSenseTournamentProtocol(threshold=1.0), generator_from(0))
+
+    def test_collision_detection_is_refused(self):
+        with pytest.raises(ValueError, match="collision-detection"):
+            two_player_trial(CollisionDetectionTournamentProtocol(), generator_from(0))
+
+    def test_the_lower_bound_package_needs_no_engine_and_no_channel(self):
+        for path in Path(repro.hitting.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+            imported |= {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+            }
+            assert not any(
+                name.startswith(("repro.sim.engine", "repro.radio")) for name in imported
+            ), path.name
 
 
 class TestTrials:
