@@ -95,7 +95,10 @@ def core_benchmarks(
     its gains from a built ``(n, n)`` matrix, as a reused deployment
     does; ``fast_path_execution_matrix_free`` runs the same execution on
     a channel that computes them from positions, as a fresh deployment
-    does. ``fast_path_execution_n16384`` times one fresh trial at
+    does. ``fast_path_execution_p075_n512`` runs the paper's algorithm
+    at E9's largest ``p = 0.75`` on a matrix-free channel of ``n`` nodes,
+    E9 full's size: ~1,600 mostly small rounds, so it tracks the
+    per-round cost. ``fast_path_execution_n16384`` times one fresh trial at
     ``large_n`` nodes (deployment, channel and execution; the matrix is
     never built), the regime where each round decodes block by block.
     ``deployment_uniform_disk_n2048`` times the sampler alone, with
@@ -177,9 +180,9 @@ def core_benchmarks(
 
         return bench
 
-    def fast_execution(channel) -> Dict[str, float]:
+    def fast_execution(channel, p: float = 0.1) -> Dict[str, float]:
         result = fast_fixed_probability_run(
-            channel, p=0.1, rng=generator_from(1004), max_rounds=50_000
+            channel, p=p, rng=generator_from(1004), max_rounds=50_000
         )
         return {
             "rounds": result.rounds_executed,
@@ -196,6 +199,13 @@ def core_benchmarks(
 
     def fast_path_execution_matrix_free() -> Dict[str, float]:
         return fast_execution(free_channel)
+
+    # E9's largest p on its full size: many rounds on a small, fresh
+    # channel, most of which knock nobody out.
+    e9_channel = SINRChannel(positions)
+
+    def fast_path_execution_p075_n512() -> Dict[str, float]:
+        return fast_execution(e9_channel, p=0.75)
 
     def fast_path_execution_n16384() -> Dict[str, float]:
         # Deployed inside the timing, like a fresh trial, and listed last:
@@ -268,6 +278,7 @@ def core_benchmarks(
         ("fast_path_execution", fast_path_execution),
         ("fast_path_execution_matrix_free", fast_path_execution_matrix_free),
         ("fast_path_execution_probes", fast_path_execution_probes),
+        ("fast_path_execution_p075_n512", fast_path_execution_p075_n512),
         ("link_class_partition", link_class_partition_cost),
         ("parallel_trials_w1", parallel_trials_bench(1)),
         ("parallel_trials_w2", parallel_trials_bench(2)),

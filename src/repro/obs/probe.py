@@ -326,17 +326,20 @@ class SINRProbeColumns:
         denom = self.noise + interference
         sinr = self.sinr[start:stop]
         sinr.fill(np.inf)
-        np.divide(strongest, denom, out=sinr, where=denom > 0.0)
-        if self.tx.size > 1:
-            rows[cols, best] = -np.inf
-            second_rows = rows.argmax(axis=1)
-            self.top_interferer[start:stop] = self.tx[second_rows]
-            np.divide(
-                rows[cols, second_rows],
-                interference,
-                out=self.top_fraction[start:stop],
-                where=interference > 0.0,
-            )
+        # A second infinite gain makes inf / inf: that listener's SINR and
+        # top fraction are NaN.
+        with np.errstate(invalid="ignore"):
+            np.divide(strongest, denom, out=sinr, where=denom > 0.0)
+            if self.tx.size > 1:
+                rows[cols, best] = -np.inf
+                second_rows = rows.argmax(axis=1)
+                self.top_interferer[start:stop] = self.tx[second_rows]
+                np.divide(
+                    rows[cols, second_rows],
+                    interference,
+                    out=self.top_fraction[start:stop],
+                    where=interference > 0.0,
+                )
 
     def publish(self, bus: "ProbeBus", delivered: np.ndarray, beta: float) -> None:
         """Emit the round's :class:`SINRProbe`; ``delivered`` is the decode."""

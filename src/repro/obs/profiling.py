@@ -55,7 +55,7 @@ PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 #: ``sinr/channel`` functions that set a channel up rather than resolve rounds.
-_CHANNEL_SETUP = ("__init__", "distances", "_gain_matrix")
+_CHANNEL_SETUP = ("__init__", "distances", "_gain_matrix", "_screen_coords")
 
 #: Bucket for profiled functions outside every declared phase (numpy
 #: internals, stdlib, the obs layer itself).
@@ -66,10 +66,10 @@ def classify_phase(filename: str, funcname: str) -> str:
     """Attribute one profiled function to a pipeline phase.
 
     The channel is set up in ``SINRChannel.__init__`` and its lazily
-    built ``distances`` / ``_gain_matrix``. Those live in the same file
-    as the round loop's ``resolve`` and ``decode``, whose per-block gain
-    fills (the closures ``_gain_filler`` returns) also count as the round
-    loop. So channel-file functions are split by function name before
+    built ``distances`` / ``_gain_matrix`` / ``_screen_coords``. Those
+    live in the same file as the round loop's ``resolve``, ``decode`` and
+    ``decide``, whose per-block gain fills (the closures ``_gain_filler``
+    and ``_screen_filler`` return) also count as the round loop. So channel-file functions are split by function name before
     the path fragments apply.
     """
     path = filename.replace("\\", "/")

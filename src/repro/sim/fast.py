@@ -8,19 +8,21 @@ and a constant probability, so a whole execution collapses into numpy:
 * coin flips: one ``rng.random(n_active)`` per round;
 * reception: the external sources' on-air coins, then the round's
   decisions, walking its listeners in fixed-size blocks of
-  ``(transmitter, listener)`` gains: computed from positions, or
-  gathered when the channel's ``(n, n)`` matrix has been built, and
-  multiplied by fresh Rayleigh draws on a fading channel. A fresh
-  deployment therefore never needs that matrix, and a trial's memory is
-  O(n) whatever the round's ``|T| x |L|``. A knockout needs only who
-  decoded, so an unprobed round takes the decisions-only
-  :meth:`~repro.sinr.channel.SINRChannel.decide`: gains from square
-  roots and products instead of ``pow``, with the few listeners that
-  land within a rounding margin of the threshold decided again exactly.
-  With the probe bus on, a round goes through the channel's resolve
-  core, the one the engine calls, uninstrumented, and its exact
-  :meth:`~repro.sinr.channel.SINRChannel.decode`, which publishes the
-  SINR probe. Both make the same decisions from the same draws;
+  ``(transmitter, listener)`` gains, multiplied by fresh Rayleigh draws
+  on a fading channel. A fresh deployment therefore never needs the
+  channel's ``(n, n)`` matrix, and a trial's memory is O(n) whatever the
+  round's ``|T| x |L|``. A knockout needs only who decoded, so an
+  unprobed round takes the decisions-only
+  :meth:`~repro.sinr.channel.SINRChannel.decide`: squared distances
+  from one small matrix product of the channel's cached coordinates,
+  gains from square roots and products instead of ``pow``, with the few
+  listeners that land within a rounding margin of the threshold decided
+  again exactly. With the probe bus on, a round goes through the
+  channel's resolve core, the one the engine calls, uninstrumented, and
+  its exact :meth:`~repro.sinr.channel.SINRChannel.decode`, which
+  computes the gains from positions, or gathers them once the matrix
+  has been built, and publishes the SINR probe. Both make the same
+  decisions from the same draws;
 * knockout: a boolean mask update.
 
 ``fast_fixed_probability_run`` draws the coins, the jammers' duty-cycle

@@ -227,8 +227,10 @@ class StaticDeploymentFactory:
         else:
             channel = SINRChannel(positions, params=self.params)
         # Build the gain matrix now: every trial of the shard reuses this
-        # channel, and a trial that gathers its rounds' gains from the
-        # matrix takes about half as long as one computing them.
+        # channel. The engine and probed fast-path rounds gather their
+        # exact gains from it, at about half the cost of computing them;
+        # unprobed fast-path rounds screen from cached coordinates
+        # instead and touch it only to refill the rare unsure listener.
         channel.base_gains
         return channel
 

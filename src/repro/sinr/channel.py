@@ -21,7 +21,8 @@ that want it. Under Rayleigh fading each block's gains are multiplied by
 fresh exponential draws before the reductions, so faded and deterministic
 rounds share the one decode. :meth:`SINRChannel.decide` walks the same
 blocks for callers that need only the decisions (the fast path): it
-screens each listener with gains built from square roots and products
+screens each listener with gains from one small matrix product of
+augmented coordinates (squared distances), square roots and products
 instead of ``pow``, and recomputes exactly only the rows too close to
 the threshold to tell.
 
@@ -67,42 +68,71 @@ _GAIN_BLOCK_CELLS = 1 << 20
 #: round (256 KiB of float64 per buffer).
 _DECODE_BLOCK_CELLS = 1 << 15
 
-# The screen of SINRChannel.decide. Let u = 2**-53 (half an ulp). Both gain
-# forms start from the same bits of d2 = dx*dx + dy*dy and stay within a
-# few u of the real P / d2**(alpha/2), as long as every intermediate is a
-# normal float:
+# The screen of SINRChannel.decide. Let u = 2**-53 (half an ulp).
+#
+# Squared distances. The exact fill computes d2 = dx*dx + dy*dy from the
+# positions. The screen takes a block's d2 from one matrix product: each
+# node's centred coordinates q = p - c (c the midpoint of the bounding
+# box) as the listener row [qx, qy, 1, |q|**2] times the transmitter
+# column [-2qx, -2qy, |q|**2, 1]. Centring rounds each coordinate by at
+# most u of itself, which moves d2 by at most 2u(|l| + |t|)**2; each
+# |q|**2 carries at most 2u of its value; and the four-term dot product,
+# in any order, fused or not, adds at most 4u (gamma_4) of the sum of
+# its terms' magnitudes, at most (|l| + |t|)**2. Terms below the normal
+# range add under u*d2 in all while d2 stays above the floor below. So
+# the screened d2 is d2 * (1 + e) with |e| <= 10u * kappa, where kappa =
+# (|l| + |t|)**2 / d2 >= 1 measures the cancellation of points far from
+# c compared with their distance. A block bounds it by span / its
+# smallest d2, where span = 4 * max |q|**2 >= (|l| + |t|)**2 for every
+# pair of the channel.
+#
+# Gains. Both gain forms stay within a few u of the real P / d2**(alpha/2)
+# as long as every intermediate is a normal float:
 #   exact    P / pow(sqrt(d2), alpha): sqrt's u grows alpha-fold through
 #            the power, pow adds at most 2 ulps (4u), the division u;
 #   screened P / (d2**k * root), root in {1, d2**(1/4), d2**(1/2),
 #            d2**(3/4)} from one or two square roots: at most alpha/2 + 2
-#            roundings of u, the division u.
-# A fading multiplier adds u to each, so every gain, and the row maximum s,
-# lies within rho = (alpha + 6)u of its real value. The row sum T (any
-# summation order, external power added) lies within rho + |tx|u, and the
-# decision's three roundings add 3u: on either path, the computed
-# s - beta*(N + (T - s)) lies within (2*rho + (|tx| + 3)u)*K of the real
-# one, where K = s + beta*(N + T) <= (1 + beta)*(s + beta*(N + T - s)). A
-# listener whose screened difference exceeds twice that,
-# (2*|tx| + 4*alpha + 30)u * K, therefore decides as the exact decode does.
-# The margin below is (8*|tx| + 8*alpha + 128)u: two to four times the
-# bound, which also absorbs the second-order terms and the rounding of the
-# margin itself.
+#            roundings of u, the division u, and the (1 + e)**(alpha/2) of
+#            its d2: at most 5.1 * alpha * kappa * u while alpha * kappa <=
+#            2**40 (_CANCELLATION_LIMIT).
+# A fading multiplier adds u to each, so every exact gain, and the row
+# maximum s, lies within rho = (alpha + 6)u of its real value, and every
+# screened one within rho + 5.1 * alpha * kappa * u. The row sum T (in
+# any order: the screen sums by a BLAS product with ones, the exact
+# decode by numpy's row reduction; external power added) adds |tx|u, and
+# the decision's three roundings 3u: the exact decode's s - beta*(N +
+# (T - s)) lies within (2*rho + (|tx| + 3)u)*K of the real one, where K =
+# s + beta*(N + T) <= (1 + beta)*(s + beta*(N + T - s)), and the screen's
+# within a further 10.2 * alpha * kappa * u * K. A listener whose screened
+# difference exceeds the sum of the two, (2*|tx| + 4*alpha + 30 + 10.2 *
+# alpha * kappa)u * K, therefore decides as the exact decode does. The
+# margin below is (8*|tx| + 8*alpha + 128 + 32 * alpha * kappa)u: about
+# three times the bound or more, which also absorbs the second-order
+# terms and the rounding of the margin itself.
 #
 # "Normal floats" is what the channel-level and block-level conditions
 # buy. The channel screens only when 2*alpha is an integer, diameter**alpha
-# <= 2**1000 (no denominator overflows) and beta*N >= 2**-960 (so K >=
-# beta*N dwarfs the absolute error of gains or faded products that fall
-# below the normal range); a block is screened only when its smallest d2
-# keeps every denominator at or above 2**-1020, and its decisions are kept
-# only while its strongest screened gain stays within _SCREEN_CEILING.
+# <= 2**1000 (no denominator or |q|**2 overflows) and beta*N >= 2**-960 (so
+# K >= beta*N dwarfs the absolute error of gains or faded products that
+# fall below the normal range); a block is screened only when its
+# smallest d2 keeps every denominator at or above 2**-1020, alpha * kappa
+# is within _CANCELLATION_LIMIT and P / d2**(alpha/2) within
+# _SCREEN_CEILING, and its decisions are kept only while its strongest
+# (faded) screened gain stays within _SCREEN_CEILING.
 
 #: Unit of the screen's margin: a listener is unsure when
-#: ``|s - r| <= (|tx| + alpha + 16) * _MARGIN_UNIT * (1 + beta) * (s + r)``,
-#: ``r = beta * (N + T - s)``.
+#: ``|s - r| <= (|tx| + alpha + 16 + 4 * alpha * kappa) * _MARGIN_UNIT *
+#: (1 + beta) * (s + r)``, ``r = beta * (N + T - s)``.
 _MARGIN_UNIT = 2.0**-50
 
-#: Blocks whose strongest screened gain exceeds this are decided exactly:
-#: up to it, no exact gain can overflow where the screened one did not.
+#: Blocks whose ``alpha * kappa`` exceeds this take the exact fill: up to
+#: it, each screened squared distance is within ``2**-10`` of the real one.
+_CANCELLATION_LIMIT = 2.0**40
+
+#: Blocks whose strongest screened gain could exceed this take the exact
+#: fill, and faded blocks whose strongest gain does are decided exactly: up
+#: to it, no screened gain overflows, and no exact gain can overflow where
+#: the screened one did not.
 _SCREEN_CEILING = 2.0**1000
 
 
@@ -279,7 +309,7 @@ class SINRChannel:
         # zeroing the diagonal keeps every reduction clean.
         gains = np.empty((self.n, self.n), dtype=np.float64)
         rows = max(1, _GAIN_BLOCK_CELLS // self.n)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             for start in range(0, self.n, rows):
                 block = slice(start, start + rows)
                 distances = cross_distances(self.positions[block], self.positions)
@@ -316,6 +346,27 @@ class SINRChannel:
             # d2 ** (alpha / 2) >= 2**-1020.
             return 2.0 ** (-2040.0 / params.alpha)
         return None
+
+    @cached_property
+    def _screen_coords(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """``(rows, columns, span)``: the augmented coordinates :meth:`decide` screens with.
+
+        With ``q`` each node's position less the midpoint of the
+        deployment's bounding box, ``rows[i]`` is ``[qx, qy, 1, |q|**2]``
+        and ``columns[:, j]`` is ``[-2qx, -2qy, |q|**2, 1]``, so ``rows[i]
+        @ columns[:, j]`` is the squared distance of nodes ``i`` and
+        ``j``; ``span`` is ``4 * max |q|**2``, which bounds ``(|l| +
+        |t|)**2`` for every pair (see the derivation beside
+        ``_MARGIN_UNIT``). An ``(n, 4)`` and a ``(4, n)`` array, built on
+        first use and kept for the channel's lifetime.
+        """
+        # One coordinate at a time: numpy reduces a C-order (n, 2) array
+        # along its first axis many times slower.
+        qx, qy = (axis - (axis.min() / 2 + axis.max() / 2) for axis in self.positions.T)
+        norms = qx * qx + qy * qy
+        ones = np.ones(self.n)
+        rows = np.column_stack([qx, qy, ones, norms])
+        return rows, np.stack([-2.0 * qx, -2.0 * qy, norms, ones]), 4.0 * float(norms.max())
 
     @cached_property
     def _nearest_start(self):
@@ -355,16 +406,14 @@ class SINRChannel:
         self._gain_filler(tx)(listeners, rows, np.empty_like(rows))
         return rows.T
 
-    def _gain_filler(self, tx: np.ndarray, screen: bool = False):
-        """``fill(listeners, out, work) -> exact``, writing ``G[tx][:, listeners].T`` into ``out``.
+    def _gain_filler(self, tx: np.ndarray):
+        """``fill(listeners, out, work)``, writing ``G[tx][:, listeners].T`` into ``out``.
 
         ``out`` is a C-order ``(|listeners|, |tx|)`` buffer: one row of
         gains per listener; ``work``, a C-order buffer of the same shape,
         is scratch. The per-round set-up (the transmitters' coordinates)
         is done once here. ``fill`` writes the exact gains and returns
-        ``True``, except with ``screen`` set on a block the screen covers
-        (``_screen_floor``): there it writes :meth:`decide`'s screened
-        gains ``P / (d2**k * root)`` and returns ``False``.
+        ``None``.
         """
         if "_gain_matrix" in self.__dict__:
             matrix = self._gain_matrix
@@ -381,39 +430,67 @@ class SINRChannel:
                 taken = work.reshape(out.shape[::-1])
                 np.take(strip, listeners - first, axis=1, out=taken, mode="clip")
                 np.copyto(out, taken.T)
-                return True
 
             return gather
         positions = self.positions
         # Column-major, so cross_distances' coordinate rows are views.
         points = np.asfortranarray(positions[tx])
         alpha, power = self.params.alpha, self.params.power
-        floor = self._screen_floor if screen else None
 
         def compute(listeners, out, work):
             # The matrix's ufuncs, in place: the same bits. Swapping the
             # points only negates dx and dy, so no bit changes either.
             squared = squared_cross_distances(positions[listeners], points, out=out, work=work)
-            exact = floor is None or not squared.min() >= floor
-            if exact:
-                denominators = np.power(np.sqrt(squared, out=out), alpha, out=out)
-            else:
-                denominators = _root_power(squared, alpha, out=work)
-            with np.errstate(divide="ignore"):
-                np.divide(power, denominators, out=out)
-            return exact
+            with np.errstate(divide="ignore", over="ignore"):
+                np.power(np.sqrt(squared, out=out), alpha, out=out)
+                np.divide(power, out, out=out)
 
         return compute
 
-    def _blocks(self, tx, listeners, rng, screen=False):
+    def _screen_filler(self, tx: np.ndarray):
+        """:meth:`decide`'s ``fill(listeners, out, work) -> spread``; the exact fill when it cannot screen.
+
+        Each block's squared distances come from one ``(b, 4) @ (4,
+        |tx|)`` product of ``_screen_coords``, its gains are ``P / (d2**k
+        * root)`` from square roots and products, with no ``pow``, and
+        ``fill`` returns the block's ``alpha * kappa``, the cancellation
+        its margin is widened by. A block whose smallest ``d2`` lies under
+        ``_screen_floor``, whose ``alpha * kappa`` exceeds
+        ``_CANCELLATION_LIMIT`` or whose strongest gain could exceed
+        ``_SCREEN_CEILING`` takes :meth:`_gain_filler`'s exact fill
+        instead, and ``fill`` returns ``None``. See the derivation beside
+        ``_MARGIN_UNIT``.
+        """
+        floor = self._screen_floor
+        if floor is None:
+            return self._gain_filler(tx)
+        listener_coords, tx_coords, span = self._screen_coords
+        points = np.take(tx_coords, tx, axis=1)
+        alpha, power = self.params.alpha, self.params.power
+
+        def screen(listeners, out, work):
+            squared = np.matmul(np.take(listener_coords, listeners, axis=0), points, out=out)
+            smallest = float(squared.min())
+            if (
+                smallest >= floor
+                and alpha * span <= _CANCELLATION_LIMIT * smallest
+                and power / _SCREEN_CEILING <= smallest ** (alpha / 2)
+            ):
+                np.divide(power, _root_power(squared, alpha, out=work), out=out)
+                return alpha * span / smallest
+            return self._gain_filler(tx)(listeners, out, work)
+
+        return screen
+
+    def _blocks(self, tx, listeners, rng, fill):
         """Walk a round's listeners in blocks: the one loop of :meth:`decode` and :meth:`decide`.
 
-        Yields ``(start, rows, multipliers, exact)`` per block: ``rows``
-        holds the gains of ``listeners[start : start + len(rows)]``, one
-        row per listener, multiplied under Rayleigh fading by
-        ``multipliers``, the block's draws (scratch otherwise); ``exact``
-        is what :meth:`_gain_filler`'s ``fill`` returned. The next block
-        reuses both buffers.
+        Yields ``(start, rows, multipliers, filled)`` per block: ``rows``
+        holds the gains ``fill`` wrote for ``listeners[start : start +
+        len(rows)]``, one row per listener, multiplied under Rayleigh
+        fading by ``multipliers``, the block's draws (scratch otherwise);
+        ``filled`` is what ``fill`` returned. The next block reuses both
+        buffers.
         """
         fading = self.gain_model
         if fading is not None and rng is None:
@@ -422,16 +499,15 @@ class SINRChannel:
         block = max(1, min(num_listeners, _DECODE_BLOCK_CELLS // num_tx))
         gains = np.empty((block, num_tx))
         work = np.empty_like(gains)
-        fill = self._gain_filler(tx, screen)
         for start in range(0, num_listeners, block):
             rows = gains[: num_listeners - start]
             scratch = work[: rows.shape[0]]
-            exact = fill(listeners[start : start + block], rows, scratch)
+            filled = fill(listeners[start : start + block], rows, scratch)
             if fading is not None:
                 rng.standard_exponential(out=scratch)
                 scratch *= fading.scale
                 rows *= scratch
-            yield start, rows, scratch, exact
+            yield start, rows, scratch, filled
 
     def _threshold(self, strongest: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """``beta * (noise + interference)``, which ``strongest`` must reach to be decoded.
@@ -487,12 +563,10 @@ class SINRChannel:
             else None
         )
         blocks = []
-        for start, rows, _, _ in self._blocks(tx, listeners, rng):
+        for start, rows, _, _ in self._blocks(tx, listeners, rng, self._gain_filler(tx)):
             block = slice(start, start + rows.shape[0])
-            picked, strongest, totals, threshold = self._row_thresholds(rows, external[block])
-            decoded = strongest >= threshold
-            if strongest.max() == np.inf:
-                _overflow_rule(rows, strongest, external[block], decoded)
+            decoded = np.empty(rows.shape[0], dtype=bool)
+            picked, strongest, totals = self._decide_rows(rows, external[block], decoded)
             blocks.append((totals, picked, decoded))
             if probe is not None:
                 probe.fill(start, rows, picked, strongest)
@@ -517,60 +591,72 @@ class SINRChannel:
 
         Same arguments, same draws from ``rng`` and the same decisions as
         :meth:`decode`, but no totals and no probe. Where the channel and
-        a block allow it (``_screen_floor``), the block's gains are
-        ``P / (d2**k * root)`` from square roots and products, with no
-        ``pow``, and each listener is decided from them unless its
-        strongest signal lands within a rounding margin of the threshold
-        (derived beside ``_MARGIN_UNIT``). Only those unsure rows are
-        refilled with the exact gains, faded by the block's own
-        multipliers, and decided again. Gathered blocks, and blocks the
-        screen does not cover, hold the exact gains already.
+        a block allow it (:meth:`_screen_filler`), the block's squared
+        distances come from one small matrix product and its gains from
+        square roots and products, with no ``pow``, and each listener is
+        decided from them unless its strongest signal lands within a
+        rounding margin of the threshold (derived beside
+        ``_MARGIN_UNIT``), widened by the block's cancellation bound.
+        Only those unsure rows are refilled with the exact gains, faded
+        by the block's own multipliers, and decided again. Blocks the
+        screen does not cover hold the exact gains already.
         """
         params = self.params
-        margin = (tx.size + params.alpha + 16) * _MARGIN_UNIT * (1.0 + params.beta)
+        unit = _MARGIN_UNIT * (1.0 + params.beta)
+        base = tx.size + params.alpha + 16
+        ones = np.ones(tx.size)
         decoded = np.empty(listeners.size, dtype=bool)
-        for start, rows, multipliers, exact in self._blocks(tx, listeners, rng, screen=True):
+        for start, rows, multipliers, spread in self._blocks(
+            tx, listeners, rng, self._screen_filler(tx)
+        ):
             block = slice(start, start + rows.shape[0])
-            _, strongest, _, threshold = self._row_thresholds(rows, external[block])
-            np.greater_equal(strongest, threshold, out=decoded[block])
-            peak = strongest.max()
-            if exact:
-                if peak == np.inf:
-                    _overflow_rule(rows, strongest, external[block], decoded[block])
+            if spread is None:
+                self._decide_rows(rows, external[block], decoded[block])
                 continue
-            # An infinite gain or total makes its row compare NaN, or inf
-            # with inf, so the row is unsure.
-            sure = np.abs(strongest - threshold) > margin * (strongest + threshold)
-            if peak > _SCREEN_CEILING:
-                sure[:] = False
-            if sure.all():
-                continue
-            unsure = start + np.flatnonzero(~sure)
+            strongest = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)]
+            if strongest.max() > _SCREEN_CEILING:
+                # Faded gains this strong are decided exactly.
+                unsure = np.arange(start, block.stop)
+            else:
+                # The row sums may take any order: the margin covers it.
+                threshold = self._threshold(strongest, np.dot(rows, ones) + external[block])
+                np.greater_equal(strongest, threshold, out=decoded[block])
+                # An infinite total makes its row compare inf with inf, so
+                # the row is unsure.
+                margin = (base + 4.0 * spread) * unit
+                sure = np.abs(strongest - threshold) > margin * (strongest + threshold)
+                if sure.all():
+                    continue
+                unsure = start + np.flatnonzero(~sure)
             refill = np.empty((unsure.size, tx.size))
             self._gain_filler(tx)(listeners[unsure], refill, np.empty_like(refill))
             if self.gain_model is not None:
                 refill *= multipliers[unsure - start]
-            _, strongest, _, threshold = self._row_thresholds(refill, external[unsure])
-            refilled = strongest >= threshold
-            if strongest.max() == np.inf:
-                _overflow_rule(refill, strongest, external[unsure], refilled)
+            refilled = np.empty(unsure.size, dtype=bool)
+            self._decide_rows(refill, external[unsure], refilled)
             decoded[unsure] = refilled
         return decoded
 
-    def _row_thresholds(self, rows: np.ndarray, external: np.ndarray):
-        """Per row of gains, one row per listener: ``(picked, strongest, totals, threshold)``.
+    def _decide_rows(self, rows: np.ndarray, external: np.ndarray, decoded: np.ndarray):
+        """Decide each row of exact gains, one row per listener, into ``decoded``.
 
-        The column of its strongest gain, that gain, the row's total with
-        ``external`` added, and the :meth:`_threshold` the gain must
-        reach. A row whose strongest gain is ``inf`` has a NaN threshold
-        (``inf - inf``); its callers decide it by :func:`_overflow_rule`,
-        checking one ``max`` per block.
+        Returns ``(picked, strongest, totals)``: the column of each row's
+        strongest gain, that gain, and the row's total with ``external``
+        added. A row whose strongest gain is ``inf`` has a NaN threshold
+        (``inf - inf``) and is decided by :func:`_overflow_rule` instead,
+        at the cost of one ``max`` per block.
         """
         picked = rows.argmax(axis=1)
         strongest = rows[np.arange(rows.shape[0]), picked]
         totals = rows.sum(axis=1)
         totals += external
-        return picked, strongest, totals, self._threshold(strongest, totals)
+        if strongest.max() < np.inf:
+            np.greater_equal(strongest, self._threshold(strongest, totals), out=decoded)
+        else:
+            with np.errstate(invalid="ignore"):
+                np.greater_equal(strongest, self._threshold(strongest, totals), out=decoded)
+            _overflow_rule(rows, strongest, external, decoded)
+        return picked, strongest, totals
 
     def resolve(
         self,

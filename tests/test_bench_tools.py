@@ -41,6 +41,7 @@ class TestHarness:
             "fast_path_execution_matrix_free",
             "fast_path_execution_n16384",
             "fast_path_execution_probes",
+            "fast_path_execution_p075_n512",
             "link_class_partition",
             "parallel_trials_w1",
             "parallel_trials_w2",
@@ -61,6 +62,7 @@ class TestHarness:
         assert free["rounds"] == fast["rounds"]
         assert free["peak_active"] == 48
         assert results["fast_path_execution_n16384"]["peak_active"] == 64
+        assert results["fast_path_execution_p075_n512"]["peak_active"] == 24
         probed = results["fast_path_execution_probes"]
         # The probes variant runs the identical seeded workload — same
         # round count — and actually records one probe per round.

@@ -12,10 +12,13 @@ decoded senders and every SINR-probe array must have the oracle's bits.
 Three tracemalloc checks bound what one large round may allocate.
 
 :meth:`SINRChannel.decide`, the decisions-only decode of unprobed
-fast-path rounds, screens listeners with gains built without ``pow`` and
-refills the unsure ones exactly; its decisions, and the draws it makes,
-must equal the oracle's too, on every deployment, channel kind and block
-budget, with the margin at its value or at infinity.
+fast-path rounds, screens listeners with squared distances from one
+small matrix product and gains built without ``pow``, refills the unsure
+ones exactly, and leaves blocks its bounds cannot certify (pairs below
+the floor, cancellation past the bound, gains near the ceiling) to the
+exact fill; its decisions, and the draws it makes, must equal the
+oracle's too, on every deployment, channel kind and block budget, with
+the margin at its value or at infinity.
 """
 
 import tracemalloc
@@ -91,16 +94,19 @@ def dense_decode(channel, tx, listeners, external, rng=None):
     On a fading channel the gains are first multiplied by one
     listener-major ``(|L|, |T|)`` exponential draw from ``rng``.
     """
-    rows = dense_gain_rows(channel, tx, listeners)
-    if channel.gain_model is not None:
-        multipliers = rng.exponential(channel.gain_model.scale, (listeners.size, tx.size))
-        rows = (rows.T * multipliers).T
-    totals = rows.sum(axis=0) + external
-    best_rows = rows.argmax(axis=0)
-    best = rows[best_rows, np.arange(rows.shape[1])]
-    interference = totals - best
-    params = channel.params
-    decoded = best >= params.beta * (params.noise + interference)
+    # Pairs too close for the float range overflow to inf, and inf - inf
+    # is NaN: the oracle expects both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = dense_gain_rows(channel, tx, listeners)
+        if channel.gain_model is not None:
+            multipliers = rng.exponential(channel.gain_model.scale, (listeners.size, tx.size))
+            rows = (rows.T * multipliers).T
+        totals = rows.sum(axis=0) + external
+        best_rows = rows.argmax(axis=0)
+        best = rows[best_rows, np.arange(rows.shape[1])]
+        interference = totals - best
+        params = channel.params
+        decoded = best >= params.beta * (params.noise + interference)
     # The overflow rule (docs/model.md), which the NaN of inf - inf hid
     # from the dense decode: a lone infinite gain decodes; a second one, or
     # infinite external power, blocks it.
@@ -305,16 +311,44 @@ def _scaled_with_partners(scale, gap, count=150, partners=12):
     return np.concatenate([base, base[:partners] + offsets])
 
 
-#: Deployments for the screen: the library's own, near-co-located pairs at
-#: unit scale, pairs too close for the screen at a tiny scale (their blocks
-#: fall back to the exact gains), and a scale near the screen's ceiling.
+def _translated(positions, offset, keep_origin):
+    """``positions`` moved by ``offset`` along both axes; with ``keep_origin``, a node stays at 0."""
+    moved = positions + offset
+    return np.concatenate([[[0.0, 0.0]], moved]) if keep_origin else moved
+
+
+#: Deployments for the screen: the library's own, an exponential chain
+#: spanning over 2^60, near-co-located pairs at unit scale, pairs too close
+#: for the screen at a tiny scale, a scale near the screen's ceiling, and a
+#: disk translated by 2^20 and 2^40: on its own, and with a node left at
+#: the origin, so that its pairs lie far from the centre compared with
+#: their distance.
 SCREEN_DEPLOYMENTS = {
     "uniform_disk": DEPLOYMENTS["uniform_disk"],
     "clustered": DEPLOYMENTS["clustered"],
     "exponential_chain": DEPLOYMENTS["exponential_chain"],
+    "long_chain": topologies.exponential_chain(62, 2),
     "near_colocated": _scaled_with_partners(1.0, 1e-9),
     "tiny_scale": _scaled_with_partners(1e-100, 1e-4),
     "huge_scale": _scaled_with_partners(1e90, 1e-3),
+    **{
+        f"{kind}_2_{power}": _translated(
+            DEPLOYMENTS["uniform_disk"], 2.0**power, kind == "spanning"
+        )
+        for kind in ("translated", "spanning")
+        for power in (20, 40)
+    },
+}
+
+#: The deployments some of whose blocks the screen declines: pairs below
+#: the floor, or cancellation past the bound, in every block size's rounds.
+DECLINING = {
+    "exponential_chain",
+    "long_chain",
+    "near_colocated",
+    "tiny_scale",
+    "spanning_2_20",
+    "spanning_2_40",
 }
 
 SCREEN_CHANNELS = {
@@ -327,27 +361,42 @@ SCREEN_CHANNELS = {
 
 @contextmanager
 def screen_spy(monkeypatch):
-    """Count the rows :meth:`SINRChannel.decide` screens and the listeners it refills."""
-    seen = {"screened": 0, "refilled": []}
-    root_power, gain_filler = sinr_channel._root_power, SINRChannel._gain_filler
+    """Count what :meth:`SINRChannel.decide` screens, declines and refills.
 
-    def counted_root_power(squared, alpha, out):
-        seen["screened"] += squared.shape[0]
-        return root_power(squared, alpha, out)
+    ``screened`` and ``declined`` count the rows of blocks the screen
+    filled, and of blocks it left to the exact fill; ``refilled`` lists
+    the listeners refilled exactly after screening.
+    """
+    seen = {"screened": 0, "declined": 0, "refilled": []}
+    gain_filler, screen_filler = SINRChannel._gain_filler, SINRChannel._screen_filler
 
-    def counted_filler(self, tx, screen=False):
-        fill = gain_filler(self, tx, screen)
-        if screen:
-            return fill
+    def counted_gain_filler(self, tx):
+        fill = gain_filler(self, tx)
 
-        def refill(listeners, out, work):
+        def counted(listeners, out, work):
             seen["refilled"].extend(listeners.tolist())
             return fill(listeners, out, work)
 
-        return refill
+        return counted
 
-    monkeypatch.setattr(sinr_channel, "_root_power", counted_root_power)
-    monkeypatch.setattr(SINRChannel, "_gain_filler", counted_filler)
+    def counted_screen_filler(self, tx):
+        screen = screen_filler(self, tx)
+
+        def counted(listeners, out, work):
+            refilled = len(seen["refilled"])
+            spread = screen(listeners, out, work)
+            if spread is None:
+                # The block's exact fill is no refill.
+                del seen["refilled"][refilled:]
+                seen["declined"] += listeners.size
+            else:
+                seen["screened"] += listeners.size
+            return spread
+
+        return counted
+
+    monkeypatch.setattr(SINRChannel, "_gain_filler", counted_gain_filler)
+    monkeypatch.setattr(SINRChannel, "_screen_filler", counted_screen_filler)
     yield seen
 
 
@@ -360,13 +409,6 @@ def assert_receivers_equal_the_dense_resolve(channel, rounds):
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-#: Tiny-scale pairs and the non-finite cases reach inf and NaN on purpose.
-_OVERFLOWS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
-
-
-@_OVERFLOWS
 class TestScreenedDecisionsEqualTheDenseDecode:
     @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
     @pytest.mark.parametrize("kind", sorted(SCREEN_CHANNELS))
@@ -375,11 +417,11 @@ class TestScreenedDecisionsEqualTheDenseDecode:
         monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", block_cells)
         channel = SCREEN_CHANNELS[kind](SCREEN_DEPLOYMENTS[name])
         assert channel._screen_floor is not None
+        rounds = list(random_rounds(channel.n, seed=len(name) + len(kind), count=8))
         with screen_spy(monkeypatch) as seen:
-            assert_receivers_equal_the_dense_resolve(
-                channel, random_rounds(channel.n, seed=len(name) + len(kind), count=8)
-            )
-        assert seen["screened"] > 0
+            assert_receivers_equal_the_dense_resolve(channel, rounds)
+        assert seen["screened"] + seen["declined"] == sum(ids.size for _, ids in rounds)
+        assert (seen["declined"] > 0) == (name in DECLINING)
         assert "_gain_matrix" not in vars(channel)
 
     def test_tiny_scale_pairs_take_the_exact_gains(self, monkeypatch):
@@ -414,17 +456,20 @@ class TestScreenedDecisionsEqualTheDenseDecode:
         # Only half-integer and integer exponents are screened.
         assert (seen["screened"] > 0) == float(2 * alpha).is_integer()
 
-    def test_gathered_blocks_and_noiseless_channels_are_not_screened(self, monkeypatch):
+    def test_built_channels_are_screened_and_noiseless_ones_are_not(self, monkeypatch):
+        # The screen replaces the gather too; the refill still gathers.
         built = SINRChannel(DEPLOYMENTS["clustered"])
         built.base_gains
         noiseless = SINRChannel(DEPLOYMENTS["clustered"], params=SINRParameters(noise=0.0))
         assert noiseless._screen_floor is None
         for channel in (built, noiseless):
+            rounds = list(random_rounds(channel.n, seed=5))
             with screen_spy(monkeypatch) as seen:
-                assert_receivers_equal_the_dense_resolve(
-                    channel, random_rounds(channel.n, seed=5)
-                )
-            assert seen["screened"] == 0 and seen["refilled"] == []
+                assert_receivers_equal_the_dense_resolve(channel, rounds)
+            decisions = sum(ids.size for _, ids in rounds)
+            expected = (decisions, 0) if channel is built else (0, decisions)
+            assert (seen["screened"], seen["declined"]) == expected
+            assert seen["refilled"] == []
 
     def test_rounds_without_transmitters_or_listeners_draw_as_resolve_does(self):
         channel = _jammed(DEPLOYMENTS["clustered"], 0.5, gain_model=RayleighFading())
@@ -445,7 +490,6 @@ def _threshold_gap(channel, tx, listeners):
     return strongest - params.beta * (params.noise + (totals - strongest)), strongest
 
 
-@_OVERFLOWS
 class TestUnsureRows:
     PARAMS = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=10.0)
 
@@ -479,13 +523,21 @@ class TestUnsureRows:
             assert seen["screened"] == 1 and seen["refilled"] == [0]
             assert decoded.tolist() == [decodes]
 
+    # With the ceiling lifted, screened gains and row sums overflow on
+    # purpose.
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
     @pytest.mark.parametrize("case", ["infinite_gain", "overflowing_total"])
     def test_non_finite_rows_are_unsure(self, monkeypatch, case):
         # Only the row check is left: the block-wide ceiling is lifted.
         monkeypatch.setattr(sinr_channel, "_SCREEN_CEILING", np.inf)
         if case == "infinite_gain":
             # 1e10 / (1e-100)**3 overflows; the far listeners' gains do not.
-            positions = [(0.0, 0.0), (1e-100, 0.0), (3.0, 0.0), (1e3, 0.0), (0.0, 2e3)]
+            # Every point lies within 3e-97 of the others, so the screen's
+            # cancellation bound stays small.
+            positions = [(0.0, 0.0), (1e-100, 0.0), (3e-98, 0.0), (1e-97, 0.0), (0.0, 2e-97)]
             power, tx = 1e10, np.array([0, 2])
         else:
             # Thirty gains of 1e307 sum past the largest float.
@@ -502,6 +554,24 @@ class TestUnsureRows:
         assert seen["screened"] == listeners.size
         assert seen["refilled"] == [near]
         _, _, expected, _ = dense_decode(channel, tx, listeners, np.zeros(listeners.size))
+        assert_same_bits(decoded, expected)
+
+    # The exact rows' totals pass the float range, as in the exact decode.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_gains_that_could_pass_the_ceiling_take_the_exact_fill(self, monkeypatch):
+        # Thirty unit-distance gains of 1e307: above 2**1000 each.
+        angles = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        positions = np.concatenate([[[0.0, 0.0], [1e3, 0.0], [0.0, 2e3]], ring])
+        params = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=1e307)
+        channel = SINRChannel(positions, params=params, auto_power=False)
+        tx = np.arange(3, 33)
+        listeners = np.setdiff1d(np.arange(channel.n), tx)
+        with screen_spy(monkeypatch) as seen:
+            decoded = channel.decide(tx, listeners, np.zeros(listeners.size))
+        assert (seen["screened"], seen["declined"], seen["refilled"]) == (0, listeners.size, [])
+        with np.errstate(over="ignore"):
+            _, _, expected, _ = dense_decode(channel, tx, listeners, np.zeros(listeners.size))
         assert_same_bits(decoded, expected)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0, 4.5, 6.0, 7.5])

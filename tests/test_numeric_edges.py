@@ -27,6 +27,7 @@ from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.seeding import generator_from
+from repro.sinr import channel as sinr_channel
 from repro.sinr.channel import SINRChannel
 from repro.sinr.jamming import ExternalSource
 from repro.sinr.parameters import SINRParameters
@@ -58,17 +59,19 @@ def _cluster_channel(external_sources=()):
 def _three_paths(channel, tx, listeners):
     """Per listener: decoded by the resolve core, by ``decide`` and by the probed decode."""
     tx, listeners = np.asarray(tx), np.asarray(listeners)
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = channel.resolve_ids(tx, listeners).decoded >= 0
-        external = channel._external_interference(listeners, None)
-        screened = channel.decide(tx, listeners, external)
-        with probing() as probes:
-            probed = channel.resolve_ids(tx, listeners).decoded >= 0
+    exact = channel.resolve_ids(tx, listeners).decoded >= 0
+    external = channel._external_interference(listeners, None)
+    screened = channel.decide(tx, listeners, external)
+    with probing() as probes:
+        probed = channel.resolve_ids(tx, listeners).decoded >= 0
     assert np.array_equal(probes[0].delivered, probed)
     return exact, screened, probed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowedGains:
+    """Rounds the overflow rule decides, with NumPy's warnings raised as errors."""
+
     @pytest.mark.parametrize(
         "tx, decodes",
         [
@@ -85,8 +88,7 @@ class TestOverflowedGains:
         channel = _cluster_channel()
         for found in _three_paths(channel, tx, [0]):
             assert found.tolist() == [decodes]
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = channel.resolve(tx, listeners=[0])
+        report = channel.resolve(tx, listeners=[0])
         assert report.received_from == ({0: min(tx)} if decodes else {})
 
     def test_infinite_external_power_blocks_it(self):
@@ -102,11 +104,25 @@ class TestOverflowedGains:
         positions = _scaled_with_partners(1e-100, 1e-4)
         channel = SINRChannel(positions)
         listeners = np.arange(1, channel.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            decoded = channel.resolve_ids(np.array([0]), listeners).decoded
-            heard = channel.decide(np.array([0]), listeners, np.zeros(listeners.size))
-        assert decoded[149] == 0 and heard[149]
-        assert np.array_equal(decoded >= 0, heard)
+        decoded = channel.resolve_ids(np.array([0]), listeners).decoded
+        assert decoded[149] == 0
+        for found in _three_paths(channel, [0], listeners):
+            assert np.array_equal(found, decoded >= 0)
+        assert channel.resolve([0], listeners=[150]).received_from == {150: 0}
+
+    @pytest.mark.parametrize("built", [False, True], ids=["computed", "gathered"])
+    def test_every_block_size_and_the_matrix(self, monkeypatch, built):
+        # Overflowed gains in screened, declined and gathered blocks alike.
+        channel = SINRChannel(_scaled_with_partners(1e-100, 1e-4))
+        if built:
+            channel.base_gains
+        twins = np.arange(12)
+        listeners = np.setdiff1d(np.arange(channel.n), twins)
+        for block_cells in (1, 7, 1000):
+            monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", block_cells)
+            exact, screened, probed = _three_paths(channel, twins, listeners)
+            assert np.array_equal(screened, exact) and np.array_equal(probed, exact)
+            assert exact[np.isin(listeners, np.arange(150, 162))].all()
 
 
 def _intermediates_normal(positions, power, alpha, m):
@@ -180,7 +196,8 @@ class TestScaleInvariance:
                     continue
                 found = []
                 for tx, listeners in rounds:
-                    exact, screened, probed = _three_paths(channel, tx, listeners)
+                    with np.errstate(all="ignore"):
+                        exact, screened, probed = _three_paths(channel, tx, listeners)
                     assert np.array_equal(screened, exact)
                     assert np.array_equal(probed, exact)
                     with np.errstate(all="ignore"):
@@ -196,7 +213,10 @@ class TestScaleInvariance:
                         for (tx, listeners), (exact, _) in zip(rounds, found):
                             dense = dense_decode(channel, tx, listeners, np.zeros(listeners.size))
                             assert np.array_equal(exact, dense[2])
-        assert seen["screened"] > 0
+        # A listener and a transmitter in the chain's first classes lie
+        # 2^60 times farther from the centre than from each other: their
+        # blocks cancel past the bound and take the exact fill.
+        assert seen["declined" if name == "exponential_chain" else "screened"] > 0
         for m, found in normal_scales:
             for (exact, energy), (exact_0, energy_0) in zip(found, reference):
                 assert np.array_equal(exact, exact_0), m
