@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sinr.geometry import as_positions, cross_distances
+from repro.sinr.geometry import as_positions, column_bounds, cross_distances
 
 __all__ = ["NearestActiveNeighbours", "nearest_in_pool"]
 
@@ -102,8 +102,8 @@ class _Grid:
     def __init__(self, positions: np.ndarray, pool_ids: np.ndarray) -> None:
         pool = positions[pool_ids]
         self.size = pool_ids.size
-        self.low = pool.min(axis=0)
-        width = pool.max(axis=0) - self.low
+        self.low, high = column_bounds(pool)
+        width = high - self.low
         extent = float(width.max())
         self.side = max(
             float(np.sqrt(_POINTS_PER_CELL * width[0] * width[1] / pool_ids.size)),
@@ -115,7 +115,7 @@ class _Grid:
         if not self.side > 0.0:
             return
         cells = np.floor((pool - self.low) / self.side).astype(np.int64)
-        self.last = cells.max(axis=0)
+        self.last = column_bounds(cells)[1]
         self.columns = int(self.last[1]) + 3
         keys = (cells[:, 0] + 1) * self.columns + (cells[:, 1] + 1)
         order = np.argsort(keys, kind="stable")

@@ -28,8 +28,11 @@ Record format (``repro-bench`` version 1)::
 
 Timing policy: each benchmark is repeated ``--repeats`` times and the
 **minimum** is reported (least-noise estimator for a deterministic
-workload); the mean rides along for jitter visibility. Benchmarks are
-seeded, so the work is identical run to run and machine to machine.
+workload); the mean rides along for jitter visibility. The repeats are
+interleaved: each pass runs every benchmark once, in order, so a slow
+phase of a shared host falls on all entries alike instead of on the few
+that happened to run through it. Benchmarks are seeded, so the work is
+identical run to run and machine to machine.
 """
 
 from __future__ import annotations
@@ -209,8 +212,9 @@ def core_benchmarks(
 
     def fast_path_execution_n16384() -> Dict[str, float]:
         # Deployed inside the timing, like a fresh trial, and listed last:
-        # its large temporaries then cannot shift the heap state (and so
-        # the timings) of the entries before it.
+        # its large temporaries cannot shift the heap state (and so the
+        # timings) of the first pass's other entries, whose best time
+        # the interleaved passes keep.
         return fast_execution(SINRChannel(uniform_disk(large_n, generator_from(1001))))
 
     def fast_path_execution_probes() -> Dict[str, float]:
@@ -290,17 +294,19 @@ def core_benchmarks(
 def run_benchmarks(
     benchmarks: List[Tuple[str, BenchFn]], repeats: int = 5
 ) -> Dict[str, Dict[str, object]]:
-    """Time each benchmark ``repeats`` times; report best/mean per call."""
+    """Time each benchmark ``repeats`` times, in interleaved passes; report best/mean per call."""
     if repeats < 1:
         raise ValueError(f"repeats must be positive (got {repeats})")
-    results: Dict[str, Dict[str, object]] = {}
-    for name, fn in benchmarks:
-        times: List[float] = []
-        extra: Dict[str, float] = {}
-        for _ in range(repeats):
+    timings: Dict[str, List[float]] = {name: [] for name, _ in benchmarks}
+    extras: Dict[str, Dict[str, float]] = {}
+    for _ in range(repeats):
+        for name, fn in benchmarks:
             started = time.perf_counter()
-            extra = fn() or {}
-            times.append(time.perf_counter() - started)
+            extras[name] = fn() or {}
+            timings[name].append(time.perf_counter() - started)
+    results: Dict[str, Dict[str, object]] = {}
+    for name, _ in benchmarks:
+        times, extra = timings[name], extras[name]
         calls = int(extra.pop("calls", 1))
         best = min(times) / calls
         mean = (sum(times) / len(times)) / calls

@@ -14,10 +14,11 @@ and a constant probability, so a whole execution collapses into numpy:
   round's ``|T| x |L|``. A knockout needs only who decoded, so an
   unprobed round takes the decisions-only
   :meth:`~repro.sinr.channel.SINRChannel.decide`: squared distances
-  from one small matrix product of the channel's cached coordinates,
-  gains from square roots and products instead of ``pow``, with the few
-  listeners that land within a rounding margin of the threshold decided
-  again exactly. With the probe bus on, a round goes through the
+  from one small float64 matrix product of the channel's cached
+  coordinates, float32 gains from square roots and products instead of
+  ``pow``, with the few listeners that land within a float32 rounding
+  margin of the threshold decided again exactly, in float64. With the
+  probe bus on, a round goes through the
   channel's resolve core, the one the engine calls, uninstrumented, and
   its exact :meth:`~repro.sinr.channel.SINRChannel.decode`, which
   computes the gains from positions, or gathers them once the matrix

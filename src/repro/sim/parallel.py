@@ -229,8 +229,9 @@ class StaticDeploymentFactory:
         # Build the gain matrix now: every trial of the shard reuses this
         # channel. The engine and probed fast-path rounds gather their
         # exact gains from it, at about half the cost of computing them;
-        # unprobed fast-path rounds screen from cached coordinates
-        # instead and touch it only to refill the rare unsure listener.
+        # unprobed fast-path rounds screen in float32 from cached
+        # coordinates instead (~2 ns a pair against ~4.5 for the gather)
+        # and touch it only to refill the rare unsure listener.
         channel.base_gains
         return channel
 

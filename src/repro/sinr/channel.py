@@ -21,10 +21,10 @@ that want it. Under Rayleigh fading each block's gains are multiplied by
 fresh exponential draws before the reductions, so faded and deterministic
 rounds share the one decode. :meth:`SINRChannel.decide` walks the same
 blocks for callers that need only the decisions (the fast path): it
-screens each listener with gains from one small matrix product of
-augmented coordinates (squared distances), square roots and products
-instead of ``pow``, and recomputes exactly only the rows too close to
-the threshold to tell.
+screens each listener with float32 gains, from squared distances of one
+small float64 matrix product of augmented coordinates, square roots and
+products instead of ``pow``, and recomputes exactly, in float64, only
+the rows too close to the threshold to tell.
 
 Because the SINR of a candidate transmitter is monotone increasing in its
 arriving signal (each transmitter's own power is excluded from its
@@ -68,72 +68,86 @@ _GAIN_BLOCK_CELLS = 1 << 20
 #: round (256 KiB of float64 per buffer).
 _DECODE_BLOCK_CELLS = 1 << 15
 
-# The screen of SINRChannel.decide. Let u = 2**-53 (half an ulp).
+# The screen of SINRChannel.decide. Let u = 2**-24 (half an ulp of a
+# float32) and v = 2**-53 (half an ulp of a float64).
 #
 # Squared distances. The exact fill computes d2 = dx*dx + dy*dy from the
-# positions. The screen takes a block's d2 from one matrix product: each
-# node's centred coordinates q = p - c (c the midpoint of the bounding
-# box) as the listener row [qx, qy, 1, |q|**2] times the transmitter
-# column [-2qx, -2qy, |q|**2, 1]. Centring rounds each coordinate by at
-# most u of itself, which moves d2 by at most 2u(|l| + |t|)**2; each
-# |q|**2 carries at most 2u of its value; and the four-term dot product,
-# in any order, fused or not, adds at most 4u (gamma_4) of the sum of
-# its terms' magnitudes, at most (|l| + |t|)**2. Terms below the normal
-# range add under u*d2 in all while d2 stays above the floor below. So
-# the screened d2 is d2 * (1 + e) with |e| <= 10u * kappa, where kappa =
-# (|l| + |t|)**2 / d2 >= 1 measures the cancellation of points far from
-# c compared with their distance. A block bounds it by span / its
-# smallest d2, where span = 4 * max |q|**2 >= (|l| + |t|)**2 for every
-# pair of the channel.
+# positions. The screen takes a block's d2 from one float64 matrix
+# product: each node's centred coordinates q = p - c (c the midpoint of
+# the bounding box) as the listener row [qx, qy, 1, |q|**2] times the
+# transmitter column [-2qx, -2qy, |q|**2, 1]. Centring rounds each
+# coordinate by at most v of itself, which moves d2 by at most 2v(|l| +
+# |t|)**2; each |q|**2 carries at most 2v of its value; and the four-term
+# dot product, in any order, fused or not, adds at most 4v (gamma_4) of
+# the sum of its terms' magnitudes, at most (|l| + |t|)**2. So the
+# product's d2 is d2 * (1 + e) with |e| <= 10v * kappa, where kappa = (|l|
+# + |t|)**2 / d2 >= 1 measures the cancellation of points far from c
+# compared with their distance. A block bounds it by span / its smallest
+# d2, where span = 4 * max |q|**2 >= (|l| + |t|)**2 for every pair of the
+# channel.
 #
-# Gains. Both gain forms stay within a few u of the real P / d2**(alpha/2)
-# as long as every intermediate is a normal float:
-#   exact    P / pow(sqrt(d2), alpha): sqrt's u grows alpha-fold through
-#            the power, pow adds at most 2 ulps (4u), the division u;
-#   screened P / (d2**k * root), root in {1, d2**(1/4), d2**(1/2),
-#            d2**(3/4)} from one or two square roots: at most alpha/2 + 2
-#            roundings of u, the division u, and the (1 + e)**(alpha/2) of
-#            its d2: at most 5.1 * alpha * kappa * u while alpha * kappa <=
-#            2**40 (_CANCELLATION_LIMIT).
-# A fading multiplier adds u to each, so every exact gain, and the row
-# maximum s, lies within rho = (alpha + 6)u of its real value, and every
-# screened one within rho + 5.1 * alpha * kappa * u. The row sum T (in
-# any order: the screen sums by a BLAS product with ones, the exact
-# decode by numpy's row reduction; external power added) adds |tx|u, and
-# the decision's three roundings 3u: the exact decode's s - beta*(N +
-# (T - s)) lies within (2*rho + (|tx| + 3)u)*K of the real one, where K =
-# s + beta*(N + T) <= (1 + beta)*(s + beta*(N + T - s)), and the screen's
-# within a further 10.2 * alpha * kappa * u * K. A listener whose screened
-# difference exceeds the sum of the two, (2*|tx| + 4*alpha + 30 + 10.2 *
-# alpha * kappa)u * K, therefore decides as the exact decode does. The
-# margin below is (8*|tx| + 8*alpha + 128 + 32 * alpha * kappa)u: about
-# three times the bound or more, which also absorbs the second-order
-# terms and the rounding of the margin itself.
+# Gains. The exact fill's float64 P / pow(sqrt(d2), alpha) lies within
+# (alpha + 5)v of the real P / d2**(alpha/2): sqrt's v grows alpha-fold
+# through the power, pow adds at most 2 ulps (4v), the division v. The
+# screen casts each d2 to float32 once (u, which the power makes
+# alpha/2 * u) and computes P / (d2**k * root) in float32, root in {1,
+# d2**(1/4), d2**(1/2), d2**(3/4)} from one or two square roots: at most
+# alpha/2 + 2 roundings of u, P's cast u and the division u, so (alpha +
+# 4)u in all, plus the (1 + e)**(alpha/2) of its d2: at most 5.1 * alpha *
+# kappa * v while alpha * kappa <= 2**40. A fading multiplier (float64,
+# the exact decode's own draw) adds v to the exact gain and u + v to the
+# screened one, whose product is rounded back to float32. So every
+# screened gain, and its row maximum s, lies within rho = (alpha + 5)u +
+# 5.1 * alpha * kappa * v + v of its real value, and every exact one
+# within (alpha + 6)v.
 #
-# "Normal floats" is what the channel-level and block-level conditions
-# buy. The channel screens only when 2*alpha is an integer, diameter**alpha
-# <= 2**1000 (no denominator or |q|**2 overflows) and beta*N >= 2**-960 (so
-# K >= beta*N dwarfs the absolute error of gains or faded products that
-# fall below the normal range); a block is screened only when its
-# smallest d2 keeps every denominator at or above 2**-1020, alpha * kappa
-# is within _CANCELLATION_LIMIT and P / d2**(alpha/2) within
-# _SCREEN_CEILING, and its decisions are kept only while its strongest
-# (faded) screened gain stays within _SCREEN_CEILING.
+# Decisions. The screen sums each row in float32 (a BLAS product with
+# ones, in any order: (|tx| - 1)u of the sum), then adds the external
+# power and computes the threshold and the difference in float64 (four
+# roundings of v); the exact decode sums in float64 ((|tx| + 3)v with its
+# decision's roundings). With K = s + beta*(N + T) <= (1 + beta)*(s +
+# beta*(N + T - s)), the screen's s - beta*(N + (T - s)) therefore lies
+# within (2*rho + (|tx| - 1)u + 4v)*K of the real one, and the exact
+# decode's within (2*alpha + |tx| + 15)v * K. A listener whose screened
+# difference exceeds the sum of the two, under (|tx| + 2*alpha + 11)u +
+# 10.2 * alpha * kappa * v for |tx| < 2**28, times K, therefore decides
+# as the exact decode does. The margin below is (8*|tx| + 8*alpha + 128)u
+# + 32 * alpha * kappa * v: about three times that bound or more, which
+# also absorbs the second-order terms and the rounding of the margin
+# itself.
+#
+# Where the bound holds is what the window (SINRChannel._screen_window)
+# buys. The screen works in units of an even power of two 2**e near the
+# deployment's extent (span < 8), with P in the same units (P *
+# 2**(-alpha*e), exact), which changes no gain and no relative error. A
+# channel is screened only when 2*alpha is an integer, span**(alpha/2) <=
+# 2**120 and P, in those units, lies within [2**-120, 2**120] (so every
+# d2, root, power and P is a finite float32), diameter**alpha <= 2**1000
+# (no exact denominator overflows) and beta*N >= n * 2**-100 (so K >=
+# beta*N dwarfs the at most 2**-149 each that float32 gains, faded
+# products and partial sums lose when they fall below the normal range).
+# A block is screened only when its smallest float32 d2 has
+# d2**(alpha/2) >= 2**-120 (every root and power a normal float32), P /
+# d2**(alpha/2) <= 2**120 / n divided by the fading scale if above 1 (so
+# no faded gain passes 2**126 / n and no row sum 2**126), an exact
+# denominator of at least 2**-1020 and alpha * kappa <= 2**40: one floor
+# on the smallest d2. A block's decisions are kept only while its
+# strongest (faded) screened gain stays within 2**120 / n.
 
-#: Unit of the screen's margin: a listener is unsure when
-#: ``|s - r| <= (|tx| + alpha + 16 + 4 * alpha * kappa) * _MARGIN_UNIT *
-#: (1 + beta) * (s + r)``, ``r = beta * (N + T - s)``.
-_MARGIN_UNIT = 2.0**-50
+#: Unit of the screen's margin: a listener is unsure when ``|s - r| <=
+#: ((|tx| + alpha + 16) * _MARGIN_UNIT + 4 * alpha * kappa *
+#: _PRODUCT_UNIT) * (1 + beta) * (s + r)``, ``r = beta * (N + T - s)``:
+#: eight half-ulps of a float32, the precision of the screened gains.
+_MARGIN_UNIT = 2.0**-21
 
-#: Blocks whose ``alpha * kappa`` exceeds this take the exact fill: up to
-#: it, each screened squared distance is within ``2**-10`` of the real one.
-_CANCELLATION_LIMIT = 2.0**40
+#: Unit of the margin's cancellation term: eight half-ulps of a float64,
+#: the precision of the matrix product that gives the squared distances.
+_PRODUCT_UNIT = 2.0**-50
 
-#: Blocks whose strongest screened gain could exceed this take the exact
-#: fill, and faded blocks whose strongest gain does are decided exactly: up
-#: to it, no screened gain overflows, and no exact gain can overflow where
-#: the screened one did not.
-_SCREEN_CEILING = 2.0**1000
+#: The float32 values the screen computes stay within ``[1 / _SCREEN_RANGE,
+#: _SCREEN_RANGE]`` (float32 is normal in ``[2**-126, 2**128)``), save gains
+#: and sums too small to matter beside the noise.
+_SCREEN_RANGE = 2.0**120
 
 
 _NO_IDS = np.empty(0, dtype=np.intp)
@@ -331,42 +345,80 @@ class SINRChannel:
         return view
 
     @cached_property
-    def _screen_floor(self) -> Optional[float]:
-        """Smallest ``d2`` a screened block may hold; ``None`` when :meth:`decide` cannot screen.
+    def _screen_window(self) -> Optional[Tuple[float, float, float]]:
+        """``(floor, ceiling, power)`` of :meth:`decide`'s screen; ``None`` when it cannot screen.
 
-        See the derivation beside ``_MARGIN_UNIT``.
+        A block is screened when its smallest squared distance, in the
+        units of ``_screen_coords``, is at least ``floor``, and its
+        decisions are kept while its strongest screened gain is at most
+        ``ceiling``; ``power`` is the transmission power in those units,
+        which leaves every gain as it is. See the derivation beside
+        ``_MARGIN_UNIT``.
         """
         params = self.params
-        if (
-            float(2 * params.alpha).is_integer()
+        alpha = params.alpha
+        if not (
+            float(2 * alpha).is_integer()
             and self.diameter > 0.0
-            and params.alpha * math.log2(self.diameter) <= 1000.0
-            and params.beta * params.noise >= 2.0**-960
+            and alpha * math.log2(self.diameter) <= 1000.0
+            and params.beta * params.noise >= self.n * 2.0**-100
         ):
-            # d2 ** (alpha / 2) >= 2**-1020.
-            return 2.0 ** (-2040.0 / params.alpha)
-        return None
+            return None
+        _, _, span, exponent = self._screen_coords
+        # alpha * exponent is an integer: exponent is even.
+        shift = round(alpha * exponent)
+        top = math.log2(_SCREEN_RANGE)
+        log_power, log_ceiling = math.log2(params.power) - shift, top - math.log2(self.n)
+        # Fading multipliers, at most 2**6 times their mean, leave the
+        # products of unfaded gains up to the ceiling under 2**128 / n.
+        log_scale = max(0.0, math.log2(self.gain_model.scale)) if self.gain_model else 0.0
+        # The floor is the largest of the smallest d2 with
+        log_floor = max(
+            # every float32 d2 ** (alpha / 2) >= 2**-top,
+            -2.0 * top / alpha,
+            # every unfaded gain P / d2 ** (alpha / 2) * scale <= the ceiling,
+            2.0 * (log_power + log_scale - log_ceiling) / alpha,
+            # every exact float64 denominator >= 2**-1020, in the
+            # positions' units,
+            -2040.0 / alpha - 2 * exponent,
+            # and alpha * kappa <= 2**40.
+            math.log2(alpha * span) - 40.0,
+        )
+        if (
+            abs(log_power) > top
+            or alpha / 2 * math.log2(span) > top
+            or log_floor > math.log2(span)
+        ):
+            return None
+        return 2.0**log_floor, 2.0**log_ceiling, math.ldexp(params.power, -shift)
 
     @cached_property
-    def _screen_coords(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(rows, columns, span)``: the augmented coordinates :meth:`decide` screens with.
+    def _screen_coords(self) -> Tuple[np.ndarray, np.ndarray, float, int]:
+        """``(rows, columns, span, exponent)``: the augmented coordinates :meth:`decide` screens with.
 
         With ``q`` each node's position less the midpoint of the
-        deployment's bounding box, ``rows[i]`` is ``[qx, qy, 1, |q|**2]``
-        and ``columns[:, j]`` is ``[-2qx, -2qy, |q|**2, 1]``, so ``rows[i]
-        @ columns[:, j]`` is the squared distance of nodes ``i`` and
-        ``j``; ``span`` is ``4 * max |q|**2``, which bounds ``(|l| +
-        |t|)**2`` for every pair (see the derivation beside
-        ``_MARGIN_UNIT``). An ``(n, 4)`` and a ``(4, n)`` array, built on
-        first use and kept for the channel's lifetime.
+        deployment's bounding box, in units of ``2**exponent`` (even, and
+        at most twice the largest ``|qx|`` or ``|qy|``), ``rows[i]`` is
+        ``[qx, qy, 1, |q|**2]`` and ``columns[:, j]`` is ``[-2qx, -2qy,
+        |q|**2, 1]``, so ``rows[i] @ columns[:, j]`` is the squared
+        distance of nodes ``i`` and ``j`` in those units; ``span`` is ``4 *
+        max |q|**2`` (under 8), which bounds ``(|l| + |t|)**2`` for every
+        pair (see the derivation beside ``_MARGIN_UNIT``). The units are a
+        power of two, so they change no bit of the screen's relative
+        errors. An ``(n, 4)`` and a ``(4, n)`` array, built on first use
+        and kept for the channel's lifetime.
         """
         # One coordinate at a time: numpy reduces a C-order (n, 2) array
         # along its first axis many times slower.
         qx, qy = (axis - (axis.min() / 2 + axis.max() / 2) for axis in self.positions.T)
+        exponent = math.frexp(max(np.abs(qx).max(), np.abs(qy).max()))[1]
+        exponent += exponent % 2
+        qx, qy = np.ldexp(qx, -exponent), np.ldexp(qy, -exponent)
         norms = qx * qx + qy * qy
         ones = np.ones(self.n)
         rows = np.column_stack([qx, qy, ones, norms])
-        return rows, np.stack([-2.0 * qx, -2.0 * qy, norms, ones]), 4.0 * float(norms.max())
+        columns = np.stack([-2.0 * qx, -2.0 * qy, norms, ones])
+        return rows, columns, 4.0 * float(norms.max()), exponent
 
     @cached_property
     def _nearest_start(self):
@@ -413,7 +465,7 @@ class SINRChannel:
         gains per listener; ``work``, a C-order buffer of the same shape,
         is scratch. The per-round set-up (the transmitters' coordinates)
         is done once here. ``fill`` writes the exact gains and returns
-        ``None``.
+        ``(out, None)``, the form of :meth:`_screen_filler`'s fill.
         """
         if "_gain_matrix" in self.__dict__:
             matrix = self._gain_matrix
@@ -430,6 +482,7 @@ class SINRChannel:
                 taken = work.reshape(out.shape[::-1])
                 np.take(strip, listeners - first, axis=1, out=taken, mode="clip")
                 np.copyto(out, taken.T)
+                return out, None
 
             return gather
         positions = self.positions
@@ -444,53 +497,61 @@ class SINRChannel:
             with np.errstate(divide="ignore", over="ignore"):
                 np.power(np.sqrt(squared, out=out), alpha, out=out)
                 np.divide(power, out, out=out)
+            return out, None
 
         return compute
 
     def _screen_filler(self, tx: np.ndarray):
-        """:meth:`decide`'s ``fill(listeners, out, work) -> spread``; the exact fill when it cannot screen.
+        """:meth:`decide`'s ``fill(listeners, out, work) -> (gains, spread)``; the exact fill when it cannot screen.
 
-        Each block's squared distances come from one ``(b, 4) @ (4,
-        |tx|)`` product of ``_screen_coords``, its gains are ``P / (d2**k
-        * root)`` from square roots and products, with no ``pow``, and
-        ``fill`` returns the block's ``alpha * kappa``, the cancellation
-        its margin is widened by. A block whose smallest ``d2`` lies under
-        ``_screen_floor``, whose ``alpha * kappa`` exceeds
-        ``_CANCELLATION_LIMIT`` or whose strongest gain could exceed
-        ``_SCREEN_CEILING`` takes :meth:`_gain_filler`'s exact fill
-        instead, and ``fill`` returns ``None``. See the derivation beside
+        Each block's squared distances come from one float64 ``(b, 4) @
+        (4, |tx|)`` product of ``_screen_coords`` into ``out``, cast once
+        to float32; its gains are ``P / (d2**k * root)`` from float32
+        square roots and products, with no ``pow``, in one of the two
+        float32 ``(b, |tx|)`` buffers the fill keeps for the round
+        (``work`` is left to the fading draws). ``spread`` is the block's
+        ``alpha * kappa``, the cancellation its margin is widened by. A
+        block whose smallest ``d2`` lies under ``_screen_window``'s floor
+        takes :meth:`_gain_filler`'s exact fill instead, and ``fill``
+        returns ``(out, None)``. See the derivation beside
         ``_MARGIN_UNIT``.
         """
-        floor = self._screen_floor
-        if floor is None:
+        window = self._screen_window
+        if window is None:
             return self._gain_filler(tx)
-        listener_coords, tx_coords, span = self._screen_coords
-        points = np.take(tx_coords, tx, axis=1)
-        alpha, power = self.params.alpha, self.params.power
+        floor, _, power = window
+        power = np.float32(power)
+        listener_coords, tx_coords, span, _ = self._screen_coords
+        points = tx_coords.take(tx, axis=1)
+        alpha = self.params.alpha
+        # The round's two float32 buffers, made at its first block, the
+        # largest.
+        buffers = None
 
         def screen(listeners, out, work):
-            squared = np.matmul(np.take(listener_coords, listeners, axis=0), points, out=out)
-            smallest = float(squared.min())
-            if (
-                smallest >= floor
-                and alpha * span <= _CANCELLATION_LIMIT * smallest
-                and power / _SCREEN_CEILING <= smallest ** (alpha / 2)
-            ):
-                np.divide(power, _root_power(squared, alpha, out=work), out=out)
-                return alpha * span / smallest
-            return self._gain_filler(tx)(listeners, out, work)
+            nonlocal buffers
+            squared = np.matmul(listener_coords.take(listeners, axis=0), points, out=out)
+            if buffers is None or buffers.shape[1] < out.shape[0]:
+                buffers = np.empty((2, *out.shape), dtype=np.float32)
+            gains, roots = buffers[:, : out.shape[0]]
+            np.copyto(gains, squared, casting="same_kind")
+            smallest = float(np.minimum.reduce(gains, axis=None))
+            if smallest < floor:
+                return self._gain_filler(tx)(listeners, out, work)
+            np.divide(power, _root_power(gains, alpha, out=roots), out=gains)
+            return gains, alpha * span / smallest
 
         return screen
 
     def _blocks(self, tx, listeners, rng, fill):
         """Walk a round's listeners in blocks: the one loop of :meth:`decode` and :meth:`decide`.
 
-        Yields ``(start, rows, multipliers, filled)`` per block: ``rows``
-        holds the gains ``fill`` wrote for ``listeners[start : start +
+        Yields ``(start, rows, multipliers, spread)`` per block: ``rows``
+        holds the gains ``fill`` returned for ``listeners[start : start +
         len(rows)]``, one row per listener, multiplied under Rayleigh
-        fading by ``multipliers``, the block's draws (scratch otherwise);
-        ``filled`` is what ``fill`` returned. The next block reuses both
-        buffers.
+        fading by ``multipliers``, the block's float64 draws (scratch
+        otherwise); ``spread`` is what ``fill`` returned beside them. The
+        next block reuses both buffers.
         """
         fading = self.gain_model
         if fading is not None and rng is None:
@@ -500,14 +561,15 @@ class SINRChannel:
         gains = np.empty((block, num_tx))
         work = np.empty_like(gains)
         for start in range(0, num_listeners, block):
-            rows = gains[: num_listeners - start]
-            scratch = work[: rows.shape[0]]
-            filled = fill(listeners[start : start + block], rows, scratch)
+            out = gains[: num_listeners - start]
+            scratch = work[: out.shape[0]]
+            rows, spread = fill(listeners[start : start + block], out, scratch)
             if fading is not None:
                 rng.standard_exponential(out=scratch)
                 scratch *= fading.scale
+                # Float32 screened gains take the float64 product rounded.
                 rows *= scratch
-            yield start, rows, scratch, filled
+            yield start, rows, scratch, spread
 
     def _threshold(self, strongest: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """``beta * (noise + interference)``, which ``strongest`` must reach to be decoded.
@@ -592,19 +654,19 @@ class SINRChannel:
         Same arguments, same draws from ``rng`` and the same decisions as
         :meth:`decode`, but no totals and no probe. Where the channel and
         a block allow it (:meth:`_screen_filler`), the block's squared
-        distances come from one small matrix product and its gains from
-        square roots and products, with no ``pow``, and each listener is
-        decided from them unless its strongest signal lands within a
-        rounding margin of the threshold (derived beside
-        ``_MARGIN_UNIT``), widened by the block's cancellation bound.
-        Only those unsure rows are refilled with the exact gains, faded
-        by the block's own multipliers, and decided again. Blocks the
-        screen does not cover hold the exact gains already.
+        distances come from one small float64 matrix product and its
+        gains, in float32, from square roots and products, with no
+        ``pow``, and each listener is decided from them unless its
+        strongest signal lands within a rounding margin of the threshold
+        (derived beside ``_MARGIN_UNIT``), widened by the block's
+        cancellation bound. Only those unsure rows are refilled with the
+        exact float64 gains, faded by the block's own multipliers, and
+        decided again. Blocks the screen does not cover hold the exact
+        gains already.
         """
         params = self.params
-        unit = _MARGIN_UNIT * (1.0 + params.beta)
-        base = tx.size + params.alpha + 16
-        ones = np.ones(tx.size)
+        base = (tx.size + params.alpha + 16) * _MARGIN_UNIT
+        ones = np.ones(tx.size, dtype=np.float32)
         decoded = np.empty(listeners.size, dtype=bool)
         for start, rows, multipliers, spread in self._blocks(
             tx, listeners, rng, self._screen_filler(tx)
@@ -613,21 +675,21 @@ class SINRChannel:
             if spread is None:
                 self._decide_rows(rows, external[block], decoded[block])
                 continue
-            strongest = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)]
-            if strongest.max() > _SCREEN_CEILING:
+            strongest = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)].astype(np.float64)
+            if self.gain_model is not None and strongest.max() > self._screen_window[1]:
                 # Faded gains this strong are decided exactly.
                 unsure = np.arange(start, block.stop)
             else:
-                # The row sums may take any order: the margin covers it.
-                threshold = self._threshold(strongest, np.dot(rows, ones) + external[block])
-                np.greater_equal(strongest, threshold, out=decoded[block])
-                # An infinite total makes its row compare inf with inf, so
-                # the row is unsure.
-                margin = (base + 4.0 * spread) * unit
-                sure = np.abs(strongest - threshold) > margin * (strongest + threshold)
-                if sure.all():
+                # Float32 row sums in any order (the margin covers it);
+                # the external power, threshold and margin in float64.
+                threshold = self._threshold(strongest, external[block] + np.dot(rows, ones))
+                difference = strongest - threshold
+                np.greater_equal(difference, 0.0, out=decoded[block])
+                margin = (base + 4.0 * spread * _PRODUCT_UNIT) * (1.0 + params.beta)
+                unsure = np.abs(difference, out=difference) <= margin * (strongest + threshold)
+                if not np.count_nonzero(unsure):
                     continue
-                unsure = start + np.flatnonzero(~sure)
+                unsure = start + np.flatnonzero(unsure)
             refill = np.empty((unsure.size, tx.size))
             self._gain_filler(tx)(listeners[unsure], refill, np.empty_like(refill))
             if self.gain_model is not None:

@@ -88,6 +88,17 @@ class TestHarness:
         assert loaded["environment"]["git_sha"]
         assert loaded["environment"]["package_version"]
 
+    def test_repeats_are_interleaved(self):
+        calls = []
+
+        def bench(name):
+            return lambda: calls.append(name) or {}
+
+        results = run_benchmarks([("a", bench("a")), ("b", bench("b"))], repeats=3)
+        assert calls == ["a", "b"] * 3
+        assert list(results) == ["a", "b"]
+        assert all(entry["repeats"] == 3 for entry in results.values())
+
     def test_repeats_must_be_positive(self):
         with pytest.raises(ValueError, match="repeats"):
             run_benchmarks([], repeats=0)

@@ -12,13 +12,14 @@ decoded senders and every SINR-probe array must have the oracle's bits.
 Three tracemalloc checks bound what one large round may allocate.
 
 :meth:`SINRChannel.decide`, the decisions-only decode of unprobed
-fast-path rounds, screens listeners with squared distances from one
-small matrix product and gains built without ``pow``, refills the unsure
-ones exactly, and leaves blocks its bounds cannot certify (pairs below
-the floor, cancellation past the bound, gains near the ceiling) to the
-exact fill; its decisions, and the draws it makes, must equal the
-oracle's too, on every deployment, channel kind and block budget, with
-the margin at its value or at infinity.
+fast-path rounds, screens listeners with float32 gains built without
+``pow`` from squared distances of one small float64 matrix product,
+refills the unsure ones exactly, and leaves channels and blocks outside
+its window (gains past the float32 range or the ceiling, cancellation
+past the bound) to the exact fill; its decisions, and the draws it
+makes, must equal the oracle's too, on every deployment, channel kind
+and block budget, with the margin at its value or at infinity, and
+listeners brought within the margin of the threshold must be refilled.
 """
 
 import tracemalloc
@@ -340,6 +341,10 @@ SCREEN_DEPLOYMENTS = {
     },
 }
 
+#: The deployments whose gains lie outside the float32 window: every
+#: block takes the exact fill.
+OUTSIDE = {"tiny_scale"}
+
 #: The deployments some of whose blocks the screen declines: pairs below
 #: the floor, or cancellation past the bound, in every block size's rounds.
 DECLINING = {
@@ -384,14 +389,14 @@ def screen_spy(monkeypatch):
 
         def counted(listeners, out, work):
             refilled = len(seen["refilled"])
-            spread = screen(listeners, out, work)
+            rows, spread = screen(listeners, out, work)
             if spread is None:
                 # The block's exact fill is no refill.
                 del seen["refilled"][refilled:]
                 seen["declined"] += listeners.size
             else:
                 seen["screened"] += listeners.size
-            return spread
+            return rows, spread
 
         return counted
 
@@ -416,7 +421,7 @@ class TestScreenedDecisionsEqualTheDenseDecode:
     def test_random_rounds(self, monkeypatch, name, kind, block_cells):
         monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", block_cells)
         channel = SCREEN_CHANNELS[kind](SCREEN_DEPLOYMENTS[name])
-        assert channel._screen_floor is not None
+        assert (channel._screen_window is None) == (name in OUTSIDE)
         rounds = list(random_rounds(channel.n, seed=len(name) + len(kind), count=8))
         with screen_spy(monkeypatch) as seen:
             assert_receivers_equal_the_dense_resolve(channel, rounds)
@@ -425,17 +430,31 @@ class TestScreenedDecisionsEqualTheDenseDecode:
         assert "_gain_matrix" not in vars(channel)
 
     def test_tiny_scale_pairs_take_the_exact_gains(self, monkeypatch):
-        # A block holding one of the pairs 1e-104 apart has a d2 below the
-        # screen's floor, so it is filled exactly; the others are screened.
+        # At power 1, pairs 1e-100 apart have gains near 1e300, past the
+        # float32 range: every block of the channel is filled exactly.
         monkeypatch.setattr(sinr_channel, "_DECODE_BLOCK_CELLS", 8)
         channel = SINRChannel(SCREEN_DEPLOYMENTS["tiny_scale"])
-        partner, twin = 150, 0
-        listeners = np.setdiff1d(np.arange(channel.n), [twin, 1])
-        tx = np.array([twin, 1])
+        assert channel._screen_window is None
+        listeners = np.setdiff1d(np.arange(channel.n), [0, 1])
+        with screen_spy(monkeypatch) as seen:
+            assert_receivers_equal_the_dense_resolve(channel, [(np.array([0, 1]), listeners)])
+        assert (seen["screened"], seen["declined"]) == (0, listeners.size)
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_a_pair_at_the_ceiling(self, monkeypatch, over):
+        # A 5 x 5 unit grid whose first node has a partner 2^-4 away, with
+        # the power that puts their gain a 2^-10 under or over the
+        # ceiling 2^120 / n: only over it does their block decline.
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        positions = np.concatenate([grid, [[2.0**-4, 0.0]]])
+        gain = 2.0**120 / positions.shape[0] * (1 + (2.0**-10 if over else -(2.0**-10)))
+        params = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=gain * 2.0**-12)
+        channel = SINRChannel(positions, params=params, auto_power=False)
+        tx, listeners = np.array([25]), np.arange(25)
         with screen_spy(monkeypatch) as seen:
             assert_receivers_equal_the_dense_resolve(channel, [(tx, listeners)])
-        assert 0 < seen["screened"] < listeners.size
-        assert partner in listeners
+        expected = (0, 25) if over else (25, 0)
+        assert (seen["screened"], seen["declined"]) == expected
 
     @pytest.mark.parametrize("kind", sorted(SCREEN_CHANNELS))
     @pytest.mark.parametrize("name", ["uniform_disk", "exponential_chain", "near_colocated"])
@@ -461,7 +480,7 @@ class TestScreenedDecisionsEqualTheDenseDecode:
         built = SINRChannel(DEPLOYMENTS["clustered"])
         built.base_gains
         noiseless = SINRChannel(DEPLOYMENTS["clustered"], params=SINRParameters(noise=0.0))
-        assert noiseless._screen_floor is None
+        assert noiseless._screen_window is None
         for channel in (built, noiseless):
             rounds = list(random_rounds(channel.n, seed=5))
             with screen_spy(monkeypatch) as seen:
@@ -483,11 +502,46 @@ class TestScreenedDecisionsEqualTheDenseDecode:
 
 
 def _threshold_gap(channel, tx, listeners):
-    """``s - beta * (N + T - s)`` per listener, from the exact gains."""
+    """``(s - r, s + r)`` per listener from the exact gains, ``r = beta * (N + T - s)``."""
     rows = dense_gain_rows(channel, tx, listeners)
     strongest, totals = rows.max(axis=0), rows.sum(axis=0)
     params = channel.params
-    return strongest - params.beta * (params.noise + (totals - strongest)), strongest
+    threshold = params.beta * (params.noise + (totals - strongest))
+    return strongest - threshold, strongest + threshold
+
+
+def _bisect_to_the_threshold(make_channel, tx, listeners, deaf, hears, tolerance):
+    """Narrow ``(deaf, hears)`` round the point where ``listeners[0]`` starts to decode.
+
+    ``make_channel(x)`` builds the channel at parameter ``x``; at ``deaf``
+    the listener's exact decision is no, at ``hears`` yes. Both ends move
+    in until each lies within ``tolerance * (s + r)`` of the threshold or
+    they are adjacent floats.
+    """
+
+    def gap(x):
+        difference, scale = _threshold_gap(make_channel(x), tx, listeners)
+        return difference[0] / scale[0]
+
+    assert gap(deaf) < 0 <= gap(hears)
+    while max(-gap(deaf), gap(hears)) > tolerance:
+        middle = (deaf + hears) / 2
+        if middle in (deaf, hears):
+            break
+        if gap(middle) < 0:
+            deaf = middle
+        else:
+            hears = middle
+    return deaf, hears
+
+
+#: A listener's gains (alpha = 3) on a ring round it: from one transmitter
+#: 2^-4 off centre at distance x, and from 3000 evenly spaced at radius 30.
+def _ring_channel(x):
+    angles = np.linspace(0.0, 2 * np.pi, 3000, endpoint=False)
+    ring = 30.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    positions = np.concatenate([[[0.0, 0.0], [x, 2.0**-4]], ring])
+    return SINRChannel(positions, params=TestUnsureRows.PARAMS, auto_power=False)
 
 
 class TestUnsureRows:
@@ -499,72 +553,93 @@ class TestUnsureRows:
         positions = [(0.0, 0.0), (1.0, 0.0), (x, 0.0)]
         return SINRChannel(positions, params=self.PARAMS, auto_power=False)
 
-    def test_a_listener_at_the_threshold_is_refilled(self, monkeypatch):
+    def _assert_refilled_either_side(self, monkeypatch, tolerance):
         tx, listeners = np.array([1, 2]), np.array([0])
-        # Bisect the interferer's distance down to the last bit at which the
-        # listener's decision flips.
-        low, high = 1.05, 1.5
-        assert _threshold_gap(self._channel(low), tx, listeners)[0][0] < 0
-        assert _threshold_gap(self._channel(high), tx, listeners)[0][0] > 0
-        while np.nextafter(low, high) < high:
-            middle = (low + high) / 2
-            if middle in (low, high):
-                break
-            if _threshold_gap(self._channel(middle), tx, listeners)[0][0] < 0:
-                low = middle
-            else:
-                high = middle
-        for x, decodes in ((low, False), (high, True)):
+        bracket = _bisect_to_the_threshold(self._channel, tx, listeners, 1.05, 1.5, tolerance)
+        for x, decodes in zip(bracket, (False, True)):
             channel = self._channel(x)
-            gap, strongest = _threshold_gap(channel, tx, listeners)
-            assert abs(gap[0]) <= 1e-13 * strongest[0]
+            gap, scale = _threshold_gap(channel, tx, listeners)
+            assert abs(gap[0]) <= max(tolerance, 1e-13) * scale[0]
             with screen_spy(monkeypatch) as seen:
                 decoded = channel.decide(tx, listeners, np.zeros(1))
             assert seen["screened"] == 1 and seen["refilled"] == [0]
             assert decoded.tolist() == [decodes]
 
-    # With the ceiling lifted, screened gains and row sums overflow on
-    # purpose.
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning",
-        "ignore:invalid value encountered:RuntimeWarning",
-    )
-    @pytest.mark.parametrize("case", ["infinite_gain", "overflowing_total"])
-    def test_non_finite_rows_are_unsure(self, monkeypatch, case):
-        # Only the row check is left: the block-wide ceiling is lifted.
-        monkeypatch.setattr(sinr_channel, "_SCREEN_CEILING", np.inf)
-        if case == "infinite_gain":
-            # 1e10 / (1e-100)**3 overflows; the far listeners' gains do not.
-            # Every point lies within 3e-97 of the others, so the screen's
-            # cancellation bound stays small.
-            positions = [(0.0, 0.0), (1e-100, 0.0), (3e-98, 0.0), (1e-97, 0.0), (0.0, 2e-97)]
-            power, tx = 1e10, np.array([0, 2])
-        else:
-            # Thirty gains of 1e307 sum past the largest float.
-            angles = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
-            ring = np.column_stack([np.cos(angles), np.sin(angles)])
-            positions = np.concatenate([[[0.0, 0.0], [1e3, 0.0], [0.0, 2e3]], ring])
-            power, tx = 1e307, np.arange(3, 33)
+    def test_a_listener_at_the_threshold_is_refilled(self, monkeypatch):
+        # Bisected to the last bit: the screen cannot tell the two apart.
+        self._assert_refilled_either_side(monkeypatch, 0.0)
+
+    def test_a_listener_within_the_float32_margin_is_refilled(self, monkeypatch):
+        # Within 2^-20 of s + r: inside the float32 margin, (2 + 3 + 16) *
+        # 2^-21 * (1 + beta) = 2.5e-5 here, but outside a margin of float64
+        # units.
+        self._assert_refilled_either_side(monkeypatch, 2.0**-20)
+
+    def test_a_listener_within_the_margins_sum_term_is_refilled(self, monkeypatch):
+        # With 3001 transmitters the margin's |tx| term is (3001 + 3 + 16)
+        # * 2^-21 * (1 + beta) = 3.6e-3 of s + r; without it, 2.3e-5. The
+        # listener is brought to within 2^-11 = 4.9e-4 on both sides.
+        tx, listeners = np.arange(1, 3002), np.array([0])
+        bracket = _bisect_to_the_threshold(_ring_channel, tx, listeners, 2.0, 1.2, 2.0**-11)
+        for x, decodes in zip(bracket, (False, True)):
+            channel = _ring_channel(x)
+            with screen_spy(monkeypatch) as seen:
+                decoded = channel.decide(tx, listeners, np.zeros(1))
+            assert seen["screened"] == 1 and seen["refilled"] == [0]
+            assert decoded.tolist() == [decodes]
+
+    def test_thousands_of_transmitters_stay_inside_the_sum_bound(self):
+        # The screened strongest gain lies within rho = (alpha + 5)u + 5.1
+        # alpha kappa v of the exact one, and the float32 row sum within
+        # rho + (|tx| - 1)u of the exact total (u = 2^-24, v = 2^-53).
+        channel = SINRChannel(topologies.uniform_disk(4096, generator_from(40)))
+        order = generator_from(41).permutation(channel.n)
+        tx, listeners = np.sort(order[:3000]), np.sort(order[3000:3200])
+        out = np.empty((listeners.size, tx.size))
+        rows, spread = channel._screen_filler(tx)(listeners, out, np.empty_like(out))
+        assert rows.dtype == np.float32 and spread is not None
+        exact = dense_gain_rows(channel, tx, listeners)
+        rho = (channel.params.alpha + 5) * 2.0**-24 + 5.1 * spread * 2.0**-53
+        strongest = exact.max(axis=0)
+        assert np.all(np.abs(rows.max(axis=1) - strongest) <= rho * strongest)
+        totals = exact.sum(axis=0)
+        screened = np.dot(rows, np.ones(tx.size, dtype=np.float32)).astype(np.float64)
+        assert np.all(np.abs(screened - totals) <= (rho + (tx.size - 1) * 2.0**-24) * totals)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 2.0**20])
+    def test_faded_gains_past_the_ceiling_are_decided_exactly(self, monkeypatch, scale):
+        # The grid pair of test_a_pair_at_the_ceiling at half the ceiling:
+        # a multiplier over 2 lifts it past, and the round's one block is
+        # decided exactly, every listener refilled. A fading scale of 2^20
+        # would lift float32 gains past their range, so every block takes
+        # the exact fill instead.
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        positions = np.concatenate([grid, [[2.0**-4, 0.0]]])
+        power = 2.0**120 / positions.shape[0] / 2 * 2.0**-12
         params = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=power)
-        channel = SINRChannel(positions, params=params, auto_power=False)
-        listeners = np.setdiff1d(np.arange(channel.n), tx)
-        near = listeners[0]
+        fading = RayleighFading(scale)
+        channel = SINRChannel(positions, params=params, gain_model=fading, auto_power=False)
+        rounds = [(np.array([25]), np.arange(25))] * 30
         with screen_spy(monkeypatch) as seen:
-            decoded = channel.decide(tx, listeners, np.zeros(listeners.size))
-        assert seen["screened"] == listeners.size
-        assert seen["refilled"] == [near]
-        _, _, expected, _ = dense_decode(channel, tx, listeners, np.zeros(listeners.size))
-        assert_same_bits(decoded, expected)
+            assert_receivers_equal_the_dense_resolve(channel, rounds)
+        if scale > 1.0:
+            assert (seen["screened"], seen["declined"]) == (0, 30 * 25)
+            return
+        assert seen["screened"] == 30 * 25
+        assert 0 < len(seen["refilled"]) < 30 * 25 and len(seen["refilled"]) % 25 == 0
 
     # The exact rows' totals pass the float range, as in the exact decode.
     @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
     def test_gains_that_could_pass_the_ceiling_take_the_exact_fill(self, monkeypatch):
-        # Thirty unit-distance gains of 1e307: above 2**1000 each.
+        # Thirty unit-distance gains of 1e307, far past the float32 range:
+        # the channel is not screened at all.
         angles = np.linspace(0.0, 2 * np.pi, 30, endpoint=False)
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
         positions = np.concatenate([[[0.0, 0.0], [1e3, 0.0], [0.0, 2e3]], ring])
         params = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, power=1e307)
         channel = SINRChannel(positions, params=params, auto_power=False)
+        assert channel._screen_window is None
         tx = np.arange(3, 33)
         listeners = np.setdiff1d(np.arange(channel.n), tx)
         with screen_spy(monkeypatch) as seen:
@@ -580,6 +655,16 @@ class TestUnsureRows:
         found = sinr_channel._root_power(squared, alpha, np.empty_like(squared))
         reference = np.power(np.sqrt(squared), alpha)
         assert np.all(np.abs(found - reference) <= (alpha + 6) * 2.0**-53 * reference)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0, 4.5, 6.0, 7.5])
+    def test_float32_root_power_is_within_its_rounding_bound(self, alpha):
+        # Exponents whose powers the float32 range holds at alpha = 7.5.
+        scales = 10.0 ** generator_from(5).integers(-8, 8, 4000)
+        squared = ((1.0 + 9.0 * generator_from(4).random(4000)) * scales).astype(np.float32)
+        found = sinr_channel._root_power(squared, alpha, np.empty_like(squared))
+        assert found.dtype == np.float32
+        reference = np.power(np.sqrt(squared.astype(np.float64)), alpha)
+        assert np.all(np.abs(found - reference) <= (alpha + 6) * 2.0**-24 * reference)
 
 
 def _fast_run(channel, seed):

@@ -239,7 +239,7 @@ class TestScreenedRounds:
     @pytest.mark.parametrize("name", sorted(SCREEN_CHANNELS))
     def test_unprobed_runs_equal_probed_runs(self, name):
         channel = SCREEN_CHANNELS[name]()
-        assert channel._screen_floor is not None
+        assert channel._screen_window is not None
         for seed in range(4):
             unprobed = fast_fixed_probability_run(channel, 0.1, generator_from(seed))
             assert unprobed == _probed_run(channel, seed)

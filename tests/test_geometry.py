@@ -11,6 +11,7 @@ from repro.sinr.geometry import (
     annulus_count_rows,
     annulus_counts,
     as_positions,
+    column_bounds,
     greedy_separated_subset,
     pairwise_distances,
 )
@@ -42,6 +43,16 @@ class TestAsPositions:
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="finite"):
             as_positions([(0.0, float("inf")), (1.0, 1.0)])
+
+
+class TestColumnBounds:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_equal_the_reductions_along_the_first_axis(self, dtype):
+        points = (np.random.default_rng(3).normal(size=(2048, 2)) * 1e3).astype(dtype)
+        low, high = column_bounds(points)
+        assert low.dtype == dtype and high.dtype == dtype
+        assert low.tobytes() == points.min(axis=0).tobytes()
+        assert high.tobytes() == points.max(axis=0).tobytes()
 
 
 class TestPairwiseDistances:
