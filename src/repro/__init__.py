@@ -95,15 +95,11 @@ from repro.sim import (
     StaticDeploymentFactory,
     TrialStats,
     UniformDiskFactory,
-    default_workers,
     fast_fixed_probability_run,
     generator_from,
-    get_default_workers,
     high_probability_budget,
     run_fast_trials,
     run_trials,
-    run_trials_parallel,
-    set_default_workers,
     spawn_generators,
     spawn_seed_sequences,
 )
@@ -157,8 +153,6 @@ __all__ = [
     "cliffs_delta",
     "clustered",
     "compare_round_counts",
-    "default_workers",
-    "get_default_workers",
     "deployment_stats",
     "exponential_chain",
     "fast_fixed_probability_run",
@@ -177,8 +171,6 @@ __all__ = [
     "play_hitting_game",
     "run_fast_trials",
     "run_trials",
-    "run_trials_parallel",
-    "set_default_workers",
     "spawn_generators",
     "spawn_seed_sequences",
     "two_player_trials",

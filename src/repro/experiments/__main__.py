@@ -187,7 +187,6 @@ def main(argv=None) -> int:
         )
         session.start()
 
-    from repro.experiments.common import default_workers
     from repro.experiments.sweep import (
         CheckpointStore,
         SweepInterrupted,
@@ -195,6 +194,7 @@ def main(argv=None) -> int:
         isolated_metrics,
         termination_signals_as_interrupts,
     )
+    from repro.sim.parallel import default_workers
 
     store = CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
 

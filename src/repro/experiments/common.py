@@ -16,24 +16,13 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.reporting.markdown import COST_HEADER
-from repro.sim.parallel import default_workers, get_default_workers
 
 __all__ = [
     "ExperimentResult",
     "format_table",
     "json_safe",
     "COST_HEADER",
-    "default_workers",
-    "get_default_workers",
 ]
-
-# ``default_workers`` (and its getter) is re-exported here as the
-# experiments' knob for trial throughput: the CLI wraps a run in
-# ``with default_workers(args.workers):`` and every ``run_trials`` /
-# ``run_fast_trials`` call inside — none of which takes a worker count —
-# dispatches to the process pool. Experiments stay oblivious to it; the
-# seed-sharding contract (docs/parallelism.md) guarantees their numbers
-# cannot change.
 
 
 def json_safe(value):

@@ -9,10 +9,10 @@ Three layers, each usable on its own:
 
 ``registry``
     A zero-dependency metrics registry (:class:`Counter`, :class:`Gauge`,
-    :class:`Histogram` with fixed log-spaced buckets, :class:`Timer`
-    spans). A process-global default registry is **disabled** by default:
-    the hot paths guard on one attribute read, so an uninstrumented run
-    pays effectively nothing.
+    :class:`Histogram` with fixed log-spaced buckets). A process-global
+    default registry is **disabled** by default: the hot paths guard on
+    one attribute read, so an uninstrumented run pays effectively
+    nothing.
 
 ``events`` / ``manifest``
     A structured JSONL event sink plus a run manifest (seed, config,
@@ -80,7 +80,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
     get_registry,
     log_spaced_buckets,
     set_registry,
@@ -106,7 +105,6 @@ __all__ = [
     "SINRDeliveryMonitor",
     "SINRProbe",
     "TelemetrySession",
-    "Timer",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",

@@ -94,12 +94,14 @@ def core_benchmarks(
     ``full_execution_engine_beb`` runs BEB, both through the engine's
     vector steps, and ``full_execution_engine_per_node`` runs the
     carrier-sense tournament, whose feedback reads the measured energy,
-    through its per-node step. ``fast_path_execution`` gathers
-    its gains from a built ``(n, n)`` matrix, as a reused deployment
-    does; ``fast_path_execution_matrix_free`` runs the same execution on
-    a channel that computes them from positions, as a fresh deployment
-    does. ``fast_path_execution_p075_n512`` runs the paper's algorithm
-    at E9's largest ``p = 0.75`` on a matrix-free channel of ``n`` nodes,
+    through its per-node step. ``fast_path_execution`` and
+    ``fast_path_execution_matrix_free`` run the same unprobed execution,
+    so both screen their rounds' gains from the channel's cached
+    coordinates; the first channel has its ``(n, n)`` matrix built, as a
+    reused deployment does, and gathers its exact refills from it, while
+    the second, like a fresh deployment, computes them from positions.
+    ``fast_path_execution_p075_n512`` runs the paper's algorithm at E9's
+    largest ``p = 0.75`` on a matrix-free channel of ``n`` nodes,
     E9 full's size: ~1,600 mostly small rounds, so it tracks the
     per-round cost. ``fast_path_execution_n16384`` times one fresh trial at
     ``large_n`` nodes (deployment, channel and execution; the matrix is
@@ -197,7 +199,7 @@ def core_benchmarks(
         return fast_execution(fast_channel)
 
     # The same deployment and seed on a channel whose gain matrix is never
-    # built: every round computes its gains from positions.
+    # built: every exact refill computes its gains from positions.
     free_channel = SINRChannel(fast_channel.positions)
 
     def fast_path_execution_matrix_free() -> Dict[str, float]:

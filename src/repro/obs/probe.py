@@ -169,10 +169,6 @@ class ProbeBus:
     def unsubscribe(self, subscriber) -> None:
         self._subscribers.remove(subscriber)
 
-    @property
-    def subscribers(self) -> Tuple[object, ...]:
-        return tuple(self._subscribers)
-
     # -- coordinates ------------------------------------------------------
 
     def set_trial(self, trial: int) -> None:

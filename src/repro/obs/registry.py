@@ -1,4 +1,4 @@
-"""Zero-dependency metrics: counters, gauges, histograms, timer spans.
+"""Zero-dependency metrics: counters, gauges, histograms.
 
 Everything here is plain Python on purpose — the registry must be
 importable from the innermost simulation loops without dragging numpy
@@ -26,14 +26,12 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-import time
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "log_spaced_buckets",
     "get_registry",
@@ -168,32 +166,6 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, sum={self.sum:g})"
 
 
-class Timer:
-    """Context-manager span feeding a histogram of elapsed seconds.
-
-    A timer belonging to a disabled registry is a no-op (no clock reads),
-    so unguarded ``with registry.timer("..."):`` blocks stay cheap. The
-    hot paths still prefer the explicit ``if obs.enabled:`` guard.
-    """
-
-    __slots__ = ("_registry", "histogram", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", histogram: Histogram) -> None:
-        self._registry = registry
-        self.histogram = histogram
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        if self._registry.enabled:
-            self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._start is not None:
-            self.histogram.observe(time.perf_counter() - self._start)
-            self._start = None
-
-
 class MetricsRegistry:
     """A named collection of instruments with one enabled/disabled switch.
 
@@ -235,10 +207,6 @@ class MetricsRegistry:
         if bounds is None:
             return self._get(name, Histogram)
         return self._get(name, Histogram, bounds)
-
-    def timer(self, name: str) -> Timer:
-        """A fresh span over the histogram ``name`` (spans are not shared)."""
-        return Timer(self, self.histogram(name))
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """All instruments as a JSON-safe ``{name: {type, ...}}`` mapping."""

@@ -14,16 +14,13 @@ aggregates statistics; ``seeding`` centralises deterministic RNG spawning.
 
 from repro.sim.engine import Simulation
 from repro.sim.fast import FastRunResult, fast_fixed_probability_run
-from repro.sim.runner import TrialStats, execute_trial, high_probability_budget, run_trials
+from repro.sim.runner import TrialStats, high_probability_budget, run_trials
 from repro.sim.parallel import (
     StaticDeploymentFactory,
     UniformDiskFactory,
     default_workers,
-    get_default_workers,
     partition_trials,
     run_fast_trials,
-    run_trials_parallel,
-    set_default_workers,
 )
 from repro.sim.seeding import generator_from, spawn_generators, spawn_seed_sequences
 from repro.sim.trace import ExecutionTrace, RoundRecord
@@ -37,16 +34,12 @@ __all__ = [
     "TrialStats",
     "UniformDiskFactory",
     "default_workers",
-    "execute_trial",
     "fast_fixed_probability_run",
     "generator_from",
-    "get_default_workers",
     "high_probability_budget",
     "partition_trials",
     "run_fast_trials",
     "run_trials",
-    "run_trials_parallel",
-    "set_default_workers",
     "spawn_generators",
     "spawn_seed_sequences",
 ]

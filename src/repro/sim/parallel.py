@@ -2,14 +2,17 @@
 
 Every quantitative claim in the paper is statistical, so wall time per
 claim is dominated by how fast independent trials can be executed.
-:func:`run_trials_parallel` shards a trial batch across a
+:func:`~repro.sim.runner.run_trials` and :func:`run_fast_trials` share
+one dispatch, :func:`run_batch`. It checks ``trials`` and ``workers``,
+then runs the batch in this process or shards it across a
 ``multiprocessing`` worker pool while preserving **bit-exact
 reproducibility**: for any worker count ``k``,
 
-    ``run_trials_parallel(seed=s, workers=k)``
+    ``run_trials(seed=s, workers=k)``
 
 returns the same per-trial ``rounds`` / ``failures`` as the serial
-``run_trials(seed=s)``. The test suite pins this parity.
+``run_trials(seed=s, workers=1)``, and likewise for
+``run_fast_trials``. The test suite pins this parity.
 
 The seed-sharding contract
 --------------------------
@@ -40,9 +43,10 @@ Spawn safety
 
 Task specs are plain picklable dataclasses and the worker entry point is
 a module-level function, so every start method works — including
-``spawn``, which pickles everything. The default start method is the
-platform's (``fork`` on Linux), under which closure-based channel
-factories also work; for ``spawn``, use picklable factories such as
+``spawn``, which pickles everything. Runs use the platform's start
+method (:data:`_START_METHOD` is ``None``; ``fork`` on Linux), under
+which closure-based channel factories also work; under ``spawn`` (the
+default on macOS and Windows), use picklable factories such as
 :class:`StaticDeploymentFactory` / :class:`UniformDiskFactory` or any
 module-level callable.
 
@@ -81,11 +85,14 @@ A channel factory may declare ``deterministic = True`` (see
 :data:`DETERMINISTIC_ATTR`) to promise it ignores its ``rng`` argument
 and returns an equivalent, reusable channel every call. Both runners then
 build the channel **once per shard** instead of once per trial.
-:class:`StaticDeploymentFactory` builds that channel's gain matrix
-(``base_gains``) up front, so every trial in the shard gathers its gains
-from one read-only matrix instead of computing them from positions.
-Per-trial factories leave the matrix unbuilt: a fresh deployment's
-trial computes only the gains its rounds touch.
+:class:`StaticDeploymentFactory` also builds that channel's gain matrix
+(``base_gains``) up front. Engine trials and probed fast-path trials
+decode exactly and gather their gains from it. Unprobed fast-path trials
+screen from the channel's cached coordinates (``_screen_coords``) and
+gather from the matrix only for the exact decodes: declined blocks and
+the rare listener too close to the threshold. Per-trial factories leave
+the matrix unbuilt: a fresh deployment's trial computes only the gains
+its rounds touch.
 """
 
 from __future__ import annotations
@@ -103,12 +110,10 @@ import numpy as np
 from repro.obs.events import QueueEventSink, get_sink, set_sink
 from repro.obs.probe import ProbeBus, ProbeRecorder, get_probe_bus, set_probe_bus
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
-from repro.protocols.base import ProtocolFactory
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.runner import (
     DETERMINISTIC_ATTR,
     ChannelFactory,
-    EngineTrial,
     TrialEntry,
     TrialKernel,
     TrialRecorder,
@@ -126,11 +131,9 @@ __all__ = [
     "StaticDeploymentFactory",
     "UniformDiskFactory",
     "default_workers",
-    "get_default_workers",
-    "set_default_workers",
     "FastTrial",
     "partition_trials",
-    "run_trials_parallel",
+    "run_batch",
     "run_fast_trials",
 ]
 
@@ -138,10 +141,13 @@ __all__ = [
 #: liveness.
 _POLL_SECONDS = 0.2
 
-#: Default number of attempts a shard gets before the whole run fails
-#: (first execution + retries). See the failure model in
-#: docs/parallelism.md.
+#: Number of attempts a shard gets before the whole run fails (first
+#: execution + retries). See the failure model in docs/parallelism.md.
 DEFAULT_SHARD_ATTEMPTS = 3
+
+#: The ``multiprocessing`` start method of worker pools; ``None`` is the
+#: platform's default.
+_START_METHOD: Optional[str] = None
 
 #: Base delay before re-spawning a failed shard; doubles per retry
 #: (0.1 s, 0.2 s, 0.4 s, ...).
@@ -168,34 +174,21 @@ _REAP_GRACE_SECONDS = 5.0
 _default_worker_count = 1
 
 
-def get_default_workers() -> int:
-    """The process-wide default worker count ``run_trials`` falls back to."""
-    return _default_worker_count
-
-
-def set_default_workers(workers: int) -> int:
-    """Install a new default worker count; returns the previous one."""
-    global _default_worker_count
-    if workers < 1:
-        raise ValueError(f"workers must be positive (got {workers})")
-    previous = _default_worker_count
-    _default_worker_count = workers
-    return previous
-
-
 @contextlib.contextmanager
 def default_workers(workers: int):
-    """Scope a default worker count to a ``with`` block.
+    """Scope the worker count of runs that pass ``workers=None``.
 
     ``python -m repro.experiments <id> --workers N`` wraps the experiment
-    run in this context, so every ``run_trials`` call inside — none of
-    which knows about worker counts — dispatches to the pool.
+    run in this context, so every ``run_trials`` / ``run_fast_trials``
+    call inside — none of which knows about worker counts — dispatches to
+    the pool. :func:`run_batch` checks the count when a run takes it.
     """
-    previous = set_default_workers(workers)
+    global _default_worker_count
+    previous, _default_worker_count = _default_worker_count, workers
     try:
         yield
     finally:
-        set_default_workers(previous)
+        _default_worker_count = previous
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,6 @@ class FastTrial:
     max_rounds: int
 
     mode = "fast"
-    keep_traces = False
 
     @property
     def name(self) -> str:
@@ -376,31 +368,24 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
         results.put(("error", spec.worker_id, traceback.format_exc()))
 
 
-def _execute_sharded(
-    work,
-    trials: int,
-    seed: SeedLike,
-    workers: int,
-    start_method: Optional[str],
-    shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
-) -> TrialStats:
-    """Shard the trials of ``work`` (an :class:`EngineTrial` or a
-    :class:`FastTrial`) across worker processes.
+def _execute_sharded(work, trials: int, seed: SeedLike, workers: int) -> TrialStats:
+    """Shard the trials of ``work`` (an
+    :class:`~repro.sim.runner.EngineTrial` or a :class:`FastTrial`)
+    across worker processes.
 
     Failure model (docs/parallelism.md): a shard whose worker dies — a
     nonzero exit code, an exception shipped back as an ``error``
     message, or a clean exit that never reported ``done`` (lost queue) —
-    is re-executed in a fresh process, up to ``shard_attempts`` total
-    attempts with exponential backoff, while every other shard's
-    completed trials are kept. Seed sharding makes the retry bit-exact:
-    a re-executed shard reproduces exactly the trials the dead worker
-    owed, so retries are invisible in the results. Only when a shard
+    is re-executed in a fresh process, up to
+    :data:`DEFAULT_SHARD_ATTEMPTS` total attempts with exponential
+    backoff, while every other shard's completed trials are kept. Seed
+    sharding makes the retry bit-exact: a re-executed shard reproduces
+    exactly the trials the dead worker owed, so retries are invisible in
+    the results. Only when a shard
     exhausts its attempts does the run raise ``RuntimeError``. Any
     exception in the parent (including ``KeyboardInterrupt``) terminates
     the workers promptly instead of waiting for their shards to finish.
     """
-    if shard_attempts < 1:
-        raise ValueError(f"shard_attempts must be positive (got {shard_attempts})")
     obs = get_registry()
     recording = obs.enabled
     sink = get_sink() if recording else None
@@ -409,7 +394,7 @@ def _execute_sharded(
 
     entries = trial_entries(seed, trials)
     shards = partition_trials(trials, workers)
-    context = multiprocessing.get_context(start_method)
+    context = multiprocessing.get_context(_START_METHOD)
     results = context.Queue()
     specs = [
         _ShardSpec(
@@ -422,7 +407,7 @@ def _execute_sharded(
         for worker_id, shard in enumerate(shards)
     ]
 
-    recorder = TrialRecorder(work.name, trials, work.keep_traces, workers=len(shards))
+    recorder = TrialRecorder(work.name, trials, workers=len(shards))
     processes: Dict[int, object] = {}
     attempts: Dict[int, int] = {}
 
@@ -459,7 +444,7 @@ def _execute_sharded(
         if process.is_alive():
             process.terminate()
             process.join()
-        if attempts[worker_id] >= shard_attempts:
+        if attempts[worker_id] >= DEFAULT_SHARD_ATTEMPTS:
             raise RuntimeError(
                 f"parallel trial worker failed "
                 f"(shard {worker_id}, {attempts[worker_id]} attempt(s)):\n{reason}"
@@ -470,7 +455,7 @@ def _execute_sharded(
                 "shard_retry",
                 worker_id=worker_id,
                 attempt=attempts[worker_id] + 1,
-                max_attempts=shard_attempts,
+                max_attempts=DEFAULT_SHARD_ATTEMPTS,
                 backoff_s=delay,
                 reason=reason.strip().splitlines()[-1] if reason.strip() else reason,
             )
@@ -544,37 +529,24 @@ def _execute_sharded(
     return recorder.finish()
 
 
-def run_trials_parallel(
-    channel_factory: ChannelFactory,
-    protocol: ProtocolFactory,
-    trials: int,
-    seed: SeedLike = 0,
-    max_rounds: int = 100_000,
-    keep_traces: bool = False,
-    workers: int = 2,
-    start_method: Optional[str] = None,
-    shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
-) -> TrialStats:
-    """Shard ``trials`` across ``workers`` processes; bit-identical results.
+def run_batch(work, trials: int, seed: SeedLike, workers: Optional[int]) -> TrialStats:
+    """The one dispatch of :func:`~repro.sim.runner.run_trials` and
+    :func:`run_fast_trials`.
 
-    Drop-in parallel equivalent of :func:`repro.sim.runner.run_trials`:
-    same arguments, same :class:`~repro.sim.runner.TrialStats` (only the
-    wall-time fields reflect the parallel schedule). ``start_method``
-    picks the ``multiprocessing`` start method (``None`` = platform
-    default; ``"spawn"`` requires picklable ``channel_factory`` and
-    ``protocol`` — see the module docstring). A shard whose worker dies
-    is re-executed bit-exactly, up to ``shard_attempts`` total attempts
-    with exponential backoff, without discarding other shards' completed
-    trials (the failure model in docs/parallelism.md).
+    Checks ``trials`` and ``workers`` (``None`` takes the count scoped
+    by :func:`default_workers`), then runs the trials of ``work`` (an
+    :class:`~repro.sim.runner.EngineTrial` or a :class:`FastTrial`) in
+    this process when ``workers`` is 1 or there is one trial, and shards
+    them across ``workers`` processes otherwise.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive (got {trials})")
-    if workers < 1:
-        raise ValueError(f"workers must be positive (got {workers})")
-    work = EngineTrial(channel_factory, protocol, max_rounds, keep_traces)
+    if workers is None:
+        workers = _default_worker_count
+    for name, value in (("trials", trials), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive (got {value})")
     if workers == 1 or trials == 1:
         return run_serial(work, trials, seed)
-    return _execute_sharded(work, trials, seed, workers, start_method, shard_attempts)
+    return _execute_sharded(work, trials, seed, workers)
 
 
 def run_fast_trials(
@@ -584,33 +556,21 @@ def run_fast_trials(
     seed: SeedLike = 0,
     max_rounds: int = 100_000,
     workers: Optional[int] = None,
-    start_method: Optional[str] = None,
-    shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
 ) -> TrialStats:
     """Repeat :func:`~repro.sim.fast.fast_fixed_probability_run` over trials.
 
     The fast-path sibling of :func:`~repro.sim.runner.run_trials`: the
-    same seed tree (:func:`~repro.sim.runner.trial_entries`), the same
-    trial loop and the same :class:`~repro.sim.runner.TrialRecorder`, so
-    the same ``runner.*`` telemetry, heartbeats and
+    same dispatch (:func:`run_batch`), seed tree
+    (:func:`~repro.sim.runner.trial_entries`), trial loop and
+    :class:`~repro.sim.runner.TrialRecorder`, so the same ``workers``
+    semantics, ``runner.*`` telemetry, heartbeats and
     :class:`~repro.sim.runner.TrialStats` — but each trial is one
     vectorised execution of the paper's algorithm instead of a
     generic-engine run. Large-``n`` scaling studies (E1/E17, the parallel
-    benchmarks) live here.
-
-    ``workers > 1`` shards trials exactly like ``run_trials_parallel``;
-    with a :data:`deterministic <DETERMINISTIC_ATTR>` factory the channel
-    is built once per shard and shared read-only.
+    benchmarks) live here. With a :data:`deterministic
+    <DETERMINISTIC_ATTR>` factory the channel is built once per shard and
+    shared read-only.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
-    if trials < 1:
-        raise ValueError(f"trials must be positive (got {trials})")
-    if workers is None:
-        workers = get_default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be positive (got {workers})")
-    work = FastTrial(channel_factory, p, max_rounds)
-    if workers > 1 and trials > 1:
-        return _execute_sharded(work, trials, seed, workers, start_method, shard_attempts)
-    return run_serial(work, trials, seed)
+    return run_batch(FastTrial(channel_factory, p, max_rounds), trials, seed, workers)

@@ -8,15 +8,16 @@ algorithm, when only round counts are wanted, runs through its fast-path
 sibling :func:`repro.sim.parallel.run_fast_trials` (docs/simulation.md
 lists which experiment takes which).
 
-Every trial, serial or sharded, engine or fast path, runs through one
-loop (:func:`run_entries`) that calls a per-trial kernel and reports to
-one :class:`TrialRecorder`; :mod:`repro.sim.parallel` runs the same loop
-in its workers and the same recorder in the parent.
+Both runners take the same dispatch
+(:func:`repro.sim.parallel.run_batch`), and every trial, serial or
+sharded, engine or fast path, runs through one loop (:func:`run_entries`)
+that calls a per-trial kernel and reports to one :class:`TrialRecorder`;
+:mod:`repro.sim.parallel` runs the same loop in its workers and the same
+recorder in the parent.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -30,14 +31,12 @@ from repro.obs.registry import get_registry
 from repro.protocols.base import ProtocolFactory
 from repro.sim.engine import Simulation
 from repro.sim.seeding import SeedLike, spawn_seed_sequences
-from repro.sim.trace import ExecutionTrace
 
 __all__ = [
     "DETERMINISTIC_ATTR",
     "EngineTrial",
     "TrialRecorder",
     "TrialStats",
-    "execute_trial",
     "run_entries",
     "run_trials",
     "trial_entries",
@@ -64,7 +63,8 @@ _HEARTBEAT_SECONDS = 1.0
 TrialEntry = Tuple[int, np.random.SeedSequence, np.random.SeedSequence]
 
 #: Runs one trial from its deployment and protocol generators; returns an
-#: :class:`ExecutionTrace` or a :class:`~repro.sim.fast.FastRunResult`.
+#: :class:`~repro.sim.trace.ExecutionTrace` or a
+#: :class:`~repro.sim.fast.FastRunResult`.
 TrialKernel = Callable[[np.random.Generator, np.random.Generator], object]
 
 
@@ -82,7 +82,6 @@ class TrialStats:
     trials: int
     rounds: List[int]
     failures: int
-    traces: Optional[List[ExecutionTrace]] = None
     #: Wall-clock seconds spent executing all trials (simulation only —
     #: channel construction inside the factory is included deliberately,
     #: since stochastic deployments resample per trial).
@@ -129,48 +128,6 @@ class TrialStats:
             return float("nan")
         return self.total_rounds_executed / self.total_wall_time
 
-    def summary(self) -> str:
-        """One printable line — the row format the benchmark tables use."""
-        if not self.rounds:
-            return f"{self.protocol_name:<28} FAILED all {self.trials} trials"
-        return (
-            f"{self.protocol_name:<28} trials={self.trials:<4d} "
-            f"mean={self.mean_rounds:8.1f} median={self.median_rounds:8.1f} "
-            f"p95={self.percentile(95):8.1f} max={self.max_rounds:8.0f} "
-            f"solve_rate={self.solve_rate:.3f}"
-        )
-
-
-def execute_trial(
-    channel_factory: ChannelFactory,
-    protocol: ProtocolFactory,
-    deploy_rng: np.random.Generator,
-    protocol_rng: np.random.Generator,
-    max_rounds: int,
-    keep_trace: bool,
-    channel: Optional[object] = None,
-) -> ExecutionTrace:
-    """Execute exactly one generic-engine trial.
-
-    This is the engine's per-trial kernel (:meth:`EngineTrial.kernel`),
-    which serial runs and :mod:`repro.sim.parallel` workers both call, so
-    parity between serial and sharded execution holds by construction,
-    not by coincidence. ``channel`` short-circuits the factory for
-    deterministic deployments whose channel is safely reusable across
-    trials (see :data:`DETERMINISTIC_ATTR`).
-    """
-    if channel is None:
-        channel = channel_factory(deploy_rng)
-    simulation = Simulation(
-        channel,
-        protocol,
-        rng=protocol_rng,
-        max_rounds=max_rounds,
-        keep_records=keep_trace,
-        protocol_name=protocol.name,
-    )
-    return simulation.run()
-
 
 def shared_channel(channel_factory: ChannelFactory) -> Optional[object]:
     """The one channel a :data:`deterministic <DETERMINISTIC_ATTR>` factory
@@ -187,7 +144,6 @@ class EngineTrial:
     channel_factory: ChannelFactory
     protocol: ProtocolFactory
     max_rounds: int
-    keep_traces: bool = False
 
     mode = "engine"
 
@@ -196,15 +152,25 @@ class EngineTrial:
         return self.protocol.name
 
     def kernel(self) -> TrialKernel:
-        """:func:`execute_trial`, on the shared channel if there is one."""
-        return functools.partial(
-            execute_trial,
-            self.channel_factory,
-            self.protocol,
-            max_rounds=self.max_rounds,
-            keep_trace=self.keep_traces,
-            channel=shared_channel(self.channel_factory),
-        )
+        """One :class:`~repro.sim.engine.Simulation` run per trial, on the
+        shared channel if there is one. Serial runs and
+        :mod:`repro.sim.parallel` workers both call it, so serial and
+        sharded trials agree by construction."""
+        channel = shared_channel(self.channel_factory)
+
+        def kernel(deploy_rng, protocol_rng):
+            trial_channel = channel if channel is not None else self.channel_factory(deploy_rng)
+            simulation = Simulation(
+                trial_channel,
+                self.protocol,
+                rng=protocol_rng,
+                max_rounds=self.max_rounds,
+                keep_records=False,
+                protocol_name=self.protocol.name,
+            )
+            return simulation.run()
+
+        return kernel
 
 
 def trial_entries(seed: SeedLike, trials: int) -> List[TrialEntry]:
@@ -253,12 +219,9 @@ class TrialRecorder:
     ``total_wall_time``.
     """
 
-    def __init__(
-        self, protocol_name: str, trials: int, keep_traces: bool = False, workers: int = 1
-    ) -> None:
+    def __init__(self, protocol_name: str, trials: int, workers: int = 1) -> None:
         self.protocol_name = protocol_name
         self.trials = trials
-        self.keep_traces = keep_traces
         self.workers = workers
         self._outcomes: Dict[int, object] = {}
         self._solved = 0
@@ -310,7 +273,6 @@ class TrialRecorder:
             trials=self.trials,
             rounds=[outcome.rounds_to_solve for outcome in ordered if outcome.solved],
             failures=self.trials - self._solved,
-            traces=ordered if self.keep_traces else None,
             total_wall_time=total_wall_time,
             total_rounds_executed=sum(outcome.rounds_executed for outcome in ordered),
         )
@@ -321,7 +283,7 @@ def run_serial(work, trials: int, seed: SeedLike) -> TrialStats:
     :class:`~repro.sim.parallel.FastTrial` in this process."""
     kernel = work.kernel()
     probe_bus = get_probe_bus()
-    recorder = TrialRecorder(work.name, trials, work.keep_traces)
+    recorder = TrialRecorder(work.name, trials)
     run_entries(
         trial_entries(seed, trials),
         kernel,
@@ -337,7 +299,6 @@ def run_trials(
     trials: int,
     seed: SeedLike = 0,
     max_rounds: int = 100_000,
-    keep_traces: bool = False,
     workers: Optional[int] = None,
 ) -> TrialStats:
     """Run ``trials`` independent executions and summarise them.
@@ -347,13 +308,13 @@ def run_trials(
     the protocol's coin flips — so deployment randomness and protocol
     randomness can be varied independently in ablations.
 
-    ``workers`` shards the trials across a process pool
-    (:func:`repro.sim.parallel.run_trials_parallel`) while preserving
-    bit-exact per-trial results: the seed tree is partitioned so that any
-    worker count returns the same ``rounds`` / ``failures`` as serial
-    execution. ``None`` consults the process default installed by
-    :func:`repro.sim.parallel.default_workers` (the ``--workers`` CLI
-    flag); ``1`` is the plain serial loop.
+    ``workers`` is the number of processes the trials run in
+    (:func:`repro.sim.parallel.run_batch`, which
+    :func:`~repro.sim.parallel.run_fast_trials` shares): ``1`` is the
+    plain serial loop, and any larger count returns the same ``rounds`` /
+    ``failures`` as serial execution. ``None`` takes the default scoped
+    by :func:`repro.sim.parallel.default_workers` (the ``--workers`` CLI
+    flag), which is 1 outside it.
 
     Every trial is individually timed; the resulting
     :attr:`TrialStats.total_wall_time` and
@@ -362,26 +323,9 @@ def run_trials(
     runner additionally feeds ``runner.*`` counters and emits a ~1 Hz
     progress heartbeat to the global event sink (:class:`TrialRecorder`).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive (got {trials})")
-    if workers is None:
-        from repro.sim.parallel import get_default_workers
+    from repro.sim.parallel import run_batch  # parallel imports this module
 
-        workers = get_default_workers()
-    if workers > 1 and trials > 1:
-        from repro.sim.parallel import run_trials_parallel
-
-        return run_trials_parallel(
-            channel_factory,
-            protocol,
-            trials,
-            seed=seed,
-            max_rounds=max_rounds,
-            keep_traces=keep_traces,
-            workers=workers,
-        )
-    work = EngineTrial(channel_factory, protocol, max_rounds, keep_traces)
-    return run_serial(work, trials, seed)
+    return run_batch(EngineTrial(channel_factory, protocol, max_rounds), trials, seed, workers)
 
 
 def high_probability_budget(n: int, slack: float = 50.0) -> int:

@@ -1,7 +1,6 @@
 """Unit tests for the metrics registry: instrument semantics + disabled mode."""
 
 import math
-import time
 
 import pytest
 
@@ -77,22 +76,6 @@ class TestHistogram:
     def test_default_bounds_are_log_spaced(self):
         histogram = Histogram("h")
         assert histogram.bounds == log_spaced_buckets()
-
-
-class TestTimer:
-    def test_observes_elapsed_when_enabled(self):
-        registry = MetricsRegistry(enabled=True)
-        with registry.timer("span.seconds"):
-            time.sleep(0.002)
-        histogram = registry.histogram("span.seconds")
-        assert histogram.count == 1
-        assert histogram.sum >= 0.002
-
-    def test_noop_when_disabled(self):
-        registry = MetricsRegistry(enabled=False)
-        with registry.timer("span.seconds"):
-            pass
-        assert registry.histogram("span.seconds").count == 0
 
 
 class TestMetricsRegistry:

@@ -21,19 +21,17 @@ from repro.obs.events import JsonlEventSink, read_events, set_sink
 from repro.obs.probe import ProbeBus, ProbeRecorder, set_probe_bus
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.protocols.simple import FixedProbabilityProtocol
+import repro.sim.parallel as parallel_module
 from repro.sim.parallel import (
     DEFAULT_SHARD_ATTEMPTS,
     StaticDeploymentFactory,
     UniformDiskFactory,
     default_workers,
-    get_default_workers,
     partition_trials,
     run_fast_trials,
-    run_trials_parallel,
-    set_default_workers,
 )
 from repro.deploy.topologies import uniform_disk
-from repro.sim.runner import run_trials
+from repro.sim.runner import run_serial, run_trials
 from repro.sim.seeding import generator_from
 
 N = 32
@@ -54,6 +52,22 @@ def _protocol():
     return FixedProbabilityProtocol(p=0.1)
 
 
+def _spy_sharded(monkeypatch):
+    """Record ``(mode, workers)`` of every batch the dispatch shards.
+
+    The batch still runs, serially (results equal by the seed-sharding
+    contract); the returned list grows by one entry per sharded batch.
+    """
+    sharded = []
+
+    def spy(work, trials, seed, workers):
+        sharded.append((work.mode, workers))
+        return run_serial(work, trials, seed)
+
+    monkeypatch.setattr(parallel_module, "_execute_sharded", spy)
+    return sharded
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("kind", sorted(FACTORIES))
@@ -62,7 +76,7 @@ class TestEngineParity:
         serial = run_trials(
             factory, _protocol(), trials=TRIALS, seed=SEED, max_rounds=MAX_ROUNDS
         )
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             factory,
             _protocol(),
             trials=TRIALS,
@@ -76,69 +90,43 @@ class TestEngineParity:
         assert parallel.trials == serial.trials
         assert parallel.protocol_name == serial.protocol_name
 
-    def test_workers_kwarg_on_run_trials_dispatches(self):
+    def test_workers_kwarg_on_run_trials_dispatches(self, monkeypatch):
+        # Parity alone cannot tell a sharded run from a serial one: both
+        # runners must really hand workers > 1 to the sharded executor.
+        sharded = _spy_sharded(monkeypatch)
         factory = FACTORIES["stochastic"]
-        serial = run_trials(
-            factory, _protocol(), trials=TRIALS, seed=SEED, max_rounds=MAX_ROUNDS
+        run_trials(
+            factory, _protocol(), trials=TRIALS, seed=SEED, max_rounds=MAX_ROUNDS, workers=2
         )
-        parallel = run_trials(
-            factory,
-            _protocol(),
-            trials=TRIALS,
-            seed=SEED,
-            max_rounds=MAX_ROUNDS,
-            workers=2,
+        run_fast_trials(
+            factory, 0.1, trials=TRIALS, seed=SEED, max_rounds=MAX_ROUNDS, workers=3
         )
-        assert parallel.rounds == serial.rounds
+        assert sharded == [("engine", 2), ("fast", 3)]
 
-    def test_spawn_start_method_with_picklable_spec(self):
+    def test_spawn_start_method_with_picklable_spec(self, monkeypatch):
         # The spec must survive full pickling — this is the spawn-safety
         # contract; 4 trials keep the two fresh interpreters cheap.
+        monkeypatch.setattr(parallel_module, "_START_METHOD", "spawn")
         factory = FACTORIES["deterministic"]
         serial = run_trials(
             factory, _protocol(), trials=4, seed=SEED, max_rounds=MAX_ROUNDS
         )
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             factory,
             _protocol(),
             trials=4,
             seed=SEED,
             max_rounds=MAX_ROUNDS,
             workers=2,
-            start_method="spawn",
         )
         assert parallel.rounds == serial.rounds
-
-    def test_keep_traces_returned_in_trial_order(self):
-        factory = FACTORIES["stochastic"]
-        serial = run_trials(
-            factory,
-            _protocol(),
-            trials=6,
-            seed=SEED,
-            max_rounds=MAX_ROUNDS,
-            keep_traces=True,
-        )
-        parallel = run_trials_parallel(
-            factory,
-            _protocol(),
-            trials=6,
-            seed=SEED,
-            max_rounds=MAX_ROUNDS,
-            keep_traces=True,
-            workers=3,
-        )
-        assert len(parallel.traces) == 6
-        assert [t.rounds_to_solve for t in parallel.traces] == [
-            t.rounds_to_solve for t in serial.traces
-        ]
 
     def test_more_workers_than_trials(self):
         factory = FACTORIES["stochastic"]
         serial = run_trials(
             factory, _protocol(), trials=3, seed=SEED, max_rounds=MAX_ROUNDS
         )
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             factory,
             _protocol(),
             trials=3,
@@ -153,7 +141,7 @@ class TestEngineParity:
             raise RuntimeError("boom in worker")
 
         with pytest.raises(RuntimeError, match="parallel trial worker failed"):
-            run_trials_parallel(
+            run_trials(
                 exploding_factory,
                 _protocol(),
                 trials=4,
@@ -162,10 +150,21 @@ class TestEngineParity:
             )
 
     def test_workers_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_trials_parallel(
-                FACTORIES["stochastic"], _protocol(), trials=2, workers=0
-            )
+        # Both runners reject a non-positive worker count or trial count
+        # through their shared dispatch, instead of running serially.
+        factory = FACTORIES["stochastic"]
+        runners = {
+            "engine": lambda **kwargs: run_trials(factory, _protocol(), **kwargs),
+            "fast": lambda **kwargs: run_fast_trials(factory, 0.1, **kwargs),
+        }
+        for name, runner in runners.items():
+            for workers in (0, -3):
+                message = rf"workers must be positive \(got {workers}\)"
+                with pytest.raises(ValueError, match=message):
+                    runner(trials=2, seed=0, workers=workers)
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=r"trials must be positive \(got 0\)"):
+                    runner(trials=0, seed=0, workers=workers)
 
 
 class TestFastParity:
@@ -418,44 +417,50 @@ class TestPartition:
 
 
 class TestDefaultWorkers:
-    def test_default_is_serial(self):
-        assert get_default_workers() == 1
+    """``default_workers`` scopes the count runs with ``workers=None`` take."""
 
-    def test_context_scopes_and_restores(self):
+    @staticmethod
+    def _dispatched(monkeypatch):
+        """The worker count a two-trial ``run_trials`` with no ``workers``
+        shards across, or 1 when it runs serially."""
+        sharded = _spy_sharded(monkeypatch)
+        run_trials(FACTORIES["stochastic"], _protocol(), trials=2, seed=0, max_rounds=64)
+        return sharded[-1][1] if sharded else 1
+
+    def test_default_is_serial(self, monkeypatch):
+        assert self._dispatched(monkeypatch) == 1
+
+    def test_context_scopes_and_restores(self, monkeypatch):
         with default_workers(3):
-            assert get_default_workers() == 3
+            assert self._dispatched(monkeypatch) == 3
             with default_workers(2):
-                assert get_default_workers() == 2
-            assert get_default_workers() == 3
-        assert get_default_workers() == 1
+                assert self._dispatched(monkeypatch) == 2
+            assert self._dispatched(monkeypatch) == 3
+        assert self._dispatched(monkeypatch) == 1
 
-    def test_restores_on_exception(self):
+    def test_restores_on_exception(self, monkeypatch):
         with pytest.raises(RuntimeError):
             with default_workers(5):
                 raise RuntimeError("x")
-        assert get_default_workers() == 1
+        assert self._dispatched(monkeypatch) == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            set_default_workers(0)
+        # The scoped default is checked where a run takes it, by the same
+        # dispatch that checks an explicit count.
+        with default_workers(0):
+            with pytest.raises(ValueError, match=r"workers must be positive \(got 0\)"):
+                run_trials(FACTORIES["stochastic"], _protocol(), trials=2, seed=0)
+            with pytest.raises(ValueError, match=r"workers must be positive \(got 0\)"):
+                run_fast_trials(FACTORIES["stochastic"], 0.1, trials=2, seed=0)
 
     def test_run_trials_consults_default(self, monkeypatch):
-        calls = {}
-
-        def fake_parallel(*args, **kwargs):
-            calls["workers"] = kwargs.get("workers")
-            from repro.sim.runner import TrialStats
-
-            return TrialStats(protocol_name="x", trials=2, rounds=[1, 1], failures=0)
-
-        import repro.sim.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "run_trials_parallel", fake_parallel)
+        sharded = _spy_sharded(monkeypatch)
         with default_workers(2):
             run_trials(
                 FACTORIES["stochastic"], _protocol(), trials=2, seed=0, max_rounds=64
             )
-        assert calls["workers"] == 2
+            run_fast_trials(FACTORIES["stochastic"], 0.1, trials=2, seed=0, max_rounds=64)
+        assert sharded == [("engine", 2), ("fast", 2)]
 
 
 #: Per-process count of successful CrashingFactory constructions; worker
@@ -570,7 +575,7 @@ class TestShardRetry:
     def test_crashed_shard_retries_bit_exactly(self, tmp_path, crash_mode):
         factory = self._factory(tmp_path, crash_after=0, crash_mode=crash_mode)
         serial = self._serial_reference(4)
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             factory,
             _protocol(),
             trials=4,
@@ -591,7 +596,7 @@ class TestShardRetry:
         # declared lost (after ~1s of queue silence) and re-executed.
         factory = self._factory(tmp_path, crash_after=0, crash_mode="silent")
         serial = self._serial_reference(4)
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             factory,
             _protocol(),
             trials=4,
@@ -612,7 +617,7 @@ class TestShardRetry:
         previous_registry = set_registry(registry)
         previous_sink = set_sink(sink)
         try:
-            parallel = run_trials_parallel(
+            parallel = run_trials(
                 factory,
                 _protocol(),
                 trials=4,
@@ -639,28 +644,18 @@ class TestShardRetry:
         # trials + the one construction the dead attempt completed.
         assert len(self._log_lines(factory)) == 5
 
-    def test_retries_exhausted_raises(self):
+    def test_retries_exhausted_raises(self, monkeypatch):
         def exploding_factory(rng):
             raise RuntimeError("boom in worker")
 
+        monkeypatch.setattr(parallel_module, "DEFAULT_SHARD_ATTEMPTS", 2)
         with pytest.raises(RuntimeError, match=r"2 attempt\(s\)"):
-            run_trials_parallel(
+            run_trials(
                 exploding_factory,
                 _protocol(),
                 trials=4,
                 seed=SEED,
                 workers=2,
-                shard_attempts=2,
-            )
-
-    def test_shard_attempts_validation(self):
-        with pytest.raises(ValueError, match="shard_attempts"):
-            run_trials_parallel(
-                FACTORIES["stochastic"],
-                _protocol(),
-                trials=2,
-                workers=2,
-                shard_attempts=0,
             )
 
 
@@ -675,8 +670,6 @@ class TestParentInterrupt:
             time.sleep(60)
             raise AssertionError("factory should have been terminated")
 
-        import repro.sim.parallel as parallel_module
-
         real_get_context = multiprocessing.get_context
         monkeypatch.setattr(
             parallel_module.multiprocessing,
@@ -687,7 +680,7 @@ class TestParentInterrupt:
         )
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            run_trials_parallel(
+            run_trials(
                 slow_factory,
                 _protocol(),
                 trials=4,
