@@ -2,14 +2,15 @@
 
 Each module implements one row of the DESIGN.md experiment index: it owns a
 config dataclass (with a ``quick()`` preset sized for CI and a ``full()``
-preset for real measurement), a pure ``run(config) -> ExperimentResult``
-function, and a ``main()`` entry point. The benchmark harness under
-``benchmarks/`` is a thin wrapper that runs these and prints their tables.
+preset for real measurement) and a pure ``run(config) -> ExperimentResult``
+function.
 
-Run any experiment from the command line::
+Run experiments from the command line, the one entry point; it prints
+each table and exits 1 when any check fails::
 
     python -m repro.experiments E1          # quick preset
     python -m repro.experiments E3 --full   # full preset
+    python -m repro.experiments all         # every quick preset
 
 The registry maps experiment ids to modules.
 """

@@ -55,8 +55,8 @@ def format_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Render rows as a fixed-width text table.
 
     Column widths adapt to content; floats are shown with 4 significant
-    digits. This is deliberately plain text — the benchmark harness pipes
-    it straight to the terminal and into ``bench_output.txt``.
+    digits. This is deliberately plain text — ``python -m
+    repro.experiments`` prints it straight to the terminal.
     """
     def render(cell) -> str:
         if isinstance(cell, np.generic):

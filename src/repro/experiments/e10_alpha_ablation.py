@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.sim.parallel import run_fast_trials
+from repro.sim.parallel import UniformDiskFactory, run_fast_trials
 from repro.sim.runner import high_probability_budget
-from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "path-loss exponent ablation (spatial reuse vanishes as alpha -> 2)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -55,11 +53,8 @@ def run(config: Config) -> ExperimentResult:
     budget = 200 * high_probability_budget(config.n)
     means: List[float] = []
     for index, alpha in enumerate(config.alphas):
-        params = SINRParameters(alpha=alpha)
         stats = run_fast_trials(
-            lambda rng, params=params: SINRChannel(
-                uniform_disk(config.n, rng), params=params
-            ),
+            UniformDiskFactory(config.n, SINRParameters(alpha=alpha)),
             config.p,
             config.trials,
             seed=(config.seed, index),
@@ -84,14 +79,3 @@ def run(config: Config) -> ExperimentResult:
         + ", ".join(f"{a:g}: {m:.1f}" for a, m in zip(config.alphas, means))
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -36,7 +36,7 @@ from repro.sim.runner import high_probability_budget, run_trials
 
 TITLE = "radio-model anchors: decay's whp tail is log^2, CD tournament's is log"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -144,14 +144,3 @@ def run(config: Config) -> ExperimentResult:
         "the paper's Theta(log^2 n) lives in the whp tail measured above"
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

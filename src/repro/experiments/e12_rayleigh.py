@@ -35,7 +35,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "robustness: Rayleigh fading vs deterministic path loss"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -101,14 +101,3 @@ def run(config: Config) -> ExperimentResult:
     fits = fit_models(config.sizes, curves["rayleigh"], laws=("log", "log2"))
     result.notes.append(f"rayleigh fit {fits['log']}")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

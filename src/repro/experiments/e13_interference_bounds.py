@@ -45,7 +45,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "interference bounds on S_i (Claims 1-2, Lemma 4)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -183,14 +183,3 @@ def run(config: Config) -> ExperimentResult:
     if tested == 0:
         result.notes.append("no class produced |S_i| >= 2 — widen workloads")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -36,7 +36,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "carrier-sense tournament on the SINR channel (extension, [22])"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -165,14 +165,3 @@ def run(config: Config) -> ExperimentResult:
         + ", ".join(f"{m:.1f}" for m in chain_means)
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

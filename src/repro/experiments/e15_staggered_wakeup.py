@@ -52,7 +52,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "staggered wake-up: local clocks, windowed activation ([7])"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -164,14 +164,3 @@ def run(config: Config) -> ExperimentResult:
         + ", ".join(f"{o:.1f}" for o in simple_overheads)
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

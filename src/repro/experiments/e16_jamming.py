@@ -35,7 +35,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "graceful degradation under a central jammer (external interference)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -142,14 +142,3 @@ def run(config: Config) -> ExperimentResult:
         + ", ".join(f"{f:g}x: {continuous[f]:.1f}" for f in factors)
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -41,7 +41,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "the log n law at scale (vectorised fast path, n to 4096)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -130,14 +130,3 @@ def run(config: Config) -> ExperimentResult:
     fits = fit_models(config.sizes, means, laws=("log", "log2"))
     result.notes.append(f"fits: {fits['log']} | {fits['log2']}")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

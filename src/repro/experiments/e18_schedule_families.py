@@ -29,19 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.sawtooth import SawtoothBackoffProtocol
 from repro.radio.channel import RadioChannel
-from repro.sim.parallel import run_fast_trials
+from repro.sim.parallel import UniformDiskFactory, run_fast_trials
 from repro.sim.runner import run_trials
-from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "oblivious schedules: sawtooth vs decay vs the paper's algorithm"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -86,7 +84,7 @@ def run(config: Config) -> ExperimentResult:
             lineup.append((label, protocol.knows_network_size, "radio", stats))
         # The paper's algorithm, which needs no bound on n, takes the fast path.
         stats = run_fast_trials(
-            lambda rng, n=n: SINRChannel(uniform_disk(n, rng), params=params),
+            UniformDiskFactory(n, params),
             config.p,
             config.trials,
             seed=(config.seed, n, 2),
@@ -135,14 +133,3 @@ def run(config: Config) -> ExperimentResult:
         f"simple {curves['simple'][-1]:.1f}"
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -36,16 +36,14 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.analysis.fits import fit_models
-from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.sim.parallel import run_fast_trials
+from repro.sim.parallel import UniformDiskFactory, run_fast_trials
 from repro.sim.runner import high_probability_budget
-from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "rounds vs n for the paper's algorithm (uniform disk, fixed density)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -87,9 +85,7 @@ def run(config: Config) -> ExperimentResult:
     p95s: List[float] = []
     for n in config.sizes:
         stats = run_fast_trials(
-            channel_factory=lambda rng, n=n: SINRChannel(
-                uniform_disk(n, rng), params=params
-            ),
+            channel_factory=UniformDiskFactory(n, params),
             p=config.p,
             trials=config.trials,
             seed=(config.seed, n),
@@ -130,14 +126,3 @@ def run(config: Config) -> ExperimentResult:
         result.notes.append(f"{label} fit {fits['log']}")
         result.notes.append(f"{label} fit {fits['log2']}")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

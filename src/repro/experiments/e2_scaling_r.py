@@ -41,7 +41,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "rounds vs log R at fixed n (exponential-chain deployments)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -151,14 +151,3 @@ def run(config: Config) -> ExperimentResult:
         "(spatial reuse), beating the bound's log R term"
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
 from repro.protocols.aloha import SlottedAlohaProtocol
 from repro.protocols.backoff import BinaryExponentialBackoffProtocol
@@ -36,13 +35,13 @@ from repro.protocols.decay import DecayProtocol
 from repro.protocols.js16 import JurdzinskiStachowiakProtocol
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.radio.channel import RadioChannel
+from repro.sim.parallel import UniformDiskFactory
 from repro.sim.runner import high_probability_budget, run_trials
-from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "protocol comparison across n (fading vs radio baselines)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -90,8 +89,7 @@ def run(config: Config) -> ExperimentResult:
     for n in config.sizes:
         budget = 40 * high_probability_budget(n)
 
-        def sinr_factory(rng, n=n):
-            return SINRChannel(uniform_disk(n, rng), params=params)
+        sinr_factory = UniformDiskFactory(n, params)
 
         def radio_factory(rng, n=n):
             return RadioChannel(n)
@@ -148,14 +146,3 @@ def run(config: Config) -> ExperimentResult:
         f"simple vs js16 at n={largest}: {simple[largest]:.1f} vs {js16[largest]:.1f} rounds"
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

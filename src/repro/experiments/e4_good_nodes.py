@@ -32,7 +32,7 @@ from repro.sinr.geometry import pairwise_distances
 
 TITLE = "good-node fraction in classes with light smaller classes (Lemma 6)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -115,14 +115,3 @@ def run(config: Config) -> ExperimentResult:
     if not tested_any:
         result.notes.append("no class satisfied the hypothesis — broaden workloads")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -35,7 +35,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "single-round knockout fraction of the dominant link class (Cor. 7)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 #: A round "fails" when it knocks out less than this fraction of the class.
 FAILURE_FRACTION = 0.05
@@ -118,14 +118,3 @@ def run(config: Config) -> ExperimentResult:
         + ", ".join(f"n={n}: {f:.2f}" for n, f in zip(config.sizes, mean_fracs))
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -38,7 +38,7 @@ from repro.sinr.parameters import SINRParameters
 
 TITLE = "link-class trajectories vs the q_t schedule (Section 3.3)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -146,14 +146,3 @@ def run(config: Config) -> ExperimentResult:
         f"(budget {config.rounds_per_step_budget})"
     )
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -39,7 +39,7 @@ from repro.sim.seeding import spawn_generators
 
 TITLE = "restricted k-hitting game: Theta(log k) from both sides (Lemma 13)"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -167,14 +167,3 @@ def run(config: Config) -> ExperimentResult:
     )
     result.notes.append(f"singleton mean fit {fits_single['linear']}")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -34,7 +34,7 @@ from repro.sim.seeding import spawn_generators
 
 TITLE = "two-player CR failure decay and the Lemma 14 reduction"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -125,14 +125,3 @@ def run(config: Config) -> ExperimentResult:
             )
     result.checks["reduction_respects_log_k_floor"] = floor_ok
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.sim.parallel import run_fast_trials
+from repro.sim.parallel import UniformDiskFactory, run_fast_trials
 from repro.sim.runner import high_probability_budget
-from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "broadcast probability ablation for the paper's algorithm"
 
-__all__ = ["Config", "run", "main", "TITLE"]
+__all__ = ["Config", "run", "TITLE"]
 
 
 @dataclass
@@ -67,7 +65,7 @@ def run(config: Config) -> ExperimentResult:
     budget = 100 * high_probability_budget(config.n)
     for index, p in enumerate(config.probabilities):
         stats = run_fast_trials(
-            lambda rng: SINRChannel(uniform_disk(config.n, rng), params=params),
+            UniformDiskFactory(config.n, params),
             p,
             config.trials,
             seed=(config.seed, index),
@@ -96,14 +94,3 @@ def run(config: Config) -> ExperimentResult:
     best_p = min(means, key=means.get)
     result.notes.append(f"best p in sweep: {best_p:g} ({means[best_p]:.1f} rounds)")
     return result
-
-
-def main(full: bool = False) -> ExperimentResult:
-    config = Config.full() if full else Config.quick()
-    result = run(config)
-    print(result.format())
-    return result
-
-
-if __name__ == "__main__":
-    main()

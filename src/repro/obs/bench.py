@@ -1,9 +1,9 @@
 """Machine-readable core benchmarks: the source of ``BENCH_core.json``.
 
-``pytest benchmarks/ --benchmark-only`` is great interactively but its
-output is not a stable artefact. This harness times the library's hot
-paths directly and writes one JSON record per run, so the repo carries a
-perf trajectory that ``tools/bench_diff.py`` can regress against::
+This harness times the library's hot paths and the quick presets of a
+few experiments end to end, and writes one JSON record per run, so the
+repo carries a perf trajectory that ``tools/bench_diff.py`` can regress
+against::
 
     PYTHONPATH=src python -m repro.obs.bench --output BENCH_core.json
 
@@ -51,6 +51,7 @@ __all__ = [
     "BENCH_FORMAT",
     "BENCH_VERSION",
     "core_benchmarks",
+    "experiment_benchmarks",
     "run_benchmarks",
     "write_bench_record",
     "load_bench_record",
@@ -85,7 +86,7 @@ def core_benchmarks(
     parallel_trials: int = 32,
     large_n: int = 16384,
 ) -> List[Tuple[str, BenchFn]]:
-    """The named hot-path benchmarks, mirroring bench_core_microbenchmarks.
+    """The named hot-path benchmarks.
 
     ``n`` sizes the generic-engine workloads; ``fast_n`` sizes the
     vectorised fast-path execution (kept larger because that is the
@@ -293,6 +294,23 @@ def core_benchmarks(
     ]
 
 
+def experiment_benchmarks() -> List[Tuple[str, BenchFn]]:
+    """``e2e_<id>_quick``: the quick presets of E1, E3, E11 and E17, end to end.
+
+    Each entry runs the experiment's ``run`` on its quick preset in this
+    process and records whether its checks passed.
+    """
+    from repro.experiments import REGISTRY
+
+    def quick(module) -> BenchFn:
+        return lambda: {"passed": module.run(module.Config.quick()).passed}
+
+    return [
+        (f"e2e_{experiment_id}_quick", quick(REGISTRY[experiment_id]))
+        for experiment_id in ("E1", "E3", "E11", "E17")
+    ]
+
+
 def run_benchmarks(
     benchmarks: List[Tuple[str, BenchFn]], repeats: int = 5
 ) -> Dict[str, Dict[str, object]]:
@@ -369,7 +387,8 @@ def load_bench_record(path: PathLike) -> Dict[str, object]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.bench",
-        description="Time the core hot paths and write a BENCH_core.json record.",
+        description="Time the core hot paths and the e2e_<id>_quick experiment "
+        "runs, and write a BENCH_core.json record.",
     )
     parser.add_argument(
         "--output", "-o", default="BENCH_core.json", help="output JSON path"
@@ -396,7 +415,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             n=args.n,
             fast_n=args.fast_n,
             parallel_trials=args.parallel_trials,
-        ),
+        )
+        + experiment_benchmarks(),
         repeats=args.repeats,
     )
     write_bench_record(results, args.output)

@@ -233,9 +233,8 @@ class StaticDeploymentFactory:
 class UniformDiskFactory:
     """Channel factory resampling a uniform-disk deployment per trial.
 
-    The picklable equivalent of the ``lambda rng: SINRChannel(
-    uniform_disk(n, rng), ...)`` closures the experiments use — needed
-    whenever tasks must cross a ``spawn`` process boundary.
+    Picklable, so its tasks cross a ``spawn`` process boundary; every
+    experiment that resamples a uniform disk per trial uses it.
     """
 
     n: int

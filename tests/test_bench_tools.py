@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.bench import (
     core_benchmarks,
+    experiment_benchmarks,
     load_bench_record,
     run_benchmarks,
     write_bench_record,
@@ -88,6 +89,18 @@ class TestHarness:
         assert loaded["environment"]["git_sha"]
         assert loaded["environment"]["package_version"]
 
+    def test_experiment_benchmarks_time_quick_presets(self):
+        benchmarks = dict(experiment_benchmarks())
+        assert list(benchmarks) == [
+            "e2e_E1_quick",
+            "e2e_E3_quick",
+            "e2e_E11_quick",
+            "e2e_E17_quick",
+        ]
+        results = run_benchmarks([("e2e_E11_quick", benchmarks["e2e_E11_quick"])], 1)
+        assert results["e2e_E11_quick"]["passed"] is True
+        assert results["e2e_E11_quick"]["wall_time_s"] > 0.0
+
     def test_repeats_are_interleaved(self):
         calls = []
 
@@ -117,6 +130,7 @@ class TestHarness:
         document = load_bench_record(baseline)
         benchmarks = document["benchmarks"]
         assert "full_execution_engine" in benchmarks
+        assert {name for name, _ in experiment_benchmarks()} <= set(benchmarks)
         for entry in benchmarks.values():
             assert entry["wall_time_s"] > 0.0
         assert benchmarks["full_execution_engine"]["rounds_per_sec"] > 0

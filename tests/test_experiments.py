@@ -3,8 +3,11 @@
 Each experiment is exercised with a *micro* config (far smaller than even
 its quick preset) to verify the plumbing — configs, tables, notes — without
 asserting the statistical checks, which need the quick/full presets'
-sample sizes and are exercised by the benchmark harness.
+sample sizes: ``python -m repro.experiments all`` runs those and exits 1
+on any FAIL.
 """
+
+import pickle
 
 import pytest
 
@@ -163,3 +166,22 @@ def test_experiment_micro_run_is_deterministic(experiment_id):
     second = module.run(config)
     assert first.rows == second.rows
     assert first.checks == second.checks
+
+
+@pytest.mark.parametrize("experiment_id", ["E1", "E9", "E10", "E17"])
+def test_trial_batches_pickle(experiment_id, monkeypatch):
+    # ``--workers`` under ``spawn`` (macOS, Windows) pickles each batch.
+    from repro.sim import parallel
+
+    batches = []
+    run_batch = parallel.run_batch
+
+    def spy(work, trials, seed, workers):
+        batches.append(work)
+        return run_batch(work, trials, seed, workers)
+
+    monkeypatch.setattr(parallel, "run_batch", spy)
+    REGISTRY[experiment_id].run(dict(_micro_runs())[experiment_id])
+    assert batches
+    for work in batches:
+        pickle.dumps(work)

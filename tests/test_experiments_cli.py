@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments import REGISTRY
 from repro.experiments.__main__ import main
+from repro.experiments.common import ExperimentResult
 
 
 class TestArgumentHandling:
@@ -23,6 +25,23 @@ class TestArgumentHandling:
         assert "check" in out
         assert "PASS" in out
         assert exit_code == 0
+
+    def test_failed_check_exits_one(self, monkeypatch, capsys):
+        class Failing:
+            class Config:
+                @classmethod
+                def quick(cls):
+                    return cls()
+
+            @staticmethod
+            def run(config):
+                return ExperimentResult("E1", "stub", ["x"], [[1]], {"holds": False})
+
+        monkeypatch.setitem(REGISTRY, "E1", Failing)
+        exit_code = main(["E1,E13"])
+        out = capsys.readouterr().out
+        assert "E1   FAIL" in out and "E13  PASS" in out
+        assert exit_code == 1
 
     def test_probes_without_telemetry_dir_errors(self, capsys):
         with pytest.raises(SystemExit):

@@ -22,8 +22,8 @@ not flake the regression gate. The probes tax, the
 is printed for both records the same way: reported, never gated.
 
 This is the CI gate the perf trajectory in ``BENCH_core.json`` exists
-for: regenerate the candidate with ``benchmarks/harness.py`` and diff it
-against the committed baseline.
+for: regenerate the candidate with ``python -m repro.obs.bench`` and diff
+it against the committed baseline.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""One-command reproduction: tests, benchmarks, full experiments, report.
+"""One-command reproduction: tests, quick experiments, full experiments, report.
 
 Runs the complete verification pipeline in order and stops at the first
 failing stage:
 
 1. ``python -m repro --selfcheck`` — the installation works at all;
 2. ``pytest tests/`` — unit, integration, property tests;
-3. ``pytest benchmarks/ --benchmark-only`` — every experiment's quick
-   preset with its shape checks, plus the core micro-benchmarks;
+3. ``python -m repro.experiments all`` — every experiment's quick preset
+   with its shape checks;
 4. ``python -m repro.experiments all --full --report results_full.md`` —
    the measurement-grade run behind EXPERIMENTS.md (slow: tens of
    minutes).
@@ -53,10 +53,7 @@ def main(argv=None) -> int:
     stages = [
         ("selfcheck", [python, "-m", "repro", "--selfcheck"]),
         ("test suite", [python, "-m", "pytest", "tests/"]),
-        (
-            "benchmark suite (quick presets + shape checks)",
-            [python, "-m", "pytest", "benchmarks/", "--benchmark-only"],
-        ),
+        ("quick presets + shape checks", [python, "-m", "repro.experiments", "all"]),
     ]
     if args.full:
         stages.append(
