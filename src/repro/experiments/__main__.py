@@ -4,16 +4,11 @@
 summary scoreboard at the end — the same rows EXPERIMENTS.md records.
 A comma-separated list (``E1,E5,E17``) runs a subset in the given order.
 
-``--checkpoint-dir DIR`` makes the sweep crash-tolerant: each completed
-experiment's result (and its telemetry delta) is checkpointed to DIR via
-an atomic write, keyed by experiment id + preset + config hash (seed
-included). ``--resume`` then skips experiments whose matching checkpoint
-already exists and re-runs only the remainder — bit-identically, since
-results are pure functions of their configs (see
-:mod:`repro.experiments.sweep` and docs/experiments.md). SIGINT/SIGTERM
-terminate parallel workers promptly, flush telemetry, and finalise
-``manifest.json`` with ``status="interrupted"`` (exit code 130) instead
-of leaving truncated artifacts.
+SIGINT and SIGTERM unwind the run cleanly: parallel workers are
+terminated, telemetry is flushed and ``manifest.json`` is finalised with
+``status="interrupted"`` (exit code 130) instead of leaving truncated
+artifacts. Results are pure functions of their configs, so an
+interrupted sweep is simply rerun.
 
 ``--telemetry-dir DIR`` wraps the run in a
 :class:`repro.obs.TelemetrySession`: DIR receives ``manifest.json``
@@ -39,11 +34,61 @@ the manifest (and stdout). See docs/observability.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import signal
 import sys
+import threading
 import time
+from typing import Iterator
 
 from repro.experiments import REGISTRY
+
+
+class SweepInterrupted(KeyboardInterrupt):
+    """SIGINT/SIGTERM landed while a guarded sweep was running.
+
+    A :class:`KeyboardInterrupt` subclass, so ``except Exception`` blocks
+    in experiment code never swallow it, and any handler written for
+    Ctrl-C handles a polite ``kill -TERM`` identically.
+    """
+
+    def __init__(self, signum: int) -> None:
+        super().__init__(f"interrupted by signal {signum}")
+        self.signum = signum
+
+
+@contextlib.contextmanager
+def termination_signals_as_interrupts() -> Iterator[None]:
+    """Raise :class:`SweepInterrupted` on SIGINT/SIGTERM inside the block.
+
+    SIGTERM — what ``timeout``, process supervisors, and OOM-adjacent
+    babysitters send — normally kills Python without unwinding, leaving
+    live worker processes and truncated artifacts. Inside this context
+    both signals raise through the sweep loop instead, so ``finally``
+    blocks terminate workers and the telemetry session can finalise
+    ``manifest.json`` with ``status="interrupted"``. Previous handlers
+    are restored on exit. Off the main thread (where CPython forbids
+    ``signal.signal``) the context is a no-op.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def _handler(signum, frame):
+        raise SweepInterrupted(signum)
+
+    previous = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[signum] = signal.signal(signum, _handler)
+        except (ValueError, OSError):  # pragma: no cover - exotic platforms
+            continue
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def _run_one(experiment_id: str, config) -> "tuple":
@@ -97,20 +142,6 @@ def main(argv=None) -> int:
         "docs/parallelism.md)",
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="checkpoint each completed experiment's results into DIR "
-        "(atomic writes, keyed by experiment id + preset + config hash); "
-        "an interrupted sweep can then be continued with --resume",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments whose matching checkpoint already exists in "
-        "--checkpoint-dir and run only the remainder (results are "
-        "bit-identical to an uninterrupted run; see docs/experiments.md)",
-    )
-    parser.add_argument(
         "--probes",
         action="store_true",
         help="record the round-level flight recorder (probes.npz) and run "
@@ -129,12 +160,6 @@ def main(argv=None) -> int:
     if args.probes and not args.telemetry_dir:
         parser.error("--probes requires --telemetry-dir (probes.npz needs "
                      "a directory to land in)")
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir (there is nothing "
-                     "to resume from without checkpoints)")
-    if args.probes and args.resume:
-        parser.error("--probes cannot be combined with --resume (skipped "
-                     "experiments would be missing from probes.npz)")
 
     if args.experiment.lower() == "all":
         ids = sorted(REGISTRY, key=lambda e: int(e[1:]))
@@ -176,8 +201,6 @@ def main(argv=None) -> int:
                 "preset": preset,
                 "workers": args.workers,
                 "probes": args.probes,
-                "checkpoint_dir": args.checkpoint_dir,
-                "resume": args.resume,
                 "experiments": {
                     experiment_id: dataclasses.asdict(config)
                     for experiment_id, config in configs.items()
@@ -187,16 +210,7 @@ def main(argv=None) -> int:
         )
         session.start()
 
-    from repro.experiments.sweep import (
-        CheckpointStore,
-        SweepInterrupted,
-        config_key,
-        isolated_metrics,
-        termination_signals_as_interrupts,
-    )
     from repro.sim.parallel import default_workers
-
-    store = CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
 
     profiler = None
     profile_report = None
@@ -220,64 +234,27 @@ def main(argv=None) -> int:
 
     scoreboard = []
     results = []
-    resumed_count = 0
     try:
         with termination_signals_as_interrupts(), default_workers(args.workers):
             if profiler is not None:
                 profiler.enable()
             for experiment_id in ids:
-                config = configs[experiment_id]
-                key = config_key(experiment_id, preset, config)
-                checkpoint = None
-                if store is not None and args.resume:
-                    checkpoint = store.load(experiment_id, key)
-                if checkpoint is not None:
-                    result = checkpoint.result
-                    elapsed = checkpoint.elapsed_s
-                    resumed_count += 1
-                    print(result.format())
-                    print(f"  (resumed from checkpoint; originally {elapsed:.1f}s)")
-                    print()
-                    if session is not None:
-                        session.emit(
-                            "experiment_resumed",
-                            experiment=experiment_id,
-                            preset=preset,
-                            key=key,
-                            original_elapsed_s=elapsed,
-                        )
-                        if checkpoint.metrics:
-                            session.registry.merge_snapshot(checkpoint.metrics)
-                else:
-                    if session is not None:
-                        session.emit(
-                            "experiment_start", experiment=experiment_id, preset=preset
-                        )
-                    # With checkpointing on, each experiment records into
-                    # its own registry so its metrics delta can be saved
-                    # alongside the result and replayed on --resume.
-                    with isolated_metrics(
-                        store is not None and session is not None
-                    ) as capture:
-                        result, elapsed = _run_one(experiment_id, config)
-                    if session is not None:
-                        session.emit(
-                            "experiment_end",
-                            experiment=experiment_id,
-                            passed=result.passed,
-                            elapsed_s=elapsed,
-                            checks={
-                                name: bool(ok) for name, ok in result.checks.items()
-                            },
-                        )
-                    if store is not None:
-                        store.save(
-                            experiment_id, key, preset, result, elapsed,
-                            metrics=capture(),
-                        )
+                if session is not None:
+                    session.emit(
+                        "experiment_start", experiment=experiment_id, preset=preset
+                    )
+                result, elapsed = _run_one(experiment_id, configs[experiment_id])
+                if session is not None:
+                    session.emit(
+                        "experiment_end",
+                        experiment=experiment_id,
+                        passed=result.passed,
+                        elapsed_s=elapsed,
+                        checks={name: bool(ok) for name, ok in result.checks.items()},
+                    )
                 scoreboard.append((experiment_id, result.passed, elapsed))
                 results.append(result)
-    except (SweepInterrupted, KeyboardInterrupt) as interrupt:
+    except KeyboardInterrupt as interrupt:
         _finalise_profile()
         if session is not None:
             session.emit(
@@ -288,18 +265,10 @@ def main(argv=None) -> int:
             )
             session.finish(status="interrupted")
             session = None
-        if store is not None:
-            print(
-                f"interrupted after {len(scoreboard)}/{len(ids)} experiment(s); "
-                "completed results are checkpointed — rerun with --resume to "
-                "continue",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"interrupted after {len(scoreboard)}/{len(ids)} experiment(s)",
-                file=sys.stderr,
-            )
+        print(
+            f"interrupted after {len(scoreboard)}/{len(ids)} experiment(s)",
+            file=sys.stderr,
+        )
         return 130
     except BaseException:
         _finalise_profile()
@@ -324,8 +293,6 @@ def main(argv=None) -> int:
             print(
                 f"  {experiment_id:<4} {'PASS' if passed else 'FAIL'}  ({elapsed:.1f}s)"
             )
-        if resumed_count:
-            print(f"  ({resumed_count} of {len(ids)} resumed from checkpoints)")
     if args.telemetry_dir:
         print(f"telemetry written to {args.telemetry_dir}")
         if args.probes:

@@ -11,7 +11,7 @@ than silently drifting a number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,35 +20,8 @@ from repro.reporting.markdown import COST_HEADER
 __all__ = [
     "ExperimentResult",
     "format_table",
-    "json_safe",
     "COST_HEADER",
 ]
-
-
-def json_safe(value):
-    """Recursively convert ``value`` into plain JSON round-trippable types.
-
-    Numpy scalars become their Python equivalents (``.item()``), tuples
-    become lists, dict keys become strings. Floats survive a JSON round
-    trip bit-exactly (``json`` emits the shortest ``repr``), which is
-    what lets a checkpointed :class:`ExperimentResult` render the *same
-    bytes* in a report as the live result it was saved from — the
-    ``--resume`` contract (see :mod:`repro.experiments.sweep`).
-    """
-    if isinstance(value, np.generic):
-        # Before the plain-type check: np.float64 subclasses float and
-        # would otherwise slip through unconverted.
-        return json_safe(value.item())
-    if isinstance(value, (str, bool, int, float)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(key): json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(item) for item in value]
-    tolist = getattr(value, "tolist", None)
-    if callable(tolist):  # numpy scalars and arrays
-        return json_safe(tolist())
-    return str(value)
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -60,9 +33,9 @@ def format_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """
     def render(cell) -> str:
         if isinstance(cell, np.generic):
-            # Numpy scalars render via their Python equivalents, so a
-            # result restored from a sweep checkpoint (where cells have
-            # been through a JSON round trip) renders identical bytes.
+            # Numpy scalars render via their Python equivalents: a
+            # np.bool_ is not a bool, and would print "True" instead of
+            # "yes" without this.
             cell = cell.item()
         if isinstance(cell, bool):
             return "yes" if cell else "no"
@@ -122,39 +95,6 @@ class ExperimentResult:
     def passed(self) -> bool:
         """Whether every shape check held."""
         return all(self.checks.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe rendering of the whole result (sweep checkpoints).
-
-        Cells go through :func:`json_safe`, so numpy scalars are
-        converted to their Python equivalents and the round trip through
-        :meth:`from_dict` renders byte-identical reports.
-        """
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "header": [str(name) for name in self.header],
-            "rows": json_safe(self.rows),
-            "checks": {str(name): bool(ok) for name, ok in self.checks.items()},
-            "notes": [str(note) for note in self.notes],
-            "timings": json_safe(self.timings),
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "ExperimentResult":
-        """Rebuild a result saved by :meth:`to_dict`."""
-        return cls(
-            experiment_id=document["experiment_id"],
-            title=document["title"],
-            header=list(document["header"]),
-            rows=[list(row) for row in document.get("rows", [])],
-            checks=dict(document.get("checks", {})),
-            notes=list(document.get("notes", [])),
-            timings=[
-                (str(label), float(wall), float(rps))
-                for label, wall, rps in document.get("timings", [])
-            ],
-        )
 
     def format(self) -> str:
         """Full printable report: title, table, checks, notes."""

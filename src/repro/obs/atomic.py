@@ -1,11 +1,10 @@
 """Atomic artifact writes: serialise fully, write a temp file, ``os.replace``.
 
 Every JSON (and npz) artifact this package produces — ``manifest.json``,
-``metrics.json``, sweep checkpoints, ``probes.npz`` — goes through the
-helpers here, so a crash, OOM kill or signal can never leave a truncated
-or half-written file at the destination path: readers observe either the
-previous complete artifact or the new complete artifact, nothing in
-between.
+``metrics.json`` and ``probes.npz`` — goes through the helpers here, so a
+crash, OOM kill or signal can never leave a truncated or half-written
+file at the destination path: readers observe either the previous
+complete artifact or the new complete artifact, nothing in between.
 
 The sequence is the standard one:
 

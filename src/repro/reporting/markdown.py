@@ -25,7 +25,8 @@ COST_HEADER = ("stage", "wall_time_s", "rounds_per_sec")
 def _render_cell(cell) -> str:
     if isinstance(cell, np.generic):
         # Match the text renderer: numpy scalars render via their Python
-        # equivalents so checkpoint-restored results render identically.
+        # equivalents, since a np.bool_ is not a bool and would print
+        # "True" instead of "yes" without this.
         cell = cell.item()
     if isinstance(cell, bool):
         return "yes" if cell else "no"
@@ -74,9 +75,9 @@ def strip_cost_tables(text: str) -> str:
     Cost rows carry wall times and rounds/sec — the only
     machine-dependent content a report contains. Everything else (tables,
     checks, notes) is a pure function of the experiment seed, so two
-    reports from the same seeds must agree exactly after this strip; the
-    crash/resume CI smoke and ``tests/test_sweep.py`` diff reports
-    through it ("byte-identical modulo timings").
+    reports from the same seeds must agree exactly after this strip;
+    ``tools/run_digests.py`` and the CI digest steps hash reports through
+    it ("byte-identical modulo timings").
     """
     lines = text.split("\n")
     kept = []

@@ -7,8 +7,11 @@ sample sizes: ``python -m repro.experiments all`` runs those and exits 1
 on any FAIL.
 """
 
+import os
 import pickle
+import signal
 
+import numpy as np
 import pytest
 
 from repro.experiments import REGISTRY
@@ -32,7 +35,13 @@ from repro.experiments import (
     e11_radio_anchors,
     e12_rayleigh,
 )
+from repro.experiments.__main__ import (
+    SweepInterrupted,
+    main,
+    termination_signals_as_interrupts,
+)
 from repro.experiments.common import ExperimentResult, format_table
+from repro.reporting.markdown import render_result_markdown, strip_cost_tables
 
 
 class TestFormatTable:
@@ -50,6 +59,17 @@ class TestFormatTable:
     def test_bool_rendering(self):
         table = format_table(["ok"], [[False]])
         assert "no" in table
+
+    def test_numpy_scalars_render_as_python(self):
+        # A np.bool_ is not a bool: without the conversion it prints "True".
+        header = ["ok", "mean", "n"]
+        live = ExperimentResult(
+            "EX", "t", header, rows=[[np.bool_(True), np.float64(1 / 3), np.int64(8)]]
+        )
+        plain = ExperimentResult("EX", "t", header, rows=[[True, 1 / 3, 8]])
+        assert format_table(header, live.rows) == format_table(header, plain.rows)
+        assert render_result_markdown(live) == render_result_markdown(plain)
+        assert "True" not in live.format()
 
 
 class TestExperimentResult:
@@ -94,6 +114,68 @@ class TestRegistry:
             assert hasattr(module, "TITLE")
             assert hasattr(module.Config, "quick")
             assert hasattr(module.Config, "full")
+
+
+class TestTerminationSignals:
+    def test_sigterm_raises_sweep_interrupted(self):
+        with pytest.raises(SweepInterrupted) as excinfo:
+            with termination_signals_as_interrupts():
+                os.kill(os.getpid(), signal.SIGTERM)
+        assert excinfo.value.signum == signal.SIGTERM
+
+    def test_sigint_raises_sweep_interrupted(self):
+        with pytest.raises(SweepInterrupted):
+            with termination_signals_as_interrupts():
+                os.kill(os.getpid(), signal.SIGINT)
+
+    def test_handlers_restored_after_block(self):
+        before_term = signal.getsignal(signal.SIGTERM)
+        before_int = signal.getsignal(signal.SIGINT)
+        with termination_signals_as_interrupts():
+            assert signal.getsignal(signal.SIGTERM) is not before_term
+        assert signal.getsignal(signal.SIGTERM) is before_term
+        assert signal.getsignal(signal.SIGINT) is before_int
+
+    def test_sweep_interrupted_is_keyboard_interrupt(self):
+        # `except Exception` in experiment code must never swallow it.
+        assert issubclass(SweepInterrupted, KeyboardInterrupt)
+        assert not issubclass(SweepInterrupted, Exception)
+
+
+class TestCommaSeparatedIds:
+    def test_runs_subset_in_given_order(self, capsys):
+        assert main(["E7,E5"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("== E7") < out.index("== E5")
+        assert "== scoreboard ==" in out
+
+    def test_unknown_id_in_list_errors(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["E5,E99"])
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_duplicates_deduped(self, capsys):
+        assert main(["E7,e7"]) == 0
+        assert capsys.readouterr().out.count("== E7") == 1
+
+
+class TestStripCostTables:
+    def test_removes_cost_sections_only(self):
+        result = ExperimentResult(
+            "E1", "t", ["a"], rows=[[1]], checks={"ok": True}, notes=["n"]
+        )
+        result.add_timing("stage", 1.23, 456.0)
+        with_cost = render_result_markdown(result)
+        result_no_cost = ExperimentResult(
+            "E1", "t", ["a"], rows=[[1]], checks={"ok": True}, notes=["n"]
+        )
+        without_cost = render_result_markdown(result_no_cost)
+        assert strip_cost_tables(with_cost).rstrip() == without_cost.rstrip()
+        assert "wall_time_s" not in strip_cost_tables(with_cost)
+
+    def test_identity_without_cost_tables(self):
+        text = "# title\n\n| a |\n|---|\n| 1 |\n"
+        assert strip_cost_tables(text) == text
 
 
 def _micro_runs():

@@ -1,9 +1,11 @@
 """Tests for the ``python -m repro.experiments`` command-line interface."""
 
+import signal
+
 import pytest
 
 from repro.experiments import REGISTRY
-from repro.experiments.__main__ import main
+from repro.experiments.__main__ import SweepInterrupted, main
 from repro.experiments.common import ExperimentResult
 
 
@@ -47,6 +49,36 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit):
             main(["E5", "--probes"])
         assert "--probes requires --telemetry-dir" in capsys.readouterr().err
+
+
+class TestInterrupts:
+    def test_interrupted_sweep_finalises_telemetry(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import e7_hitting_game as e7
+        from repro.obs.events import read_events
+        from repro.obs.manifest import RunManifest
+
+        def interrupted_run(config):
+            raise SweepInterrupted(signal.SIGTERM)
+
+        # The signal lands while E7 executes, after E5 has completed.
+        monkeypatch.setattr(e7, "run", interrupted_run)
+        telemetry = tmp_path / "telemetry"
+        report = tmp_path / "report.md"
+        exit_code = main(
+            ["E5,E7", "--telemetry-dir", str(telemetry), "--report", str(report)]
+        )
+        assert exit_code == 130
+        assert "interrupted after 1/2" in capsys.readouterr().err
+
+        manifest = RunManifest.load(telemetry / "manifest.json")
+        assert manifest.status == "interrupted"
+        events = read_events(telemetry / "events.jsonl")
+        assert events[-1]["event"] == "session_end"
+        assert events[-1]["status"] == "interrupted"
+        interrupted = [e for e in events if e["event"] == "sweep_interrupted"]
+        assert len(interrupted) == 1
+        assert interrupted[0]["signum"] == signal.SIGTERM
+        assert not report.exists()
 
 
 class TestProbesFlag:
